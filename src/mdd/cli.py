@@ -64,6 +64,8 @@ def _read_csv(path: str) -> Relation:
             rows = [tuple(row) for row in reader]
     except OSError as exc:
         raise DistributionIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
     width = len(header)
     for i, row in enumerate(rows, start=2):
         if len(row) != width:
@@ -136,28 +138,26 @@ def _rhs_pattern_from_args(args, rhs_attrs, domain: LevelDomain) -> ThresholdPat
     return ThresholdPattern.over(tuple(rhs_attrs), levels)
 
 
-def _load_inputs(args) -> tuple[StatDistribution, LevelDomain]:
-    """Distribution either from a cache file or built in-process from CSV."""
+def _load_inputs(args) -> tuple[StatDistribution, DiscoveryRequest]:
+    """The request and its distribution, the latter either from a cache file
+    or built in-process from CSV."""
     if (args.input is None) == (args.dist is None):
         raise ValidationError("give exactly one of --input (CSV) or --dist (cache file)")
     if args.dist is not None:
         dist = dist_ops.load_distribution(args.dist)
-        view = _AttrView(dist)
-        lhs = _resolve_attrs(view, _split_names(args.lhs, "--lhs"))
-        rhs = _resolve_attrs(view, _split_names(args.rhs, "--rhs"))
-        wanted = tuple(dict.fromkeys(lhs + rhs))
+        request = _build_request(args, _AttrView(dist), dist.domain)
+        wanted = request.lhs + request.rhs
         if wanted != dist.attribute_set:
             dist = dist_ops.project(dist, wanted)
-        return dist, dist.domain
+        return dist, request
     relation = _read_csv(args.input)
     domain = LevelDomain(args.levels)
-    lhs = _resolve_attrs(relation, _split_names(args.lhs, "--lhs"))
-    rhs = _resolve_attrs(relation, _split_names(args.rhs, "--rhs"))
+    request = _build_request(args, relation, domain)
     metric = _parse_metric(args)
     dist = dist_ops.build_distribution(
-        relation, tuple(lhs + rhs), metric, domain, workers=args.threads
+        relation, request.lhs + request.rhs, metric, domain, workers=args.threads
     )
-    return dist, domain
+    return dist, request
 
 
 def _levels_doc(pattern: ThresholdPattern) -> dict:
@@ -192,10 +192,11 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
-def _build_request(args, dist: StatDistribution, domain: LevelDomain) -> DiscoveryRequest:
-    view = _AttrView(dist)
-    lhs = _resolve_attrs(view, _split_names(args.lhs, "--lhs"))
-    rhs = _resolve_attrs(view, _split_names(args.rhs, "--rhs"))
+def _build_request(args, names, domain: LevelDomain) -> DiscoveryRequest:
+    """The request the flags describe; ``names`` resolves attribute names (a
+    Relation, or an _AttrView over a distribution)."""
+    lhs = _resolve_attrs(names, _split_names(args.lhs, "--lhs"))
+    rhs = _resolve_attrs(names, _split_names(args.rhs, "--rhs"))
     rhs_pattern = _rhs_pattern_from_args(args, rhs, domain)
     return DiscoveryRequest.build(
         lhs,
@@ -209,12 +210,9 @@ def _build_request(args, dist: StatDistribution, domain: LevelDomain) -> Discove
 
 
 def _result_document(
-    request: DiscoveryRequest,
-    dist: StatDistribution,
-    domain: LevelDomain,
-    mds,
-    counters: EvalCounters,
+    request: DiscoveryRequest, dist: StatDistribution, mds, counters: EvalCounters
 ) -> dict:
+    domain = dist.domain
     return {
         "schema": RESULT_SCHEMA,
         "status": "ok" if mds else "infeasible",
@@ -265,13 +263,12 @@ def _result_document(
 
 
 def cmd_discover(args) -> int:
-    dist, domain = _load_inputs(args)
-    request = _build_request(args, dist, domain)
+    dist, request = _load_inputs(args)
     counters = EvalCounters()
     mds = run_request(
         dist, request, candidate_budget=args.candidate_budget, counters=counters
     )
-    _emit(_result_document(request, dist, domain, mds, counters), args.out)
+    _emit(_result_document(request, dist, mds, counters), args.out)
     return EXIT_OK
 
 
@@ -283,21 +280,13 @@ def cmd_verify(args) -> int:
             "it recomputes every pair from scratch"
         )
     domain = LevelDomain(args.levels)
-    lhs = _resolve_attrs(relation, _split_names(args.lhs, "--lhs"))
-    rhs = _resolve_attrs(relation, _split_names(args.rhs, "--rhs"))
+    request = _build_request(args, relation, domain)
+    lhs, rhs, rhs_pattern = request.lhs, request.rhs, request.rhs_pattern
     if domain.d ** len(lhs) > VERIFY_MAX_CANDIDATES:
         raise CandidateBudgetError(
             f"verify is capped at {VERIFY_MAX_CANDIDATES} candidates; reduce --levels or --lhs"
         )
-    rhs_pattern = _rhs_pattern_from_args(args, rhs, domain)
     metric = _parse_metric(args)
-    request = DiscoveryRequest.build(
-        lhs, rhs, rhs_pattern,
-        to_fraction(args.min_support, "--min-support"),
-        to_fraction(args.min_confidence, "--min-confidence"),
-        Algorithm.parse(args.algorithm),
-        None if args.epsilon is None else to_fraction(args.epsilon, "--epsilon"),
-    )
     if request.algorithm.is_approximate:
         raise ValidationError(
             "verify compares exact measures; use an exact algorithm (ea, eps, epsc)"

@@ -35,6 +35,7 @@ from .model import (
     satisfies,
     strip_zero_levels,
     to_fraction,
+    validate_thresholds,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,10 +121,7 @@ class _Run:
     def __post_init__(self) -> None:
         if set(self.lattice.attributes) & set(self.rhs_pattern.attributes):
             raise ValidationError("lhs and rhs attribute sets must be disjoint")
-        if not 0 < self.min_support <= 1:
-            raise ValidationError("min_support must lie in (0, 1]")
-        if not 0 < self.min_confidence <= 1:
-            raise ValidationError("min_confidence must lie in (0, 1]")
+        validate_thresholds(self.min_support, self.min_confidence)
         self.x_cols = tuple(self.dist.column_index(a) for a in self.lattice.attributes)
         self.rhs_mask = pattern_mask(self.dist, self.rhs_pattern)
         num, den = self.min_support.numerator, self.min_support.denominator
@@ -198,6 +196,67 @@ def _new_run(
 # ---------------------------------------------------------------------------
 
 
+def _exact_scan(
+    dist: StatDistribution,
+    lattice: CandidateLattice,
+    rhs_pattern: ThresholdPattern,
+    min_support: RationalLike,
+    min_confidence: RationalLike,
+    counters: EvalCounters | None,
+    *,
+    prune: bool,
+    early_confidence: bool,
+) -> list[DiscoveredMd]:
+    if early_confidence:
+        marker = dist.rhs_group
+        if marker is None:
+            raise ContractViolationError(
+                "epsc needs a distribution prepared by group_by_rhs for this rhs pattern"
+            )
+        if marker[0] != rhs_pattern:
+            raise ContractViolationError(
+                "distribution was grouped for a different rhs pattern; regroup it"
+            )
+        pivot = marker[1]
+    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
+    counts = dist.counts
+    n = dist.n
+    joint_counts = np.where(run.rhs_mask, counts, 0)
+    eta_num = run.min_confidence.numerator
+    eta_den = run.min_confidence.denominator
+    accepted = []
+    for cand in lattice.iter_levels(skip_pruned=prune):
+        run.counters.candidates_evaluated += 1
+        mask = run.candidate_mask(dist.levels, cand)
+        if early_confidence:
+            cum_lhs = np.cumsum(np.where(mask, counts, 0))
+            lhs = int(cum_lhs[-1])
+            # Past the pivot no record satisfies the rhs pattern, so the joint
+            # mass is already final there.
+            joint = int(cum_lhs[pivot - 1]) if pivot > 0 else 0
+            # Running confidence drops below the minimum at the first record
+            # where lhs mass exceeds joint/eta_c; positions with zero lhs mass
+            # have undefined confidence and never trigger.
+            reject_at = joint * eta_den // eta_num + 1
+            drop = n if reject_at > lhs else int(np.searchsorted(cum_lhs, reject_at))
+        else:
+            joint = int(joint_counts[mask].sum())
+            lhs = int(counts[mask].sum())
+            drop = n
+        supported = joint >= run.min_support_count
+        if drop < n:
+            run.counters.candidates_pruned_confidence += 1
+        # A confidence-rejected candidate stops at the drop if its support is
+        # already met; otherwise it keeps counting so its failure can prune.
+        run.counters.records_evaluated += (drop + 1) if drop < n and supported else n
+        if not supported:
+            if prune:
+                lattice.record_failure(cand)
+        elif drop == n and run.meets_confidence(joint, lhs):
+            accepted.append((cand, joint, lhs))
+    return run.finish(accepted, EvaluationMode.exact())
+
+
 def ea(
     dist: StatDistribution,
     lattice: CandidateLattice,
@@ -209,19 +268,10 @@ def ea(
 ) -> list[DiscoveredMd]:
     """Evaluate every candidate against every record. The baseline the pruned
     and approximate variants are measured against."""
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    counts = dist.counts
-    joint_counts = np.where(run.rhs_mask, counts, 0)
-    accepted = []
-    for cand in lattice.iter_levels():
-        run.counters.candidates_evaluated += 1
-        run.counters.records_evaluated += dist.n
-        mask = run.candidate_mask(dist.levels, cand)
-        joint = int(joint_counts[mask].sum())
-        lhs = int(counts[mask].sum())
-        if run.accepts(joint, lhs):
-            accepted.append((cand, joint, lhs))
-    return run.finish(accepted, EvaluationMode.exact())
+    return _exact_scan(
+        dist, lattice, rhs_pattern, min_support, min_confidence,
+        counters, prune=False, early_confidence=False,
+    )
 
 
 def eps(
@@ -236,21 +286,10 @@ def eps(
     """ea plus dominance pruning: once a candidate's support falls short, every
     candidate it dominates is skipped. Support only shrinks going up the
     lattice, so the returned set is identical to ea's."""
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    counts = dist.counts
-    joint_counts = np.where(run.rhs_mask, counts, 0)
-    accepted = []
-    for cand in lattice.iter_levels(skip_pruned=True):
-        run.counters.candidates_evaluated += 1
-        run.counters.records_evaluated += dist.n
-        mask = run.candidate_mask(dist.levels, cand)
-        joint = int(joint_counts[mask].sum())
-        lhs = int(counts[mask].sum())
-        if joint < run.min_support_count:
-            lattice.record_failure(cand)
-        elif run.meets_confidence(joint, lhs):
-            accepted.append((cand, joint, lhs))
-    return run.finish(accepted, EvaluationMode.exact())
+    return _exact_scan(
+        dist, lattice, rhs_pattern, min_support, min_confidence,
+        counters, prune=True, early_confidence=False,
+    )
 
 
 def epsc(
@@ -272,53 +311,10 @@ def epsc(
     (joint mass no longer grows past the pivot) so the final support is known
     and dominated candidates can be pruned soundly.
     """
-    marker = dist.rhs_group
-    if marker is None:
-        raise ContractViolationError(
-            "epsc needs a distribution prepared by group_by_rhs for this rhs pattern"
-        )
-    if marker[0] != rhs_pattern:
-        raise ContractViolationError(
-            "distribution was grouped for a different rhs pattern; regroup it"
-        )
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    pivot = marker[1]
-    counts = dist.counts
-    n = dist.n
-    eta_num = run.min_confidence.numerator
-    eta_den = run.min_confidence.denominator
-    accepted = []
-    for cand in lattice.iter_levels(skip_pruned=True):
-        run.counters.candidates_evaluated += 1
-        mask = run.candidate_mask(dist.levels, cand)
-        cum_lhs = np.cumsum(np.where(mask, counts, 0))
-        lhs_total = int(cum_lhs[-1])
-        # Past the pivot no record satisfies the rhs pattern, so the joint
-        # mass is already final there.
-        joint = int(cum_lhs[pivot - 1]) if pivot > 0 else 0
-        # Running confidence drops below the minimum at the first record where
-        # lhs mass exceeds joint/eta_c; positions with zero lhs mass have
-        # undefined confidence and never trigger.
-        reject_at = joint * eta_den // eta_num + 1
-        if reject_at > lhs_total:
-            idx = n
-        else:
-            idx = int(np.searchsorted(cum_lhs, reject_at, side="left"))
-        if idx < n:
-            run.counters.candidates_pruned_confidence += 1
-            if joint >= run.min_support_count:
-                run.counters.records_evaluated += idx + 1
-            else:
-                run.counters.records_evaluated += n
-                lattice.record_failure(cand)
-        else:
-            run.counters.records_evaluated += n
-            if joint >= run.min_support_count:
-                # idx == n already certifies final confidence >= the minimum.
-                accepted.append((cand, joint, lhs_total))
-            else:
-                lattice.record_failure(cand)
-    return run.finish(accepted, EvaluationMode.exact())
+    return _exact_scan(
+        dist, lattice, rhs_pattern, min_support, min_confidence,
+        counters, prune=True, early_confidence=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +337,6 @@ class ApproxBound:
     bound: Fraction
     suffix_mass: Fraction
     prefix_k: int
-
-
-def _validate_epsilon(
-    epsilon: Fraction, min_support: Fraction, min_confidence: Fraction
-) -> None:
-    if not 0 < min_support <= 1:
-        raise ValidationError("min_support must lie in (0, 1]")
-    if not 0 < min_confidence <= 1:
-        raise ValidationError("min_confidence must lie in (0, 1]")
-    if not 0 < epsilon < 1 - min_confidence:
-        raise ValidationError(
-            "epsilon must satisfy 0 < epsilon < 1 - min_confidence "
-            f"(got {epsilon} with min_confidence {min_confidence})"
-        )
 
 
 def _bound_factor(epsilon: Fraction, min_confidence: Fraction) -> Fraction:
@@ -384,7 +366,7 @@ def compute_prefix_k(
     eps = to_fraction(epsilon, "epsilon")
     eta_s = to_fraction(min_support, "min_support")
     eta_c = to_fraction(min_confidence, "min_confidence")
-    _validate_epsilon(eps, eta_s, eta_c)
+    validate_thresholds(eta_s, eta_c, eps)
     _require_sorted(dist_sorted)
 
     bound = eta_s * _bound_factor(eps, eta_c)
@@ -564,6 +546,17 @@ def apsi(
 # ---------------------------------------------------------------------------
 
 
+_ENGINES: dict[Algorithm, Callable[..., list[DiscoveredMd]]] = {
+    Algorithm.EA: ea,
+    Algorithm.EPS: eps,
+    Algorithm.EPSC: epsc,
+    Algorithm.AP: ap,
+    Algorithm.API: api,
+    Algorithm.APS: aps,
+    Algorithm.APSI: apsi,
+}
+
+
 def prepare_distribution(
     dist: StatDistribution, request: DiscoveryRequest
 ) -> StatDistribution:
@@ -598,17 +591,7 @@ def run_request(
         dist.domain,
         DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget,
     )
-    exact_args = (prepared, lattice, request.rhs_pattern, request.min_support, request.min_confidence)
-    if request.algorithm == Algorithm.EA:
-        return ea(*exact_args, counters=counters)
-    if request.algorithm == Algorithm.EPS:
-        return eps(*exact_args, counters=counters)
-    if request.algorithm == Algorithm.EPSC:
-        return epsc(*exact_args, counters=counters)
-    approx: dict[Algorithm, Callable] = {
-        Algorithm.AP: ap,
-        Algorithm.API: api,
-        Algorithm.APS: aps,
-        Algorithm.APSI: apsi,
-    }
-    return approx[request.algorithm](*exact_args, request.epsilon, counters=counters)
+    args = [prepared, lattice, request.rhs_pattern, request.min_support, request.min_confidence]
+    if request.algorithm.is_approximate:
+        args.append(request.epsilon)
+    return _ENGINES[request.algorithm](*args, counters=counters)

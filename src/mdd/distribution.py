@@ -14,14 +14,13 @@ import hashlib
 import urllib.parse
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DistributionIOError,
     InsufficientDataError,
-    SchemaMismatchError,
     ValidationError,
 )
 from .model import (
@@ -31,24 +30,10 @@ from .model import (
     StatDistribution,
     ThresholdPattern,
 )
-from .simkit import MetricKind, discretize, similarity
-
-MetricMap = Union[MetricKind, Mapping[AttributeId, MetricKind]]
+from .simkit import MetricKind, MetricMap, discretize, resolve_metrics, similarity
 
 _FORMAT_TAG = "#mdd-dist"
 _FORMAT_VERSION = "v1"
-
-
-def _metrics_for(attrs: Sequence[AttributeId], metrics: MetricMap) -> tuple[MetricKind, ...]:
-    if isinstance(metrics, MetricKind):
-        return tuple(metrics for _ in attrs)
-    resolved = []
-    for a in attrs:
-        try:
-            resolved.append(metrics[a])
-        except KeyError:
-            raise SchemaMismatchError(f"no metric configured for attribute {a.name}") from None
-    return tuple(resolved)
 
 
 def relation_fingerprint(
@@ -150,7 +135,7 @@ def build_distribution(
     if workers < 1:
         raise ValidationError("workers must be >= 1")
 
-    per_attr = _metrics_for(attrs, metrics)
+    per_attr = resolve_metrics(attrs, metrics)
     columns = tuple(relation.column(a) for a in attrs)
     specs = tuple(m.spec() for m in per_attr)
 
@@ -217,6 +202,8 @@ def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistrib
     """Marginalize the distribution onto a subset of its attributes, merging
     records that collide on the kept columns."""
     attrs = tuple(dict.fromkeys(attrs))
+    if not attrs:
+        raise ValidationError("distribution needs a nonempty attribute set")
     cols = [dist.column_index(a) for a in attrs]
     sub = dist.levels[:, cols]
     uniq, inverse = np.unique(sub, axis=0, return_inverse=True)
@@ -227,7 +214,7 @@ def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistrib
     h.update(f"project|{dist.fingerprint}".encode())
     for a in attrs:
         h.update(f"|{a.index}:{urllib.parse.quote(a.name)}".encode())
-    return StatDistribution(
+    return StatDistribution._derived(
         attrs,
         dist.domain,
         uniq,
@@ -287,6 +274,8 @@ def load_distribution(path) -> StatDistribution:
             text = fh.read()
     except OSError as exc:
         raise DistributionIOError(f"cannot read distribution cache {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DistributionIOError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
 
     lines = text.split("\n")
     if lines and lines[-1] == "":

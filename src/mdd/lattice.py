@@ -3,14 +3,16 @@
 A pattern dominates another when it is componentwise lower or equal; lower
 patterns are satisfied by at least the records of higher ones, so they are
 enumerated first (layers of nondecreasing level sum, lexicographic within a
-layer). The dominance graph is never materialized: pruning keeps a minimal
-antichain of failed patterns and checks each upcoming candidate against it.
+layer). Pruning keeps one boolean mask over the d^m grid: recording a failed
+pattern marks its whole upper set with a single slice assignment, so checking
+a candidate is one lookup.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CandidateBudgetError, ContractViolationError, SchemaMismatchError, ValidationError
 from .model import AttributeId, LevelDomain, ThresholdPattern
@@ -38,6 +40,11 @@ def _layer(m: int, max_level: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _upper_set(levels: Sequence[int]) -> tuple[slice, ...]:
+    """Index of every cell componentwise >= ``levels`` in a d^m grid."""
+    return tuple(slice(l, None) for l in levels)
+
+
 def _level_tuples(m: int, max_level: int) -> Iterator[tuple[int, ...]]:
     for total in range(m * max_level + 1):
         yield from _layer(m, max_level, total)
@@ -49,7 +56,8 @@ class CandidateLattice:
     Iteration yields every one of the d^m patterns unless dominance pruning
     removed it first. Instances are single-use: pruning state accumulates, so
     a second scan would silently skip candidates. Create a fresh lattice per
-    run.
+    run. The pruning mask holds one byte per candidate, so the candidate
+    budget bounds it as well.
     """
 
     def __init__(
@@ -73,27 +81,19 @@ class CandidateLattice:
         self.attributes = attributes
         self.domain = domain
         self.candidate_count = count
-        self._failed: list[tuple[int, ...]] = []
+        self._pruned = np.zeros((domain.d,) * len(attributes), dtype=bool)
         self._scanning = False
 
     def pattern(self, levels: Sequence[int]) -> ThresholdPattern:
         return ThresholdPattern.over(self.attributes, tuple(levels))
 
     def is_pruned(self, levels: tuple[int, ...]) -> bool:
-        for failed in self._failed:
-            if all(f <= l for f, l in zip(failed, levels)):
-                return True
-        return False
+        return bool(self._pruned[levels])
 
     def record_failure(self, levels: tuple[int, ...]) -> None:
-        """Register a fully evaluated pattern that missed the support minimum.
-
-        Patterns already dominated by a recorded failure are redundant and are
-        not stored, keeping the comparison list an antichain.
-        """
-        levels = tuple(int(v) for v in levels)
-        if not self.is_pruned(levels):
-            self._failed.append(levels)
+        """Register a fully evaluated pattern that missed the support minimum:
+        it and every pattern it dominates count as pruned from now on."""
+        self._pruned[_upper_set(levels)] = True
 
     def iter_levels(self, *, skip_pruned: bool = False) -> Iterator[tuple[int, ...]]:
         """Raw level tuples in dominance order (the fast path for algorithms)."""
@@ -115,23 +115,17 @@ class CandidateLattice:
         return how many were newly marked.
 
         Strict dominatees have a larger level sum, so none of them can have
-        been yielded yet. Counting enumerates the upper set of the pattern,
-        which is fine at desk scale; the discovery algorithms use
-        ``record_failure`` and derive pruned totals arithmetically instead.
+        been yielded yet. The discovery algorithms use ``record_failure`` and
+        derive pruned totals arithmetically instead.
         """
         if pattern.attributes != self.attributes:
             raise SchemaMismatchError("pattern is not over this lattice's attributes")
         levels = tuple(pattern.level_of(a) for a in self.attributes)
         for level in levels:
             self.domain.check_level(level)
-        newly = 0
-        for candidate in itertools.product(
-            *(range(l, self.domain.d) for l in levels)
-        ):
-            if candidate == levels:
-                continue
-            if not self.is_pruned(candidate):
-                newly += 1
+        upper = self._pruned[_upper_set(levels)]
+        # the pattern's own cell is the first of its upper set
+        newly = upper.size - int(np.count_nonzero(upper)) - (not upper.flat[0])
         self.record_failure(levels)
         return newly
 

@@ -50,6 +50,23 @@ def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
     raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
 
 
+def validate_thresholds(
+    min_support: Fraction, min_confidence: Fraction, epsilon: Fraction | None = None
+) -> None:
+    """Range checks shared by requests and engines. Confidence is undefined
+    with zero support mass, and the approximation bound divides by
+    min_support, so zero is rejected outright."""
+    if not 0 < min_support <= 1:
+        raise ValidationError("min_support must lie in (0, 1]")
+    if not 0 < min_confidence <= 1:
+        raise ValidationError("min_confidence must lie in (0, 1]")
+    if epsilon is not None and not 0 < epsilon < 1 - min_confidence:
+        raise ValidationError(
+            "epsilon must satisfy 0 < epsilon < 1 - min_confidence "
+            f"(got {epsilon} with min_confidence {min_confidence})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Schema and relation
 # ---------------------------------------------------------------------------
@@ -113,6 +130,9 @@ class Relation:
         return tuple(row[attr.index] for row in self.rows)
 
 
+MAX_LEVELS = 2**15  # levels 0..d-1 must fit the int16 level storage
+
+
 @dataclass(frozen=True)
 class LevelDomain:
     """Discrete similarity levels 0..d-1 shared by every attribute."""
@@ -122,6 +142,10 @@ class LevelDomain:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValidationError(f"level domain needs d >= 2, got {self.d}")
+        if self.d > MAX_LEVELS:
+            raise ValidationError(
+                f"level domain needs d <= {MAX_LEVELS} (levels are stored as int16), got {self.d}"
+            )
 
     @property
     def max_level(self) -> int:
@@ -317,7 +341,22 @@ class StatDistribution:
             raise ValidationError("level vectors must be unique across records")
         if metric_specs and len(metric_specs) != len(attribute_set):
             raise ValidationError("metric_specs must align with the attribute set")
+        self._assign(
+            attribute_set, domain, levels, counts, pair_total, fingerprint,
+            metric_specs, rhs_group, probability_sorted,
+        )
 
+    @classmethod
+    def _derived(cls, *args, **kwargs) -> "StatDistribution":
+        """Skip the checks for records derived from a valid distribution (a
+        permutation, or an ``np.unique`` merge of some of its columns), which
+        are valid by construction. Takes ownership of the fresh arrays."""
+        dist = cls.__new__(cls)
+        dist._assign(*args, **kwargs)
+        return dist
+
+    def _assign(self, attribute_set, domain, levels, counts, pair_total, fingerprint,
+                metric_specs=(), rhs_group=None, probability_sorted=False) -> None:
         levels.setflags(write=False)
         counts.setflags(write=False)
         self.attribute_set = attribute_set
@@ -369,7 +408,7 @@ class StatDistribution:
     ) -> "StatDistribution":
         """New distribution with permuted records; markers are reset to the
         ones describing the new order."""
-        return StatDistribution(
+        return StatDistribution._derived(
             self.attribute_set,
             self.domain,
             self.levels[order],
@@ -536,20 +575,8 @@ class DiscoveryRequest:
             raise ValidationError("lhs and rhs attribute sets must be disjoint")
         if set(self.rhs_pattern.attributes) != set(self.rhs):
             raise SchemaMismatchError("rhs_pattern must cover exactly the rhs attributes")
-        # Confidence is undefined with zero support mass, and the approximation
-        # bound divides by min_support, so zero is rejected outright.
-        if not 0 < self.min_support <= 1:
-            raise ValidationError("min_support must lie in (0, 1]")
-        if not 0 < self.min_confidence <= 1:
-            raise ValidationError("min_confidence must lie in (0, 1]")
-        if self.algorithm.is_approximate:
-            if self.epsilon is None:
-                raise ValidationError(
-                    f"algorithm {self.algorithm.value} requires an epsilon error bound"
-                )
-        if self.epsilon is not None:
-            if not 0 < self.epsilon < 1 - self.min_confidence:
-                raise ValidationError(
-                    "epsilon must satisfy 0 < epsilon < 1 - min_confidence "
-                    f"(got {self.epsilon} with min_confidence {self.min_confidence})"
-                )
+        validate_thresholds(self.min_support, self.min_confidence, self.epsilon)
+        if self.algorithm.is_approximate and self.epsilon is None:
+            raise ValidationError(
+                f"algorithm {self.algorithm.value} requires an epsilon error bound"
+            )

@@ -23,27 +23,18 @@ from .model import (
     strip_zero_levels,
     to_fraction,
 )
-from .simkit import MetricKind, discretize, similarity
+from .simkit import MetricMap, discretize, resolve_metrics, similarity
 
 ORACLE_CANDIDATE_CAP = 10_000
-
-
-def _resolve_metrics(attrs: Sequence[AttributeId], metrics) -> tuple[MetricKind, ...]:
-    if isinstance(metrics, MetricKind):
-        return tuple(metrics for _ in attrs)
-    try:
-        return tuple(metrics[a] for a in attrs)
-    except KeyError as exc:
-        raise SchemaMismatchError(f"no metric configured for attribute {exc.args[0].name}") from None
 
 
 def _pair_levels(
     relation: Relation,
     attrs: Sequence[AttributeId],
-    metrics,
+    metrics: MetricMap,
     domain: LevelDomain,
 ) -> list[tuple[int, ...]]:
-    per_attr = _resolve_metrics(attrs, metrics)
+    per_attr = resolve_metrics(attrs, metrics)
     columns = [relation.column(a) for a in attrs]
     n = relation.tuple_count
     out = []
@@ -64,7 +55,7 @@ def oracle_measures(
     rhs: Sequence[AttributeId],
     lhs_pattern: ThresholdPattern,
     rhs_pattern: ThresholdPattern,
-    metrics,
+    metrics: MetricMap,
     domain: LevelDomain,
 ) -> tuple[Fraction, Fraction]:
     """Support and confidence of one rule, counted pair by pair.
@@ -80,7 +71,7 @@ def oracle_measures(
     if not set(rhs_pattern.attributes) <= set(rhs):
         raise SchemaMismatchError("rhs_pattern mentions attributes outside rhs")
 
-    per_attr = {a: m for a, m in zip(lhs + rhs, _resolve_metrics(lhs + rhs, metrics))}
+    per_attr = {a: m for a, m in zip(lhs + rhs, resolve_metrics(lhs + rhs, metrics))}
     pair_total = n * (n - 1) // 2
     lhs_hits = 0
     both_hits = 0
@@ -119,7 +110,7 @@ def oracle_discover(
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
     min_confidence: RationalLike,
-    metrics,
+    metrics: MetricMap,
     domain: LevelDomain,
     candidate_cap: int = ORACLE_CANDIDATE_CAP,
 ) -> list[ThresholdPattern]:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
-from .errors import ValidationError
-from .model import LevelDomain
+from .errors import SchemaMismatchError, ValidationError
+from .model import AttributeId, LevelDomain
 
 COSINE_WORD = "cosine-word"
 COSINE_QGRAM = "cosine-qgram"
@@ -71,6 +72,23 @@ class MetricKind:
         if self.kind == COSINE_QGRAM:
             return f"{COSINE_QGRAM}:{self.q}"
         return self.kind
+
+
+MetricMap = Union[MetricKind, Mapping[AttributeId, MetricKind]]
+
+
+def resolve_metrics(attrs: Sequence[AttributeId], metrics: MetricMap) -> tuple[MetricKind, ...]:
+    """One metric per attribute: a single MetricKind applies to all of them,
+    a mapping must name every one."""
+    if isinstance(metrics, MetricKind):
+        return (metrics,) * len(attrs)
+    resolved = []
+    for a in attrs:
+        try:
+            resolved.append(metrics[a])
+        except KeyError:
+            raise SchemaMismatchError(f"no metric configured for attribute {a.name}") from None
+    return tuple(resolved)
 
 
 def _word_tokens(s: str) -> Counter:

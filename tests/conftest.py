@@ -107,6 +107,7 @@ def random_relation(
     *,
     n_rows: int,
     n_attrs: int,
+    vocab: list[str] | None = None,
 ) -> Relation:
     """Small random string relation with repeated and perturbed values so the
     similarity structure is nontrivial."""

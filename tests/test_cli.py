@@ -1,5 +1,6 @@
 """Command line surface: flag validation, JSON output, exit codes, caching."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,43 @@ class TestValidationAndExitCodes:
             capsys=capsys,
         )
         assert code == 2
+
+    def test_levels_above_int16_storage_rejected(self, capsys):
+        code, _ = run_cli(*DISCOVER_BASE, "--levels", "40000")
+        assert code == 2
+        assert "d <= 32768" in capsys.readouterr().err
+
+    def test_cache_with_huge_d_is_io_error(self, tmp_path, capsys):
+        body = "#mdd-dist v1 d=40000 pairs=1 attrs=0:A,1:B metric=edit fingerprint=x\n0,0,1\n"
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        cache = tmp_path / "huge.dist"
+        cache.write_text(body + f"#checksum={checksum}\n", encoding="utf-8")
+        code, _ = run_cli(
+            "discover", "--dist", str(cache), "--lhs", "A", "--rhs", "B",
+            "--rhs-levels", "1", "--min-support", "0.1", "--min-confidence", "0.5",
+            capsys=capsys,
+        )
+        assert code == 3
+
+    def test_non_utf8_csv_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\nx\xff,y\nz,w\n")
+        code, _ = run_cli(
+            "distribution", "--input", str(bad), "--attrs", "a,b",
+            "--out", str(tmp_path / "o.dist"),
+        )
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_non_utf8_cache_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dist"
+        bad.write_bytes(b"#mdd-dist v1 d=10 pairs=1 attrs=0:\xff,1:B\n")
+        code, _ = run_cli(
+            "discover", "--dist", str(bad), "--lhs", "A", "--rhs", "B",
+            "--rhs-levels", "1", "--min-support", "0.1", "--min-confidence", "0.5",
+            capsys=capsys,
+        )
+        assert code == 3
 
 
 class TestDistributionCommand:

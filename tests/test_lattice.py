@@ -104,32 +104,39 @@ class TestPruning:
             assert skipped not in seen
         assert (0, 1) in seen and (0, 2) in seen
 
-    def test_random_failures_skip_exactly_the_strict_upper_sets(self):
-        rng = random.Random(3)
-        lat = CandidateLattice(X2, LevelDomain(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d,m", [(4, 2), (3, 3), (6, 1)])
+    def test_random_failures_skip_exactly_the_strict_upper_sets(self, d, m, seed):
+        rng = random.Random(seed)
+        attrs = tuple(AttributeId(i, f"X{i}") for i in range(m))
+        lat = CandidateLattice(attrs, LevelDomain(d))
         yielded, failed = [], []
         for cand in lat.iter_levels(skip_pruned=True):
             yielded.append(cand)
-            if rng.random() < 0.3:
+            # a failing bottom would prune everything and test nothing
+            if any(cand) and rng.random() < 0.3:
                 lat.record_failure(cand)
                 failed.append(cand)
         assert failed, "seed should produce at least one failure"
+        grid = set(itertools.product(range(d), repeat=m))
         expected_skipped = {
             c
-            for c in itertools.product(range(4), repeat=2)
+            for c in grid
             for f in failed
             if c != f and all(fl <= cl for fl, cl in zip(f, c))
         }
         # every yielded candidate was un-pruned at its turn, and everything
         # else was skipped precisely because some failure dominates it
         assert expected_skipped.isdisjoint(yielded)
-        assert set(yielded) | expected_skipped == set(itertools.product(range(4), repeat=2))
+        assert set(yielded) | expected_skipped == grid
 
-    def test_redundant_failures_not_stored(self):
+    def test_redundant_failures_change_nothing(self):
         lat = CandidateLattice(X2, LevelDomain(4))
         lat.record_failure((1, 1))
+        grid = list(itertools.product(range(4), repeat=2))
+        before = [lat.is_pruned(c) for c in grid]
         lat.record_failure((2, 2))  # dominated by (1, 1), redundant
-        assert len(lat._failed) == 1
+        assert [lat.is_pruned(c) for c in grid] == before
 
 
 class TestBudget:
