@@ -368,7 +368,12 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--qgram", type=int, help="gram size when --metric cosine-qgram")
     p.add_argument("--levels", type=int, default=10, help="level domain size d (default 10)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for the pairwise pass")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes that fill the distinct-value level matrices (capped at the CPU count)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

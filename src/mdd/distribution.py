@@ -1,18 +1,23 @@
 """Build the pairwise-similarity statistical distribution from a relation,
 reorder it for the discovery algorithms, and persist it to a cache file.
 
-Construction makes a full pass over all N*(N-1)/2 unordered tuple pairs; no
-blocking or sampling is applied, so the resulting counts are exact. Pair
-enumeration may be spread over worker processes; the merged record set is
-canonicalized by sorting level vectors, so the result is independent of
-scheduling.
+Construction covers all N*(N-1)/2 unordered tuple pairs; no blocking or
+sampling is applied, so the resulting counts are exact. It works through
+distinct values: each column becomes integer codes over its sorted distinct
+values, and one ``u x u`` level matrix per attribute holds the discretized
+similarity of every pair of distinct values, so the metric runs once per
+value pair however often the pair recurs. The pairs themselves are then
+counted in numpy blocks: each pair's levels are looked up in the matrices,
+folded into one mixed-radix code, and tallied. The records come out sorted
+by level vector. Filling the matrices may be spread over worker processes;
+the matrices, and so the result, do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import urllib.parse
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
@@ -30,7 +35,14 @@ from .model import (
     StatDistribution,
     ThresholdPattern,
 )
-from .simkit import MetricKind, MetricMap, discretize, resolve_metrics, similarity
+from .simkit import (
+    MetricKind,
+    MetricMap,
+    discretize,
+    profile,
+    profile_similarity,
+    resolve_metrics,
+)
 
 _FORMAT_TAG = "#mdd-dist"
 _FORMAT_VERSION = "v1"
@@ -65,6 +77,13 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
     return h.hexdigest()
 
 
+# Pair codes are produced and counted this many at a time: 256 KB of int64
+# codes, sorted in place. This keeps the build's temporaries under 1 MB
+# whatever the relation size; larger blocks are no faster and only raise the
+# process's peak RSS.
+_BLOCK_PAIRS = 1 << 15
+
+
 def _pair_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     """Split first-index ranges so each chunk covers roughly equal pair counts."""
     total = n * (n - 1) // 2
@@ -84,30 +103,137 @@ def _pair_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in ranges if a < b]
 
 
-def _count_chunk(
-    columns: tuple[tuple[str, ...], ...],
-    metric_specs: tuple[str, ...],
-    d: int,
-    row_range: tuple[int, int],
-) -> Counter:
-    metrics = tuple(MetricKind.parse(s) for s in metric_specs)
-    domain = LevelDomain(d)
-    n = len(columns[0])
-    memo: list[dict[tuple[str, str], int]] = [{} for _ in columns]
-    out: Counter = Counter()
-    lo, hi = row_range
-    for i in range(lo, hi):
-        for j in range(i + 1, n):
-            vec = []
-            for c, (col, metric) in enumerate(zip(columns, metrics)):
-                key = (col[i], col[j]) if col[i] <= col[j] else (col[j], col[i])
-                level = memo[c].get(key)
-                if level is None:
-                    level = discretize(similarity(key[0], key[1], metric), domain)
-                    memo[c][key] = level
-                vec.append(level)
-            out[tuple(vec)] += 1
+def _fill_rows(
+    values: Sequence[str], metric: MetricKind, domain: LevelDomain, rows: int
+) -> np.ndarray:
+    """Levels of the first ``rows`` values against every later value:
+    ``out[r, c]`` for ``c > r``, zero elsewhere. ``values`` are sorted, so
+    the metric sees each pair as (smaller, larger)."""
+    profiles = [profile(v, metric) for v in values]
+    out = np.zeros((rows, len(values)), dtype=np.int16)
+    for r in range(rows):
+        left = profiles[r]
+        out[r, r + 1 :] = [
+            discretize(profile_similarity(left, right, metric), domain)
+            for right in profiles[r + 1 :]
+        ]
     return out
+
+
+def _level_matrices(
+    distinct: Sequence[Sequence[str]],
+    metrics: Sequence[MetricKind],
+    domain: LevelDomain,
+    workers: int,
+) -> list[np.ndarray]:
+    """One symmetric ``u x u`` int16 level matrix per column of distinct
+    values. With ``workers > 1`` the upper triangles are filled by a process
+    pool, split into row ranges of about equal pair counts."""
+    matrices = [np.zeros((len(v), len(v)), dtype=np.int16) for v in distinct]
+    rows_to_fill = sum(len(v) - 1 for v in distinct)
+    workers = min(workers, os.cpu_count() or 1, rows_to_fill)
+    if workers <= 1:
+        for matrix, values, metric in zip(matrices, distinct, metrics):
+            matrix[: len(values) - 1] = _fill_rows(values, metric, domain, len(values) - 1)
+    else:
+        tasks = [
+            (c, lo, hi)
+            for c, values in enumerate(distinct)
+            for lo, hi in _pair_ranges(len(values), workers)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = pool.map(
+                _fill_rows,
+                [distinct[c][lo:] for c, lo, _ in tasks],
+                [metrics[c] for c, _, _ in tasks],
+                [domain] * len(tasks),
+                [hi - lo for _, lo, hi in tasks],
+            )
+            for (c, lo, hi), block in zip(tasks, blocks):
+                matrices[c][lo:hi, lo:] = block
+    for matrix in matrices:
+        matrix += matrix.T
+        # Identical strings have similarity 1 under every metric.
+        np.fill_diagonal(matrix, domain.max_level)
+    return matrices
+
+
+def _row_runs(n: int):
+    """The pairs ``i < j`` of ``n`` rows in row-major order, in blocks of at
+    most ``_BLOCK_PAIRS`` pairs; a block is a list of ``(i, j_lo, j_hi)``
+    runs, one per row it touches."""
+    block, size = [], 0
+    for i in range(n - 1):
+        lo = i + 1
+        while lo < n:
+            hi = min(n, lo + _BLOCK_PAIRS - size)
+            block.append((i, lo, hi))
+            size += hi - lo
+            lo = hi
+            if size == _BLOCK_PAIRS:
+                yield block
+                block, size = [], 0
+    if block:
+        yield block
+
+
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, with their multiplicities; sorts ``keys`` in
+    place (``np.unique`` would sort a copy)."""
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.diff(np.append(starts, len(keys)))
+
+
+def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum counts over equal keys; keys come out sorted ascending."""
+    keys, inverse = np.unique(
+        np.concatenate([k for k, _ in parts]), return_inverse=True
+    )
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, np.concatenate([c for _, c in parts]))
+    return keys, counts
+
+
+def _pair_histogram(
+    codes: Sequence[np.ndarray], matrices: Sequence[np.ndarray], d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct level vectors over all pairs ``i < j`` of rows, sorted
+    ascending, and how many pairs have each.
+
+    The rows are walked in blocks of ``_BLOCK_PAIRS`` pairs. Each pair's
+    levels ``L_c[codes_c[i], codes_c[j]]`` are folded into one mixed-radix
+    code with base ``d``, so ascending codes are ascending level vectors. The
+    codes are int64 where ``d**m`` fits and Python integers in an object
+    array where it does not.
+    """
+    n, m = len(codes[0]), len(codes)
+    dtype = np.int64 if d**m <= np.iinfo(np.int64).max else object
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    pending = 0
+    limit = _BLOCK_PAIRS
+    for block in _row_runs(n):
+        keys = np.zeros(sum(hi - lo for _, lo, hi in block), dtype=dtype)
+        for col, matrix in zip(codes, matrices):
+            keys *= d
+            at = 0
+            for i, lo, hi in block:
+                keys[at : at + hi - lo] += matrix[col[i], col[lo:hi]]
+                at += hi - lo
+        parts.append(_tally(keys))
+        pending += len(parts[-1][0])
+        # Fold the per-block tallies once they outgrow both a block and twice
+        # the running total, so memory and merge work stay linear.
+        if pending > limit:
+            parts = [_merge_counts(parts)]
+            pending = len(parts[0][0])
+            limit = max(_BLOCK_PAIRS, 2 * pending)
+    keys, counts = _merge_counts(parts)
+    levels = np.empty((len(keys), m), dtype=np.int16)
+    for c in range(m - 1, -1, -1):
+        levels[:, c] = keys % d
+        keys = keys // d
+    return levels, counts
 
 
 def build_distribution(
@@ -122,7 +248,8 @@ def build_distribution(
     pair into a statistical distribution over ``attrs``.
 
     Attributes outside ``attrs`` never enter the records, which is equivalent
-    to marginalizing them away up front.
+    to marginalizing them away up front. ``workers > 1`` fills the level
+    matrices in that many processes, capped at the CPU count.
     """
     attrs = tuple(dict.fromkeys(attrs))
     if not attrs:
@@ -136,34 +263,24 @@ def build_distribution(
         raise ValidationError("workers must be >= 1")
 
     per_attr = resolve_metrics(attrs, metrics)
-    columns = tuple(relation.column(a) for a in attrs)
-    specs = tuple(m.spec() for m in per_attr)
+    distinct, codes = [], []
+    for a in attrs:
+        column = relation.column(a)
+        values = sorted(set(column))
+        index = {v: k for k, v in enumerate(values)}
+        distinct.append(values)
+        codes.append(np.fromiter((index[v] for v in column), dtype=np.intp, count=n))
 
-    workers = min(workers, n - 1)
-    if workers == 1:
-        total = _count_chunk(columns, specs, domain.d, (0, n - 1))
-    else:
-        total = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _count_chunk,
-                *zip(*[(columns, specs, domain.d, r) for r in _pair_ranges(n, workers)]),
-            )
-            for chunk in chunks:
-                total.update(chunk)
-
-    pair_total = n * (n - 1) // 2
-    vectors = sorted(total)
-    levels = np.array(vectors, dtype=np.int16).reshape(len(vectors), len(attrs))
-    counts = np.array([total[v] for v in vectors], dtype=np.int64)
+    matrices = _level_matrices(distinct, per_attr, domain, workers)
+    levels, counts = _pair_histogram(codes, matrices, domain.d)
     return StatDistribution(
         attrs,
         domain,
         levels,
         counts,
-        pair_total,
+        n * (n - 1) // 2,
         relation_fingerprint(relation, attrs, per_attr, domain),
-        metric_specs=specs,
+        metric_specs=tuple(m.spec() for m in per_attr),
     )
 
 

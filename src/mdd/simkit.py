@@ -94,7 +94,7 @@ def resolve_metrics(attrs: Sequence[AttributeId], metrics: MetricMap) -> tuple[M
 def _word_tokens(s: str) -> Counter:
     tokens: Counter = Counter()
     current: list[str] = []
-    for ch in s.lower():
+    for ch in s:
         if ch.isalnum():
             current.append(ch)
         elif current:
@@ -107,21 +107,21 @@ def _word_tokens(s: str) -> Counter:
 
 def _qgrams(s: str, q: int) -> Counter:
     # No padding: strings shorter than q yield no grams.
-    s = s.lower()
     return Counter(s[i : i + q] for i in range(len(s) - q + 1))
 
 
-def _cosine(a: Counter, b: Counter) -> float:
-    if not a and not b:
+def _cosine(a: tuple[Counter, int], b: tuple[Counter, int]) -> float:
+    (ca, sq_a), (cb, sq_b) = a, b
+    if not ca and not cb:
         return 1.0
-    if not a or not b:
+    if not ca or not cb:
         return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(cnt * b[tok] for tok, cnt in a.items())
+    if len(cb) < len(ca):
+        ca, cb = cb, ca
+    dot = sum(cnt * cb.get(tok, 0) for tok, cnt in ca.items())
     if dot == 0:
         return 0.0
-    sq = sum(c * c for c in a.values()) * sum(c * c for c in b.values())
+    sq = sq_a * sq_b
     # Counts are integers, so the Cauchy-Schwarz equality case (the multisets
     # are scalar multiples of each other) is decidable exactly; sqrt rounding
     # must not pull an exact 1 below it.
@@ -130,39 +130,72 @@ def _cosine(a: Counter, b: Counter) -> float:
     return min(1.0, max(0.0, dot / math.sqrt(sq)))
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+def _char_masks(s: str) -> dict[str, int]:
+    """Bit i of ``masks[ch]`` is set where ``s[i] == ch``."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(s):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    return masks
+
+
+def _myers(masks: dict[str, int], m: int, text: str) -> int:
+    """Levenshtein distance between an m-character pattern, given by its
+    ``_char_masks``, and ``text``.
+
+    Bit-parallel dynamic programming (Myers, JACM 1999, in Hyyro's
+    formulation for global distance): bit i of ``pv``/``mv`` says whether the
+    current DP column rises or falls by one between rows i and i+1. Python
+    integers hold the whole column, so any pattern length is exact.
+    """
+    if m == 0:
+        return len(text)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 of the DP is 0, 1, 2, ...: every step adds one there.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
+
+
+def profile(value: str, metric: MetricKind) -> tuple:
+    """The part of ``value`` that ``metric`` compares, computed once per value:
+    the lowercased string and its character masks for ``edit``; the token or
+    q-gram counts of the lowercased string and their squared norm for the
+    cosine metrics."""
+    s = value.lower()
+    if metric.kind == EDIT:
+        return s, _char_masks(s)
+    counts = _word_tokens(s) if metric.kind == COSINE_WORD else _qgrams(s, metric.q)
+    return counts, sum(c * c for c in counts.values())
+
+
+def profile_similarity(a: tuple, b: tuple, metric: MetricKind) -> float:
+    """Similarity in [0, 1] of two values given by their ``profile``."""
+    if metric.kind != EDIT:
+        return _cosine(a, b)
+    # The longer string is the bit pattern, so the loop runs over the shorter.
+    (longer, masks), (shorter, _) = (a, b) if len(a[0]) >= len(b[0]) else (b, a)
+    if not longer:
+        return 1.0
+    return 1.0 - _myers(masks, len(longer), shorter) / len(longer)
 
 
 def similarity(a: str, b: str, metric: MetricKind) -> float:
     """Similarity of two strings in [0, 1] under the selected metric."""
-    if metric.kind == COSINE_WORD:
-        return _cosine(_word_tokens(a), _word_tokens(b))
-    if metric.kind == COSINE_QGRAM:
-        return _cosine(_qgrams(a, metric.q), _qgrams(b, metric.q))
-    a, b = a.lower(), b.lower()
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - _levenshtein(a, b) / longest
+    return profile_similarity(profile(a, metric), profile(b, metric), metric)
 
 
 def discretize(sim: float, domain: LevelDomain) -> int:

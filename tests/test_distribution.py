@@ -1,10 +1,13 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdd import (
     DistributionIOError,
@@ -24,9 +27,50 @@ from mdd import (
     save_distribution,
     sort_by_probability_desc,
 )
+import mdd.distribution as distribution_module
 from mdd.errors import SchemaMismatchError
+from mdd.oracle import _pair_levels
 
-from conftest import make_distribution, random_distribution
+from conftest import make_distribution, random_distribution, random_relation
+
+METRIC_SPECS = ["edit", "cosine-word", "cosine-qgram:1", "cosine-qgram:3"]
+# Duplicates, empty strings, strings shorter than q=3, values that differ
+# only in case, non-ASCII case pairs and a value longer than 64 characters.
+VOCAB = [
+    "", "a", "ab", "Ab", "alpha", "ALPHA", "Alpha beta", "alpha  beta", "route 66",
+    "Route 66", "na\u00efve", "NA\u00cfVE", "stra\u00dfe", "x y z", "go go go", "abc" * 25,
+]
+
+
+def oracle_counts(relation, attrs, metrics, domain) -> dict:
+    return dict(Counter(_pair_levels(relation, attrs, metrics, domain)))
+
+
+def random_relation_with_empties(seed: int, n_rows: int, n_attrs: int) -> Relation:
+    rel = random_relation(random.Random(seed), n_rows=n_rows, n_attrs=n_attrs, vocab=VOCAB[1:])
+    empty = ("",) * n_attrs
+    return Relation.from_rows([a.name for a in rel.schema], [*rel.rows, empty, empty])
+
+
+def built_counts(dist) -> dict:
+    vectors = [tuple(int(v) for v in row) for row in dist.levels]
+    assert vectors == sorted(vectors)
+    return dict(zip(vectors, (int(c) for c in dist.counts)))
+
+
+@st.composite
+def relations_and_metrics(draw):
+    m = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(st.lists(st.sampled_from(VOCAB), min_size=m, max_size=m), min_size=2, max_size=12)
+    )
+    relation = Relation.from_rows([f"A{c}" for c in range(m)], rows)
+    specs = draw(st.lists(st.sampled_from(METRIC_SPECS), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        metrics = MetricKind.parse(specs[0])
+    else:
+        metrics = {a: MetricKind.parse(s) for a, s in zip(relation.schema, specs)}
+    return relation, metrics
 
 
 class TestBuild:
@@ -92,6 +136,102 @@ class TestBuild:
         }
         dist = build_distribution(contacts, attrs, metrics, domain10)
         assert dist.metric_specs == ("edit", "cosine-word")
+
+
+class TestBuildAgainstOracle:
+    """The distinct-value kernel against the pair-by-pair oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=relations_and_metrics(), d=st.sampled_from([2, 10, 32768]))
+    def test_equals_oracle_counter(self, case, d):
+        relation, metrics = case
+        domain = LevelDomain(d)
+        dist = build_distribution(relation, relation.schema, metrics, domain)
+        assert built_counts(dist) == oracle_counts(relation, relation.schema, metrics, domain)
+
+    @pytest.mark.parametrize("spec", ["edit", "cosine-word", "cosine-qgram:3"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_relation_any_worker_count(self, spec, workers):
+        rel = random_relation_with_empties(7, n_rows=40, n_attrs=3)
+        metric, domain = MetricKind.parse(spec), LevelDomain(10)
+        dist = build_distribution(rel, rel.schema, metric, domain, workers=workers)
+        assert built_counts(dist) == oracle_counts(rel, rel.schema, metric, domain)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_schema_past_int64_codes(self, workers):
+        # 32768**5 = 2**75: level vectors no longer fit one int64 code.
+        rel = random_relation_with_empties(3, n_rows=7, n_attrs=5)
+        metric, domain = MetricKind.parse("edit"), LevelDomain(32768)
+        assert domain.d ** len(rel.schema) > 2**63
+        dist = build_distribution(rel, rel.schema, metric, domain, workers=workers)
+        assert built_counts(dist) == oracle_counts(rel, rel.schema, metric, domain)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_small_blocks_split_rows_and_fold_tallies(self, monkeypatch, block):
+        # Blocks shorter than a row, and more distinct codes than a block,
+        # which the default block size reaches only on huge relations.
+        monkeypatch.setattr(distribution_module, "_BLOCK_PAIRS", block)
+        rel = random_relation_with_empties(5, n_rows=30, n_attrs=2)
+        metric, domain = MetricKind.parse("edit"), LevelDomain(32768)
+        dist = build_distribution(rel, rel.schema, metric, domain)
+        assert dist.n > 2 * block
+        assert built_counts(dist) == oracle_counts(rel, rel.schema, metric, domain)
+
+    def test_case_variants_are_distinct_values_at_full_level(self, domain10):
+        rel = Relation.from_rows(["v"], [("Alpha",), ("ALPHA",), ("alpha",)])
+        for spec in METRIC_SPECS:
+            dist = build_distribution(rel, rel.schema, MetricKind.parse(spec), domain10)
+            assert built_counts(dist) == {(9,): 3}
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(8, 3, 3), (2, 64, 2), (64, 64, 10), (8, None, None), (1, 64, None)],
+    )
+    def test_pool_capped_by_cpus_and_rows(self, monkeypatch, workers, cpus, expected):
+        monkeypatch.setattr(distribution_module, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(distribution_module.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        # 7 and 5 distinct values: 6 + 4 matrix rows to fill.
+        rel = Relation.from_rows(["a", "b"], [(f"v{i % 7}", f"w {i % 5}") for i in range(14)])
+        metric, domain = MetricKind.parse("edit"), LevelDomain(10)
+        dist = build_distribution(rel, rel.schema, metric, domain, workers=workers)
+        assert _RecordingPool.sizes == ([] if expected is None else [expected])
+        assert dist == build_distribution(rel, rel.schema, metric, domain)
+
+
+def test_build_memory_stays_bounded():
+    # Pair codes are counted a block at a time, so the build's peak traced
+    # allocation (numpy buffers included) is independent of the ~2M pairs.
+    rel = random_relation(random.Random(1), n_rows=2000, n_attrs=3)
+    metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+    tracemalloc.start()
+    try:
+        dist = build_distribution(rel, rel.schema, metric, domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.pair_total == 2000 * 1999 // 2
+    assert peak < 2 * 2**20
 
 
 class TestGroupByRhs:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdd import LevelDomain, MetricKind, ValidationError, discretize, similarity
+from mdd.simkit import _char_masks, _myers
 
 WORD = MetricKind.cosine_word_tokens()
 QGRAM2 = MetricKind.cosine_qgrams(2)
@@ -13,6 +14,35 @@ ALL_METRICS = [WORD, QGRAM2, EDIT]
 texts = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=24
 )
+# Few distinct characters, so strings share long runs; sizes past 64 need
+# more than one machine word of bit-vector.
+edit_texts = st.one_of(
+    st.text(alphabet="aAbB\u00e9\u00c9\u00df\u0130 ", max_size=150),
+    st.text(max_size=80),
+)
+
+
+def bit_parallel(pattern: str, text: str) -> int:
+    return _myers(_char_masks(pattern), len(pattern), text)
+
+
+def levenshtein_dp(a: str, b: str) -> int:
+    """Reference: the O(|a|*|b|) dynamic program, one row at a time."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        previous = current
+    return previous[-1]
 
 
 class TestSimilarity:
@@ -43,6 +73,22 @@ class TestSimilarity:
         # below the gram size both sides have no grams; identical by convention
         assert similarity("a", "b", QGRAM2) == 1.0
         assert similarity("ab", "xy", QGRAM2) == 0.0
+
+    @given(a=edit_texts, b=edit_texts)
+    def test_bit_parallel_levenshtein_equals_dp(self, a, b):
+        assert bit_parallel(a, b) == levenshtein_dp(a, b) == bit_parallel(b, a)
+        lo_a, lo_b = a.lower(), b.lower()
+        longest = max(len(lo_a), len(lo_b))
+        expected = 1.0 - levenshtein_dp(lo_a, lo_b) / longest if longest else 1.0
+        assert similarity(a, b, EDIT) == expected
+
+    @pytest.mark.parametrize(
+        "a, b, distance",
+        [("", "", 0), ("", "abc", 3), ("kitten", "sitting", 3), ("a" * 70, "a" * 69 + "b", 1),
+         ("ab" * 40, "ba" * 40, 2)],
+    )
+    def test_levenshtein_known_values(self, a, b, distance):
+        assert bit_parallel(a, b) == distance == bit_parallel(b, a)
 
     def test_case_folding(self):
         assert similarity("CHICAGO", "chicago", EDIT) == 1.0
