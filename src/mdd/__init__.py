@@ -9,19 +9,15 @@ relative error.
 
 from .discovery import (
     ApproxBound,
-    CandidateAccumulator,
     ap,
     api,
     aps,
     apsi,
     compute_prefix_k,
-    confidence_of,
     ea,
     eps,
     epsc,
-    fold_candidate,
     run_request,
-    support_of,
 )
 from .distribution import (
     build_distribution,
@@ -41,12 +37,7 @@ from .errors import (
     SchemaMismatchError,
     ValidationError,
 )
-from .lattice import (
-    DEFAULT_CANDIDATE_BUDGET,
-    CandidateLattice,
-    dominates,
-    enumerate_in_dominance_order,
-)
+from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
     AttributeId,
@@ -57,9 +48,7 @@ from .model import (
     LevelDomain,
     Relation,
     StatDistribution,
-    StatTuple,
     ThresholdPattern,
-    satisfies,
     strip_zero_levels,
     to_fraction,
 )
@@ -72,7 +61,6 @@ __all__ = [
     "Algorithm",
     "ApproxBound",
     "AttributeId",
-    "CandidateAccumulator",
     "CandidateBudgetError",
     "CandidateLattice",
     "ContractViolationError",
@@ -89,7 +77,6 @@ __all__ = [
     "Relation",
     "SchemaMismatchError",
     "StatDistribution",
-    "StatTuple",
     "ThresholdPattern",
     "ValidationError",
     "ap",
@@ -98,14 +85,10 @@ __all__ = [
     "apsi",
     "build_distribution",
     "compute_prefix_k",
-    "confidence_of",
     "discretize",
-    "dominates",
     "ea",
-    "enumerate_in_dominance_order",
     "eps",
     "epsc",
-    "fold_candidate",
     "group_by_rhs",
     "load_distribution",
     "oracle_discover",
@@ -113,11 +96,9 @@ __all__ = [
     "pattern_mask",
     "project",
     "run_request",
-    "satisfies",
     "save_distribution",
     "similarity",
     "sort_by_probability_desc",
     "strip_zero_levels",
-    "support_of",
     "to_fraction",
 ]

@@ -109,6 +109,8 @@ def _parse_metric(args) -> MetricKind:
     metric = MetricKind.parse(spec)
     if args.qgram is not None and metric.kind != "cosine-qgram":
         raise ValidationError(f"--qgram does not apply to metric {metric.kind}")
+    if args.qgram is not None and args.qgram != metric.q:
+        raise ValidationError(f"--qgram {args.qgram} conflicts with metric {metric.spec()}")
     return metric
 
 

@@ -1,7 +1,14 @@
-"""The discovery algorithms: exact scans (ea), dominance pruning by support
-(eps), combined support/confidence pruning over a grouped distribution (epsc),
-and the prefix approximations with a relative error bound (ap, api) plus their
-support-pruned combinations (aps, apsi).
+"""The discovery algorithms, all one prefix scan over the candidate lattice.
+
+The approximate engines evaluate each candidate over the first k records of
+the probability-sorted distribution and bound the mass of the rest; the exact
+engines are the same scan with k = n. Each engine sets up the scan and picks
+where a candidate stops. ea reads every record for every candidate; eps adds
+dominance pruning by support; epsc, over a distribution grouped by the rhs
+pattern, also stops a candidate where its running confidence drops below the
+minimum. ap and aps are ea and eps over the first k records (k from
+compute_prefix_k); api and apsi add a per-candidate stop once the unseen mass
+is within the candidate's own bound.
 
 Decision arithmetic is exact: support thresholds become integer count minimums
 (count >= ceil(min_support * pair_total)) and confidence checks cross-multiply
@@ -14,6 +21,7 @@ record by record.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -32,74 +40,10 @@ from .model import (
     RationalLike,
     StatDistribution,
     ThresholdPattern,
-    satisfies,
     strip_zero_levels,
     to_fraction,
     validate_thresholds,
 )
-
-# ---------------------------------------------------------------------------
-# Accumulators (the sequential reference semantics)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CandidateAccumulator:
-    """Running masses of one candidate while records stream past.
-
-    ``joint_count`` accumulates records satisfying both the candidate and the
-    rhs pattern, ``lhs_count`` those satisfying the candidate alone. Both are
-    nondecreasing and joint_count <= lhs_count always.
-    """
-
-    pair_total: int
-    joint_count: int = 0
-    lhs_count: int = 0
-    records_seen: int = 0
-
-    def absorb(self, count: int, sat_lhs: bool, sat_rhs: bool) -> None:
-        self.records_seen += 1
-        if sat_lhs:
-            self.lhs_count += count
-            if sat_rhs:
-                self.joint_count += count
-
-    @property
-    def joint_mass(self) -> Fraction:
-        return Fraction(self.joint_count, self.pair_total)
-
-    @property
-    def lhs_mass(self) -> Fraction:
-        return Fraction(self.lhs_count, self.pair_total)
-
-
-def support_of(acc: CandidateAccumulator) -> Fraction:
-    return acc.joint_mass
-
-
-def confidence_of(acc: CandidateAccumulator) -> Fraction:
-    """Joint over lhs mass; 0 when nothing satisfies the candidate (such a
-    candidate has zero support and can never qualify anyway)."""
-    if acc.lhs_count == 0:
-        return Fraction(0)
-    return Fraction(acc.joint_count, acc.lhs_count)
-
-
-def fold_candidate(
-    dist: StatDistribution,
-    lhs_pattern: ThresholdPattern,
-    rhs_pattern: ThresholdPattern,
-    upto: int | None = None,
-) -> CandidateAccumulator:
-    """Plain record-by-record fold. The vectorized paths must agree with this
-    on every prefix; tests hold them to it."""
-    acc = CandidateAccumulator(pair_total=dist.pair_total)
-    stop = dist.n if upto is None else upto
-    for i in range(stop):
-        rec = dist.record_at(i)
-        acc.absorb(rec.count, satisfies(rec, lhs_pattern), satisfies(rec, rhs_pattern))
-    return acc
-
 
 # ---------------------------------------------------------------------------
 # Shared run setup
@@ -138,14 +82,10 @@ class _Run:
             return np.ones(levels.shape[0], dtype=bool)
         return mask
 
-    def meets_confidence(self, joint: int, lhs: int) -> bool:
-        if lhs == 0:
-            return False
-        eta = self.min_confidence
-        return joint * eta.denominator >= eta.numerator * lhs
-
     def accepts(self, joint: int, lhs: int) -> bool:
-        return joint >= self.min_support_count and self.meets_confidence(joint, lhs)
+        # min_support_count >= 1, so an accepted candidate has lhs >= joint > 0
+        eta = self.min_confidence
+        return joint >= self.min_support_count and joint * eta.denominator >= eta.numerator * lhs
 
     def finish(
         self,
@@ -192,133 +132,108 @@ def _new_run(
 
 
 # ---------------------------------------------------------------------------
-# Exact algorithms
+# The prefix scan
 # ---------------------------------------------------------------------------
 
+# A stop rule reads one candidate's record mask over the scanned prefix and
+# returns (records scanned, joint count, lhs count, rejected by confidence).
+_StopRule = Callable[[np.ndarray], tuple[int, int, int, bool]]
 
-def _exact_scan(
-    dist: StatDistribution,
-    lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: RationalLike,
-    min_confidence: RationalLike,
-    counters: EvalCounters | None,
+
+def _scan(
+    run: _Run,
     *,
     prune: bool,
-    early_confidence: bool,
+    bound: ApproxBound | None = None,
+    stop: _StopRule | None = None,
 ) -> list[DiscoveredMd]:
-    if early_confidence:
-        marker = dist.rhs_group
-        if marker is None:
-            raise ContractViolationError(
-                "epsc needs a distribution prepared by group_by_rhs for this rhs pattern"
-            )
-        if marker[0] != rhs_pattern:
-            raise ContractViolationError(
-                "distribution was grouped for a different rhs pattern; regroup it"
-            )
-        pivot = marker[1]
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    counts = dist.counts
-    n = dist.n
-    joint_counts = np.where(run.rhs_mask, counts, 0)
+    """Evaluate the candidates over the first k records: k from the
+    approximation ``bound``, or k = n for the exact engines, which pass none.
+    Without a stop rule every candidate reads the whole prefix. Only a
+    candidate that read the whole prefix and missed the support minimum
+    prunes: prefix joint mass only shrinks up the lattice, so every candidate
+    it dominates misses as well, under any stop."""
+    if bound is None:
+        k, mode = run.dist.n, EvaluationMode.exact()
+    else:
+        k, mode = bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
+    counts = run.dist.counts[:k]
+    levels = run.dist.levels[:k]
+    joint_counts = np.where(run.rhs_mask[:k], counts, 0)
+    accepted = []
+    for cand in run.lattice.iter_levels(skip_pruned=prune):
+        run.counters.candidates_evaluated += 1
+        mask = run.candidate_mask(levels, cand)
+        if stop is None:
+            scanned, rejected = k, False
+            joint, lhs = int(joint_counts[mask].sum()), int(counts[mask].sum())
+        else:
+            scanned, joint, lhs, rejected = stop(mask)
+        run.counters.records_evaluated += scanned
+        if rejected:
+            run.counters.candidates_pruned_confidence += 1
+        elif run.accepts(joint, lhs):
+            accepted.append((cand, joint, lhs))
+        if prune and scanned == k and joint < run.min_support_count:
+            run.lattice.record_failure(cand)
+    return run.finish(accepted, mode)
+
+
+def _confidence_drop(run: _Run, pivot: int) -> _StopRule:
+    """epsc's stop over a distribution grouped for the rhs pattern, whose
+    first ``pivot`` records satisfy it. Over that order the running
+    confidence never rises, so the candidate is rejected at the first record
+    where it drops below the minimum. The scan stops at that record if the
+    support minimum is met; otherwise it keeps counting so that the failure
+    can prune."""
+    counts = run.dist.counts
+    n = run.dist.n
     eta_num = run.min_confidence.numerator
     eta_den = run.min_confidence.denominator
-    accepted = []
-    for cand in lattice.iter_levels(skip_pruned=prune):
-        run.counters.candidates_evaluated += 1
-        mask = run.candidate_mask(dist.levels, cand)
-        if early_confidence:
-            cum_lhs = np.cumsum(np.where(mask, counts, 0))
-            lhs = int(cum_lhs[-1])
-            # Past the pivot no record satisfies the rhs pattern, so the joint
-            # mass is already final there.
-            joint = int(cum_lhs[pivot - 1]) if pivot > 0 else 0
-            # Running confidence drops below the minimum at the first record
-            # where lhs mass exceeds joint/eta_c; positions with zero lhs mass
-            # have undefined confidence and never trigger.
-            reject_at = joint * eta_den // eta_num + 1
-            drop = n if reject_at > lhs else int(np.searchsorted(cum_lhs, reject_at))
-        else:
-            joint = int(joint_counts[mask].sum())
-            lhs = int(counts[mask].sum())
-            drop = n
-        supported = joint >= run.min_support_count
-        if drop < n:
-            run.counters.candidates_pruned_confidence += 1
-        # A confidence-rejected candidate stops at the drop if its support is
-        # already met; otherwise it keeps counting so its failure can prune.
-        run.counters.records_evaluated += (drop + 1) if drop < n and supported else n
-        if not supported:
-            if prune:
-                lattice.record_failure(cand)
-        elif drop == n and run.meets_confidence(joint, lhs):
-            accepted.append((cand, joint, lhs))
-    return run.finish(accepted, EvaluationMode.exact())
+
+    def stop(mask: np.ndarray) -> tuple[int, int, int, bool]:
+        cum_lhs = np.cumsum(np.where(mask, counts, 0))
+        lhs = int(cum_lhs[-1])
+        # Past the pivot no record satisfies the rhs pattern, so the joint
+        # mass is already final there.
+        joint = int(cum_lhs[pivot - 1]) if pivot > 0 else 0
+        # The first record where lhs mass exceeds joint/eta_c; positions with
+        # zero lhs mass have undefined confidence and never trigger.
+        reject_at = joint * eta_den // eta_num + 1
+        if reject_at > lhs:
+            return n, joint, lhs, False
+        drop = int(np.searchsorted(cum_lhs, reject_at))
+        return (drop + 1 if joint >= run.min_support_count else n), joint, lhs, True
+
+    return stop
 
 
-def ea(
-    dist: StatDistribution,
-    lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: RationalLike,
-    min_confidence: RationalLike,
-    *,
-    counters: EvalCounters | None = None,
-) -> list[DiscoveredMd]:
-    """Evaluate every candidate against every record. The baseline the pruned
-    and approximate variants are measured against."""
-    return _exact_scan(
-        dist, lattice, rhs_pattern, min_support, min_confidence,
-        counters, prune=False, early_confidence=False,
-    )
+def _individual_bound(run: _Run, bound: ApproxBound) -> _StopRule:
+    """api's stop: the first record where the unseen mass is within the
+    candidate's own bound (suffix <= factor * lhs mass so far), else the end
+    of the prefix. The left side only falls and the right side only grows, so
+    a binary search with exact integer probes finds it."""
+    k = bound.prefix_k
+    counts = run.dist.counts[:k]
+    joint_counts = np.where(run.rhs_mask[:k], counts, 0)
+    cum_all = np.cumsum(run.dist.counts)
+    suffix = (int(cum_all[-1]) - cum_all)[:k]
+    factor = _bound_factor(bound.epsilon, run.min_confidence)
+    f_num, f_den = factor.numerator, factor.denominator
 
+    def stop(mask: np.ndarray) -> tuple[int, int, int, bool]:
+        cum_lhs = np.cumsum(np.where(mask, counts, 0))
+        last = bisect_left(
+            range(k - 1), True, key=lambda i: int(suffix[i]) * f_den <= f_num * int(cum_lhs[i])
+        )
+        joint = int(joint_counts[: last + 1][mask[: last + 1]].sum())
+        return last + 1, joint, int(cum_lhs[last]), False
 
-def eps(
-    dist: StatDistribution,
-    lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: RationalLike,
-    min_confidence: RationalLike,
-    *,
-    counters: EvalCounters | None = None,
-) -> list[DiscoveredMd]:
-    """ea plus dominance pruning: once a candidate's support falls short, every
-    candidate it dominates is skipped. Support only shrinks going up the
-    lattice, so the returned set is identical to ea's."""
-    return _exact_scan(
-        dist, lattice, rhs_pattern, min_support, min_confidence,
-        counters, prune=True, early_confidence=False,
-    )
-
-
-def epsc(
-    dist: StatDistribution,
-    lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: RationalLike,
-    min_confidence: RationalLike,
-    *,
-    counters: EvalCounters | None = None,
-) -> list[DiscoveredMd]:
-    """Support pruning plus early confidence termination.
-
-    Requires a distribution grouped for this rhs pattern (rhs-satisfying
-    records first). Over that order the running confidence of any candidate is
-    nonincreasing, so the moment it drops below the minimum the candidate is
-    rejected for good. The scan then stops immediately if the support
-    accumulated so far already meets the minimum; otherwise it keeps counting
-    (joint mass no longer grows past the pivot) so the final support is known
-    and dominated candidates can be pruned soundly.
-    """
-    return _exact_scan(
-        dist, lattice, rhs_pattern, min_support, min_confidence,
-        counters, prune=True, early_confidence=True,
-    )
+    return stop
 
 
 # ---------------------------------------------------------------------------
-# Prefix approximation
+# Prefix bound
 # ---------------------------------------------------------------------------
 
 
@@ -386,87 +301,72 @@ def compute_prefix_k(
     )
 
 
-def _approx_scan(
+# ---------------------------------------------------------------------------
+# Engines
+# ---------------------------------------------------------------------------
+
+
+def ea(
     dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
     min_confidence: RationalLike,
-    epsilon: RationalLike,
-    counters: EvalCounters | None,
     *,
-    individual: bool,
-    prune: bool,
+    counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
+    """Evaluate every candidate against every record. The baseline the pruned
+    and approximate variants are measured against."""
     run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    bound = compute_prefix_k(dist, epsilon, run.min_support, run.min_confidence)
-    k = bound.prefix_k
-    mode = EvaluationMode.approximate(k, bound.epsilon)
-
-    levels_k = dist.levels[:k]
-    counts_k = dist.counts[:k]
-    rhs_mask_k = run.rhs_mask[:k]
-    joint_counts_k = np.where(rhs_mask_k, counts_k, 0)
-
-    if individual:
-        cum_all = np.cumsum(dist.counts)
-        suffix_k = (int(cum_all[-1]) - cum_all)[:k]
-        factor = _bound_factor(bound.epsilon, run.min_confidence)
-        f_num, f_den = factor.numerator, factor.denominator
-
-    accepted = []
-    for cand in lattice.iter_levels(skip_pruned=prune):
-        run.counters.candidates_evaluated += 1
-        mask = run.candidate_mask(levels_k, cand)
-        if individual:
-            cum_lhs = np.cumsum(np.where(mask, counts_k, 0))
-            cum_joint = np.cumsum(np.where(mask, joint_counts_k, 0))
-            stop = _individual_stop(suffix_k, cum_lhs, f_num, f_den, k)
-            joint = int(cum_joint[stop])
-            lhs = int(cum_lhs[stop])
-            run.counters.records_evaluated += stop + 1
-            full_prefix = stop == k - 1
-            full_joint = int(cum_joint[-1])
-        else:
-            joint = int(joint_counts_k[mask].sum())
-            lhs = int(counts_k[mask].sum())
-            run.counters.records_evaluated += k
-            full_prefix = True
-            full_joint = joint
-        if run.accepts(joint, lhs):
-            accepted.append((cand, joint, lhs))
-        if prune and full_prefix and full_joint < run.min_support_count:
-            # Prefix joint mass only shrinks up the lattice, so every
-            # dominated candidate fails the support minimum under any stop
-            # index as well. Candidates that broke off early never observe
-            # the full-prefix mass and must not prune.
-            lattice.record_failure(cand)
-    return run.finish(accepted, mode)
+    return _scan(run, prune=False)
 
 
-def _individual_stop(
-    suffix: np.ndarray, cum_lhs: np.ndarray, f_num: int, f_den: int, k: int
-) -> int:
-    """First index where the remaining mass is within the candidate's own
-    bound (suffix <= factor * lhs mass), or k-1 if that never happens.
+def eps(
+    dist: StatDistribution,
+    lattice: CandidateLattice,
+    rhs_pattern: ThresholdPattern,
+    min_support: RationalLike,
+    min_confidence: RationalLike,
+    *,
+    counters: EvalCounters | None = None,
+) -> list[DiscoveredMd]:
+    """ea plus dominance pruning: once a candidate's support falls short, every
+    candidate it dominates is skipped. Support only shrinks going up the
+    lattice, so the returned set is identical to ea's."""
+    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
+    return _scan(run, prune=True)
 
-    The left side only falls and the right side only grows, so the predicate
-    is monotone and a binary search with exact integer probes suffices.
+
+def epsc(
+    dist: StatDistribution,
+    lattice: CandidateLattice,
+    rhs_pattern: ThresholdPattern,
+    min_support: RationalLike,
+    min_confidence: RationalLike,
+    *,
+    counters: EvalCounters | None = None,
+) -> list[DiscoveredMd]:
+    """Support pruning plus early confidence termination.
+
+    Requires a distribution grouped for this rhs pattern (rhs-satisfying
+    records first). Over that order the running confidence of any candidate is
+    nonincreasing, so the moment it drops below the minimum the candidate is
+    rejected for good. The scan then stops immediately if the support
+    accumulated so far already meets the minimum; otherwise it keeps counting
+    (joint mass no longer grows past the pivot) so the final support is known
+    and dominated candidates can be pruned soundly.
     """
-
-    def holds(i: int) -> bool:
-        return int(suffix[i]) * f_den <= f_num * int(cum_lhs[i])
-
-    if not holds(k - 1):
-        return k - 1
-    lo, hi = 0, k - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    marker = dist.rhs_group
+    if marker is None:
+        raise ContractViolationError(
+            "epsc needs a distribution prepared by group_by_rhs for this rhs pattern"
+        )
+    if marker[0] != rhs_pattern:
+        raise ContractViolationError(
+            "distribution was grouped for a different rhs pattern; regroup it"
+        )
+    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
+    return _scan(run, prune=True, stop=_confidence_drop(run, marker[1]))
 
 
 def ap(
@@ -481,10 +381,9 @@ def ap(
 ) -> list[DiscoveredMd]:
     """Evaluate candidates on the first k records only (k from
     compute_prefix_k); reported measures are the prefix approximations."""
-    return _approx_scan(
-        dist_sorted, lattice, rhs_pattern, min_support, min_confidence, epsilon,
-        counters, individual=False, prune=False,
-    )
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
+    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
+    return _scan(run, prune=False, bound=bound)
 
 
 def api(
@@ -500,10 +399,9 @@ def api(
     """ap with per-candidate early termination: a candidate's scan stops as
     soon as the unseen mass is within its own dynamically shrinking bound.
     Never scans past record k."""
-    return _approx_scan(
-        dist_sorted, lattice, rhs_pattern, min_support, min_confidence, epsilon,
-        counters, individual=True, prune=False,
-    )
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
+    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
+    return _scan(run, prune=False, bound=bound, stop=_individual_bound(run, bound))
 
 
 def aps(
@@ -517,10 +415,9 @@ def aps(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """ap plus dominance pruning on the approximate support."""
-    return _approx_scan(
-        dist_sorted, lattice, rhs_pattern, min_support, min_confidence, epsilon,
-        counters, individual=False, prune=True,
-    )
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
+    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
+    return _scan(run, prune=True, bound=bound)
 
 
 def apsi(
@@ -535,10 +432,9 @@ def apsi(
 ) -> list[DiscoveredMd]:
     """api plus dominance pruning on the approximate support of candidates
     that scanned the whole prefix."""
-    return _approx_scan(
-        dist_sorted, lattice, rhs_pattern, min_support, min_confidence, epsilon,
-        counters, individual=True, prune=True,
-    )
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
+    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
+    return _scan(run, prune=True, bound=bound, stop=_individual_bound(run, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,10 @@ def load_distribution(path) -> StatDistribution:
         idx, sep, name = tok.partition(":")
         if not sep or not idx.isdigit():
             raise DistributionIOError(f"{path}: malformed attrs= entry {tok!r}")
-        attrs.append(AttributeId(int(idx), urllib.parse.unquote(name)))
+        try:
+            attrs.append(AttributeId(int(idx), urllib.parse.unquote(name)))
+        except ValidationError as exc:
+            raise DistributionIOError(f"{path}: malformed attrs= entry {tok!r}: {exc}") from None
     if not attrs:
         raise DistributionIOError(f"{path}: empty attrs= list")
     attrs = tuple(attrs)

@@ -14,17 +14,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CandidateBudgetError, ContractViolationError, SchemaMismatchError, ValidationError
-from .model import AttributeId, LevelDomain, ThresholdPattern
+from .errors import CandidateBudgetError, ContractViolationError, ValidationError
+from .model import AttributeId, LevelDomain
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-
-
-def dominates(first: ThresholdPattern, second: ThresholdPattern) -> bool:
-    """Componentwise <= over the shared attribute set."""
-    if first.attributes != second.attributes:
-        raise SchemaMismatchError("dominance needs patterns over the same attribute set")
-    return all(l1 <= second.level_of(a) for a, l1 in first.items())
 
 
 def _layer(m: int, max_level: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -38,11 +31,6 @@ def _layer(m: int, max_level: int, total: int) -> Iterator[tuple[int, ...]]:
     for first in range(lo, hi + 1):
         for rest in _layer(m - 1, max_level, total - first):
             yield (first,) + rest
-
-
-def _upper_set(levels: Sequence[int]) -> tuple[slice, ...]:
-    """Index of every cell componentwise >= ``levels`` in a d^m grid."""
-    return tuple(slice(l, None) for l in levels)
 
 
 def _level_tuples(m: int, max_level: int) -> Iterator[tuple[int, ...]]:
@@ -84,19 +72,17 @@ class CandidateLattice:
         self._pruned = np.zeros((domain.d,) * len(attributes), dtype=bool)
         self._scanning = False
 
-    def pattern(self, levels: Sequence[int]) -> ThresholdPattern:
-        return ThresholdPattern.over(self.attributes, tuple(levels))
-
     def is_pruned(self, levels: tuple[int, ...]) -> bool:
         return bool(self._pruned[levels])
 
     def record_failure(self, levels: tuple[int, ...]) -> None:
         """Register a fully evaluated pattern that missed the support minimum:
         it and every pattern it dominates count as pruned from now on."""
-        self._pruned[_upper_set(levels)] = True
+        # the upper set: every cell componentwise >= levels
+        self._pruned[tuple(slice(l, None) for l in levels)] = True
 
     def iter_levels(self, *, skip_pruned: bool = False) -> Iterator[tuple[int, ...]]:
-        """Raw level tuples in dominance order (the fast path for algorithms)."""
+        """Level tuples in dominance order, pruned ones skipped on request."""
         if self._scanning:
             raise ContractViolationError(
                 "lattice already scanned once; create a fresh CandidateLattice per run"
@@ -106,35 +92,3 @@ class CandidateLattice:
             if skip_pruned and self.is_pruned(levels):
                 continue
             yield levels
-
-    def __iter__(self) -> Iterator[ThresholdPattern]:
-        return (self.pattern(levels) for levels in self.iter_levels())
-
-    def prune_dominated_by(self, pattern: ThresholdPattern) -> int:
-        """Mark every candidate strictly dominated by ``pattern`` as pruned and
-        return how many were newly marked.
-
-        Strict dominatees have a larger level sum, so none of them can have
-        been yielded yet. The discovery algorithms use ``record_failure`` and
-        derive pruned totals arithmetically instead.
-        """
-        if pattern.attributes != self.attributes:
-            raise SchemaMismatchError("pattern is not over this lattice's attributes")
-        levels = tuple(pattern.level_of(a) for a in self.attributes)
-        for level in levels:
-            self.domain.check_level(level)
-        upper = self._pruned[_upper_set(levels)]
-        # the pattern's own cell is the first of its upper set
-        newly = upper.size - int(np.count_nonzero(upper)) - (not upper.flat[0])
-        self.record_failure(levels)
-        return newly
-
-
-def enumerate_in_dominance_order(
-    attributes: Sequence[AttributeId],
-    domain: LevelDomain,
-    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Iterator[ThresholdPattern]:
-    """All of dom(X) in the lattice's dominance-respecting order."""
-    lattice = CandidateLattice(attributes, domain, candidate_budget)
-    return iter(lattice)

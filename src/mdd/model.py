@@ -151,9 +151,6 @@ class LevelDomain:
     def max_level(self) -> int:
         return self.d - 1
 
-    def levels(self) -> range:
-        return range(self.d)
-
     def check_level(self, level: int, name: str = "level") -> int:
         if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
             raise ValidationError(f"{name} must be an integer, got {level!r}")
@@ -209,12 +206,6 @@ class ThresholdPattern:
     def attributes(self) -> tuple[AttributeId, ...]:
         return tuple(a for a, _ in self.entries)
 
-    def level_of(self, attr: AttributeId) -> int:
-        for a, l in self.entries:
-            if a == attr:
-                return l
-        raise SchemaMismatchError(f"attribute {attr.name} not in pattern")
-
     def get(self, attr: AttributeId, default: int = 0) -> int:
         for a, l in self.entries:
             if a == attr:
@@ -241,44 +232,8 @@ def strip_zero_levels(pattern: ThresholdPattern) -> ThresholdPattern:
 
 
 # ---------------------------------------------------------------------------
-# Statistical tuples and distributions
+# Statistical distributions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StatTuple:
-    """One aggregated record of a statistical distribution: a level vector
-    plus how many tuple pairs landed on it."""
-
-    attributes: tuple[AttributeId, ...]
-    levels: tuple[int, ...]
-    count: int
-    pair_total: int
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != len(self.attributes):
-            raise ValidationError("level vector length differs from attribute set")
-        if self.count < 0 or self.pair_total <= 0 or self.count > self.pair_total:
-            raise ValidationError("need 0 <= count <= pair_total and pair_total > 0")
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.count, self.pair_total)
-
-    def level_of(self, attr: AttributeId) -> int:
-        try:
-            pos = self.attributes.index(attr)
-        except ValueError:
-            raise SchemaMismatchError(
-                f"attribute {attr.name} not in this distribution's attribute set"
-            ) from None
-        return self.levels[pos]
-
-
-def satisfies(record: StatTuple, pattern: ThresholdPattern) -> bool:
-    """True iff the record's level meets or exceeds the pattern's threshold on
-    every pattern attribute."""
-    return all(record.level_of(attr) >= level for attr, level in pattern.items())
 
 
 class StatDistribution:
@@ -384,21 +339,6 @@ class StatDistribution:
             raise SchemaMismatchError(
                 f"attribute {attr.name} not in this distribution's attribute set"
             ) from None
-
-    def record_at(self, i: int) -> StatTuple:
-        return StatTuple(
-            self.attribute_set,
-            tuple(int(v) for v in self.levels[i]),
-            int(self.counts[i]),
-            self.pair_total,
-        )
-
-    @cached_property
-    def records(self) -> tuple[StatTuple, ...]:
-        return tuple(self.record_at(i) for i in range(self.n))
-
-    def total_probability(self) -> Fraction:
-        return Fraction(int(self.counts.sum()), self.pair_total)
 
     def replace_order(
         self,

@@ -136,3 +136,30 @@ def random_relation(
 
 def pattern_over(attrs, levels) -> ThresholdPattern:
     return ThresholdPattern.over(tuple(attrs), list(levels))
+
+
+def satisfied(dist: StatDistribution, i: int, pattern: ThresholdPattern) -> bool:
+    """Record ``i`` meets every threshold of ``pattern``, read one cell at a
+    time (raises SchemaMismatchError for an attribute outside the
+    distribution)."""
+    return all(
+        int(dist.levels[i, dist.column_index(attr)]) >= level for attr, level in pattern.items()
+    )
+
+
+def fold(
+    dist: StatDistribution,
+    lhs_pattern: ThresholdPattern,
+    rhs_pattern: ThresholdPattern,
+    upto: int | None = None,
+) -> tuple[int, int]:
+    """The record-by-record reference the engines are held to: the (joint,
+    lhs) pair counts of a candidate over the first ``upto`` records (all by
+    default). Support is joint / pair_total, confidence joint / lhs."""
+    joint = lhs = 0
+    for i in range(dist.n if upto is None else upto):
+        if satisfied(dist, i, lhs_pattern):
+            lhs += int(dist.counts[i])
+            if satisfied(dist, i, rhs_pattern):
+                joint += int(dist.counts[i])
+    return joint, lhs

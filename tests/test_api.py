@@ -1,0 +1,60 @@
+"""The public surface: the exported names, and the entry points whose
+signatures the benchmark in perfbench/ calls (it passes the engine arguments
+positionally, ``counters=`` and ``workers=`` by keyword, and subclasses
+CandidateLattice to trace its three pruning methods)."""
+
+import inspect
+
+import mdd
+import mdd.discovery
+from mdd import CandidateLattice
+
+EXPORTS = [
+    "Algorithm", "ApproxBound", "AttributeId", "CandidateBudgetError", "CandidateLattice",
+    "ContractViolationError", "DEFAULT_CANDIDATE_BUDGET", "DiscoveredMd", "DiscoveryRequest",
+    "DistributionIOError", "EvalCounters", "EvaluationMode", "InsufficientDataError",
+    "LevelDomain", "MddError", "MetricKind", "Relation", "SchemaMismatchError",
+    "StatDistribution", "ThresholdPattern", "ValidationError", "ap", "api", "aps", "apsi",
+    "build_distribution", "compute_prefix_k", "discretize", "ea", "eps", "epsc",
+    "group_by_rhs", "load_distribution", "oracle_discover", "oracle_measures", "pattern_mask",
+    "project", "run_request", "save_distribution", "similarity", "sort_by_probability_desc",
+    "strip_zero_levels", "to_fraction",
+]
+
+P = inspect.Parameter
+EXACT_ARGS = ["dist", "lattice", "rhs_pattern", "min_support", "min_confidence"]
+APPROX_ARGS = ["dist_sorted", "lattice", "rhs_pattern", "min_support", "min_confidence", "epsilon"]
+
+
+def _signature(fn) -> list[tuple]:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def _positional(names) -> list[tuple]:
+    return [(n, P.POSITIONAL_OR_KEYWORD, P.empty) for n in names]
+
+
+def test_public_api_contract():
+    assert mdd.__all__ == EXPORTS
+    assert all(hasattr(mdd, name) for name in EXPORTS)
+
+    counters = [("counters", P.KEYWORD_ONLY, None)]
+    for name in ("ea", "eps", "epsc", "ap", "api", "aps", "apsi"):
+        args = APPROX_ARGS if name.startswith("a") else EXACT_ARGS
+        assert _signature(getattr(mdd.discovery, name)) == _positional(args) + counters, name
+    run = inspect.signature(mdd.run_request).parameters
+    assert (run["counters"].kind, run["counters"].default) == (P.KEYWORD_ONLY, None)
+    assert _signature(mdd.compute_prefix_k) == _positional(
+        ["dist_sorted", "epsilon", "min_support", "min_confidence"]
+    )
+    assert "prefix_k" in mdd.ApproxBound.__dataclass_fields__
+
+    assert _signature(CandidateLattice.is_pruned) == _positional(["self", "levels"])
+    assert _signature(CandidateLattice.record_failure) == _positional(["self", "levels"])
+    assert _signature(CandidateLattice.iter_levels) == _positional(["self"]) + [
+        ("skip_pruned", P.KEYWORD_ONLY, False)
+    ]
+
+    build = inspect.signature(mdd.build_distribution).parameters
+    assert list(build)[:4] == ["relation", "attrs", "metrics", "domain"]
+    assert (build["workers"].kind, build["workers"].default) == (P.KEYWORD_ONLY, 1)

@@ -35,6 +35,20 @@ def run_subprocess(*argv: str):
     return proc
 
 
+def discover_from_cache(tmp_path, header: str, capsys, lhs="A", rhs="B"):
+    """Run discover on a one-record cache with this header and a valid
+    checksum; returns the exit code and the stderr lines."""
+    body = f"#mdd-dist v1 {header} metric=edit fingerprint=x\n0,0,1\n"
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    cache = tmp_path / "one.dist"
+    cache.write_text(body + f"#checksum={checksum}\n", encoding="utf-8")
+    code = main([
+        "discover", "--dist", str(cache), "--lhs", lhs, "--rhs", rhs,
+        "--rhs-levels", "1", "--min-support", "0.1", "--min-confidence", "0.5",
+    ])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
 DISCOVER_BASE = [
     "discover",
     "--input", CONTACTS,
@@ -189,16 +203,24 @@ class TestValidationAndExitCodes:
         assert "d <= 32768" in capsys.readouterr().err
 
     def test_cache_with_huge_d_is_io_error(self, tmp_path, capsys):
-        body = "#mdd-dist v1 d=40000 pairs=1 attrs=0:A,1:B metric=edit fingerprint=x\n0,0,1\n"
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        cache = tmp_path / "huge.dist"
-        cache.write_text(body + f"#checksum={checksum}\n", encoding="utf-8")
-        code, _ = run_cli(
-            "discover", "--dist", str(cache), "--lhs", "A", "--rhs", "B",
-            "--rhs-levels", "1", "--min-support", "0.1", "--min-confidence", "0.5",
-            capsys=capsys,
+        code, _ = discover_from_cache(tmp_path, "d=40000 pairs=1 attrs=0:A,1:B", capsys)
+        assert code == 3
+
+    def test_cache_with_empty_attribute_name_is_io_error(self, tmp_path, capsys):
+        code, err = discover_from_cache(
+            tmp_path, "d=10 pairs=1 attrs=0:,1:Street", capsys, rhs="Street"
         )
         assert code == 3
+        assert len(err) == 1 and "attribute name must be nonempty" in err[0]
+
+    def test_conflicting_qgram_size_rejected(self, capsys):
+        metric_at = DISCOVER_BASE.index("--metric") + 1
+        argv = [*DISCOVER_BASE[:metric_at], "cosine-qgram:3", *DISCOVER_BASE[metric_at + 1:]]
+        code, _ = run_cli(*argv, "--qgram", "5")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "conflicts" in err[0]
+        assert run_cli(*argv, "--qgram", "3")[0] == 0
 
     def test_non_utf8_csv_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

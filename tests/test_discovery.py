@@ -1,5 +1,5 @@
-"""Discovery algorithms: accumulator math, exact scans, pruning equivalences,
-and the prefix approximations with their error bounds.
+"""Discovery algorithms: the fold reference, exact scans, pruning
+equivalences, and the prefix approximations with their error bounds.
 
 Early-termination behavior (epsc confidence breaks, api individual stops) is
 checked against plain record-by-record simulators written here from the
@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from mdd import (
-    CandidateAccumulator,
     CandidateLattice,
     ContractViolationError,
     EvalCounters,
@@ -27,23 +26,19 @@ from mdd import (
     apsi,
     build_distribution,
     compute_prefix_k,
-    confidence_of,
     ea,
     eps,
     epsc,
-    fold_candidate,
     group_by_rhs,
     oracle_discover,
     oracle_measures,
     run_request,
-    satisfies,
     sort_by_probability_desc,
     strip_zero_levels,
-    support_of,
 )
-from mdd.model import Algorithm, DiscoveryRequest
+from mdd.model import Algorithm, DiscoveryRequest, EvaluationMode
 
-from conftest import make_distribution, random_distribution, random_relation
+from conftest import fold, make_distribution, random_distribution, random_relation, satisfied
 
 
 def fresh_lattice(dist, x_attrs):
@@ -78,12 +73,12 @@ def simulate_epsc(dist, x_attrs, rhs_pattern, eta_s: Fraction, eta_c: Fraction):
         rejected = False
         scanned = 0
         for i in range(dist.n):
-            rec = dist.record_at(i)
+            probability = Fraction(int(dist.counts[i]), dist.pair_total)
             scanned = i + 1
-            if satisfies(rec, pattern):
-                lhs += rec.probability
-                if satisfies(rec, rhs_pattern):
-                    joint += rec.probability
+            if satisfied(dist, i, pattern):
+                lhs += probability
+                if satisfied(dist, i, rhs_pattern):
+                    joint += probability
             if not rejected and lhs > 0 and joint / lhs < eta_c:
                 rejected = True
             if rejected and joint >= eta_s:
@@ -105,18 +100,17 @@ def simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon):
     eta_c = Fraction(str(eta_c)) if not isinstance(eta_c, Fraction) else eta_c
     d = dist.domain.d
     m = len(x_attrs)
-    total = dist.total_probability()
     stops = {}
     for cand in itertools.product(range(d), repeat=m):
         pattern = ThresholdPattern.over(x_attrs, cand)
         lhs = Fraction(0)
-        remaining = total
+        remaining = Fraction(1)
         stop = k
         for i in range(k):
-            rec = dist.record_at(i)
-            if satisfies(rec, pattern):
-                lhs += rec.probability
-            remaining -= rec.probability
+            probability = Fraction(int(dist.counts[i]), dist.pair_total)
+            if satisfied(dist, i, pattern):
+                lhs += probability
+            remaining -= probability
             if remaining <= min(eps * lhs, eps * lhs * eta_c / (1 - eps - eta_c)):
                 stop = i + 1
                 break
@@ -125,26 +119,22 @@ def simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# Accumulators
+# The fold reference (tests/conftest.py)
 # ---------------------------------------------------------------------------
 
 
 class TestAccumulator:
+    """The (joint, lhs) counts a candidate accumulates record by record."""
+
     def test_zero_patterns_full_mass(self):
         rng = random.Random(1)
         dist, X, Y = random_distribution(rng, m_x=2, m_y=1)
-        acc = fold_candidate(
+        joint, lhs = fold(
             dist,
             ThresholdPattern.over(X, [0, 0]),
             ThresholdPattern.over(Y, [0]),
         )
-        assert support_of(acc) == 1
-        assert confidence_of(acc) == 1
-
-    def test_empty_lhs_mass_gives_zero_confidence(self):
-        acc = CandidateAccumulator(pair_total=10)
-        assert confidence_of(acc) == 0
-        assert support_of(acc) == 0
+        assert joint == lhs == dist.pair_total
 
     def test_monotone_and_ordered(self):
         rng = random.Random(2)
@@ -153,10 +143,10 @@ class TestAccumulator:
         rhs = ThresholdPattern.over(Y, [3])
         prev_joint, prev_lhs = 0, 0
         for upto in range(dist.n + 1):
-            acc = fold_candidate(dist, lam, rhs, upto=upto)
-            assert acc.joint_count <= acc.lhs_count
-            assert acc.joint_count >= prev_joint and acc.lhs_count >= prev_lhs
-            prev_joint, prev_lhs = acc.joint_count, acc.lhs_count
+            joint, lhs = fold(dist, lam, rhs, upto=upto)
+            assert joint <= lhs
+            assert joint >= prev_joint and lhs >= prev_lhs
+            prev_joint, prev_lhs = joint, lhs
 
     def test_matches_oracle_on_relation(self, domain10, cosine_word):
         rng = random.Random(3)
@@ -166,10 +156,10 @@ class TestAccumulator:
         dist = build_distribution(rel, tuple(lhs + rhs), cosine_word, domain10)
         lam = ThresholdPattern.over(lhs, [4, 2])
         rhs_pattern = ThresholdPattern.over(rhs, [5])
-        acc = fold_candidate(dist, lam, rhs_pattern)
+        joint, lhs_count = fold(dist, lam, rhs_pattern)
         sup, conf = oracle_measures(rel, lhs, rhs, lam, rhs_pattern, cosine_word, domain10)
-        assert support_of(acc) == sup
-        assert confidence_of(acc) == conf
+        assert Fraction(joint, dist.pair_total) == sup
+        assert (Fraction(joint, lhs_count) if lhs_count else 0) == conf
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +198,9 @@ class TestEa:
         rhs = ThresholdPattern.over(Y, [2])
         mds = ea(dist, fresh_lattice(dist, X), rhs, "0.01", "0.01")
         for md in mds:
-            acc = fold_candidate(dist, md.lhs_pattern, rhs)
-            assert support_of(acc) == md.support
-            assert confidence_of(acc) == md.confidence
+            joint, lhs = fold(dist, md.lhs_pattern, rhs)
+            assert Fraction(joint, dist.pair_total) == md.support
+            assert Fraction(joint, lhs) == md.confidence
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_oracle_on_random_relations(self, seed, cosine_word):
@@ -359,8 +349,7 @@ class TestSupportMonotoneUnderDominance:
         rhs = ThresholdPattern.over(Y, [rng.randint(0, d - 1)])
         support = {}
         for cand in itertools.product(range(d), repeat=m):
-            acc = fold_candidate(dist, ThresholdPattern.over(X, cand), rhs)
-            support[cand] = support_of(acc)
+            support[cand] = fold(dist, ThresholdPattern.over(X, cand), rhs)[0]
         for c1, c2 in itertools.combinations(support, 2):
             if all(a <= b for a, b in zip(c1, c2)):
                 assert support[c1] >= support[c2]
@@ -380,10 +369,10 @@ class TestConfidenceNonincreasingWhenGrouped:
             lam = ThresholdPattern.over(X, cand)
             last = None
             for upto in range(1, grouped.n + 1):
-                acc = fold_candidate(grouped, lam, rhs, upto=upto)
-                if acc.lhs_count == 0:
+                joint, lhs = fold(grouped, lam, rhs, upto=upto)
+                if lhs == 0:
                     continue
-                conf = confidence_of(acc)
+                conf = Fraction(joint, lhs)
                 if last is not None:
                     assert conf <= last
                 last = conf
@@ -455,19 +444,35 @@ class TestComputePrefixK:
 
 class TestAp:
     def test_tight_epsilon_degenerates_to_ea(self):
-        rng = random.Random(10)
-        dist, X, Y = random_distribution(rng, m_x=2, d=4, max_samples=60)
-        sdist = sort_by_probability_desc(dist)
-        rhs = ThresholdPattern.over(Y, [1])
-        # bound far below the smallest record mass forces k = n
-        eta_s, eta_c = Fraction(1, 10), Fraction(1, 10)
-        epsilon = Fraction(1, 10 * dist.pair_total)
-        bound = compute_prefix_k(sdist, epsilon, eta_s, eta_c)
-        assert bound.prefix_k == dist.n
-        r_ap = ap(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon)
-        r_ea = ea(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c)
-        assert result_key(r_ap) == result_key(r_ea)
-        assert all(md.mode.kind == "approximate" and md.mode.prefix_k == dist.n for md in r_ap)
+        # With k = n the approximate scan is the exact one: ap equals ea and
+        # aps equals eps in rules, measures and every counter; only the mode
+        # differs.
+        pruned = 0
+        for seed in range(40):
+            rng = random.Random(1000 + seed)
+            d = rng.choice([3, 4])
+            dist, X, Y = random_distribution(rng, m_x=rng.randint(1, 3), d=d, max_samples=120)
+            sdist = sort_by_probability_desc(dist)
+            rhs = ThresholdPattern.over(Y, [rng.randint(0, d - 1)])
+            eta_s = Fraction(rng.randint(1, 30), 100)
+            eta_c = Fraction(rng.randint(1, 9), 10)
+            # bound far below the smallest record mass forces k = n
+            epsilon = Fraction(1, 10 * dist.pair_total)
+            assert compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k == dist.n
+            for exact, approx in ((ea, ap), (eps, aps)):
+                c_exact, c_approx = EvalCounters(), EvalCounters()
+                r_exact = exact(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, counters=c_exact)
+                r_approx = approx(
+                    sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_approx
+                )
+                assert result_key(r_approx) == result_key(r_exact)
+                assert c_approx == c_exact
+                assert all(md.mode.is_exact for md in r_exact)
+                assert all(
+                    md.mode == EvaluationMode.approximate(dist.n, epsilon) for md in r_approx
+                )
+                pruned += c_exact.candidates_pruned_support
+        assert pruned > 0
 
     def test_adversarial_suffix_hides_a_valid_pattern(self):
         # twelve unit-mass records carry the rule; the bound chops three of
@@ -484,9 +489,9 @@ class TestAp:
         bound = compute_prefix_k(dist, epsilon, eta_s, eta_c)
         assert bound.prefix_k == dist.n - 3
         lam = ThresholdPattern.over(X, (5,))
-        exact = fold_candidate(dist, lam, rhs)
-        assert support_of(exact) == Fraction(12, 100) >= eta_s
-        assert confidence_of(exact) == 1
+        joint, lhs = fold(dist, lam, rhs)
+        assert Fraction(joint, dist.pair_total) == Fraction(12, 100) >= eta_s
+        assert joint == lhs  # confidence 1
         r_ap = ap(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon)
         assert lam not in [m.lhs_pattern for m in r_ap]
 
@@ -553,6 +558,21 @@ class TestApi:
         assert c_api.records_evaluated == sum(stops.values())
         assert c_api.records_evaluated <= c_ap.records_evaluated
         assert max(stops.values()) <= k
+        # apsi skips exactly what a full-prefix support failure dominates; a
+        # candidate that stopped early never prunes
+        min_count = eta_s * sdist.pair_total
+        failed = [
+            c for c, stop in stops.items()
+            if stop == k and fold(sdist, ThresholdPattern.over(X, c), rhs, upto=k)[0] < min_count
+        ]
+        evaluated = [
+            c for c in stops
+            if not any(f != c and all(a <= b for a, b in zip(f, c)) for f in failed)
+        ]
+        c_apsi = EvalCounters()
+        apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_apsi)
+        assert c_apsi.candidates_evaluated == len(evaluated)
+        assert c_apsi.records_evaluated == sum(stops[c] for c in evaluated)
 
 
 class TestApsApsi:

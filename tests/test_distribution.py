@@ -23,7 +23,6 @@ from mdd import (
     load_distribution,
     pattern_mask,
     project,
-    satisfies,
     save_distribution,
     sort_by_probability_desc,
 )
@@ -31,7 +30,7 @@ import mdd.distribution as distribution_module
 from mdd.errors import SchemaMismatchError
 from mdd.oracle import _pair_levels
 
-from conftest import make_distribution, random_distribution, random_relation
+from conftest import make_distribution, random_distribution, random_relation, satisfied
 
 METRIC_SPECS = ["edit", "cosine-word", "cosine-qgram:1", "cosine-qgram:3"]
 # Duplicates, empty strings, strings shorter than q=3, values that differ
@@ -79,14 +78,13 @@ class TestBuild:
         dist = build_distribution(contacts, attrs, cosine_word, domain10)
         assert dist.pair_total == 15
         assert int(dist.counts.sum()) == 15
-        assert dist.total_probability() == 1
 
     def test_two_identical_tuples(self, domain10, cosine_word):
         rel = Relation.from_rows(["v"], [("same",), ("same",)])
         dist = build_distribution(rel, rel.schema, cosine_word, domain10)
         assert dist.n == 1
         assert tuple(dist.levels[0]) == (9,)
-        assert dist.record_at(0).probability == 1
+        assert int(dist.counts[0]) == dist.pair_total == 1
 
     def test_matches_brute_force_pair_walk(self, contacts, domain10, cosine_word):
         # independent enumeration of the 15 pairs, no engine code
@@ -246,8 +244,8 @@ class TestGroupByRhs:
         lam_y = ThresholdPattern.of({dist.attribute_set[1]: 7})
         grouped, pivot = group_by_rhs(dist, lam_y)
         assert pivot == 3
-        for i, rec in enumerate(grouped.records):
-            assert satisfies(rec, lam_y) == (i < pivot)
+        for i in range(grouped.n):
+            assert satisfied(grouped, i, lam_y) == (i < pivot)
         assert grouped.rhs_group == (lam_y, pivot)
 
     def test_all_satisfying_keeps_order(self):
@@ -283,7 +281,7 @@ class TestSortByProbability:
         # probabilities 0.065, 0.043, 0.124 (plus filler) over 1000 pairs
         dist = make_distribution({(1,): 65, (7,): 43, (0,): 124, (3,): 768}, d=10)
         ordered = sort_by_probability_desc(dist)
-        probs = [float(r.probability) for r in ordered.records]
+        probs = [int(c) / ordered.pair_total for c in ordered.counts]
         assert probs == [0.768, 0.124, 0.065, 0.043]
 
 
@@ -293,8 +291,8 @@ class TestPatternMask:
         dist, X, Y = random_distribution(rng, m_x=2, m_y=1, d=5)
         lam = ThresholdPattern.of({X[0]: 2, Y[0]: 3})
         mask = pattern_mask(dist, lam)
-        for i, rec in enumerate(dist.records):
-            assert mask[i] == satisfies(rec, lam)
+        for i in range(dist.n):
+            assert mask[i] == satisfied(dist, i, lam)
 
     def test_level_above_domain_rejected(self):
         dist = make_distribution({(0,): 1}, d=4)
@@ -307,7 +305,7 @@ class TestProjection:
         dist = make_distribution({(0, 1): 3, (0, 2): 4, (1, 1): 5}, d=3)
         kept = project(dist, dist.attribute_set[:1])
         assert kept.pair_total == dist.pair_total
-        by_level = {int(r.levels[0]): r.count for r in kept.records}
+        by_level = {int(lv[0]): int(c) for lv, c in zip(kept.levels, kept.counts)}
         assert by_level == {0: 7, 1: 5}
 
 
@@ -401,7 +399,7 @@ class TestStatDistributionInvariants:
     def test_probabilities_sum_to_one(self):
         rng = random.Random(11)
         dist, _, _ = random_distribution(rng, m_x=2, m_y=1)
-        assert dist.total_probability() == Fraction(1)
+        assert Fraction(int(dist.counts.sum()), dist.pair_total) == 1
 
     def test_arrays_read_only(self):
         dist = make_distribution({(0,): 1}, d=3)

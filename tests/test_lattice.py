@@ -11,60 +11,53 @@ from mdd import (
     CandidateLattice,
     ContractViolationError,
     LevelDomain,
-    ThresholdPattern,
-    dominates,
-    enumerate_in_dominance_order,
 )
-from mdd.errors import SchemaMismatchError
 
 X2 = (AttributeId(0, "A"), AttributeId(1, "B"))
 X1 = X2[:1]
 
 
-def _pat(attrs, levels):
-    return ThresholdPattern.over(attrs, levels)
+def _pruned(lat, d):
+    return {c for c in itertools.product(range(d), repeat=2) if lat.is_pruned(c)}
 
 
 class TestDominates:
+    """A recorded failure prunes exactly the patterns it dominates
+    (componentwise lower or equal)."""
+
+    def _prunes(self, failed, other):
+        lat = CandidateLattice(X2, LevelDomain(6))
+        lat.record_failure(failed)
+        return lat.is_pruned(other)
+
     def test_componentwise(self):
-        assert dominates(_pat(X2, (2, 3)), _pat(X2, (2, 5)))
+        assert self._prunes((2, 3), (2, 5))
 
     def test_reflexive(self):
-        p = _pat(X2, (1, 4))
-        assert dominates(p, p)
+        assert self._prunes((1, 4), (1, 4))
 
     def test_incomparable(self):
-        assert not dominates(_pat(X2, (3, 1)), _pat(X2, (2, 5)))
-        assert not dominates(_pat(X2, (2, 5)), _pat(X2, (3, 1)))
-
-    def test_attribute_mismatch(self):
-        with pytest.raises(SchemaMismatchError):
-            dominates(_pat(X1, (1,)), _pat(X2, (1, 1)))
+        assert not self._prunes((3, 1), (2, 5))
+        assert not self._prunes((2, 5), (3, 1))
 
 
 class TestEnumerationOrder:
     def test_single_attribute_chain(self):
-        order = [p.get(X1[0]) for p in enumerate_in_dominance_order(X1, LevelDomain(3))]
-        assert order == [0, 1, 2]
+        order = list(CandidateLattice(X1, LevelDomain(3)).iter_levels())
+        assert order == [(0,), (1,), (2,)]
 
     def test_two_by_two(self):
-        order = [
-            tuple(p.get(a) for a in X2)
-            for p in enumerate_in_dominance_order(X2, LevelDomain(2))
-        ]
+        order = list(CandidateLattice(X2, LevelDomain(2)).iter_levels())
         assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_first_is_all_zero(self):
-        first = next(iter(enumerate_in_dominance_order(X2, LevelDomain(5))))
-        assert all(l == 0 for _, l in first.items())
+        first = next(CandidateLattice(X2, LevelDomain(5)).iter_levels())
+        assert first == (0, 0)
 
     @pytest.mark.parametrize("d,m", [(2, 3), (3, 2), (4, 3), (3, 3)])
     def test_exhaustive_order_respects_dominance(self, d, m):
         attrs = tuple(AttributeId(i, f"X{i}") for i in range(m))
-        seq = [
-            tuple(p.get(a) for a in attrs)
-            for p in enumerate_in_dominance_order(attrs, LevelDomain(d))
-        ]
+        seq = list(CandidateLattice(attrs, LevelDomain(d)).iter_levels())
         assert len(seq) == d**m
         assert len(set(seq)) == d**m
         position = {cand: i for i, cand in enumerate(seq)}
@@ -76,21 +69,27 @@ class TestEnumerationOrder:
 class TestPruning:
     def test_all_zero_prunes_everything_else(self):
         lat = CandidateLattice(X2, LevelDomain(3))
-        assert lat.prune_dominated_by(_pat(X2, (0, 0))) == lat.candidate_count - 1
+        lat.record_failure((0, 0))
+        assert len(_pruned(lat, 3)) == lat.candidate_count
 
     def test_top_prunes_nothing(self):
         lat = CandidateLattice(X2, LevelDomain(3))
-        assert lat.prune_dominated_by(_pat(X2, (2, 2))) == 0
+        lat.record_failure((2, 2))
+        assert _pruned(lat, 3) == {(2, 2)}
 
     def test_interior_upper_set(self):
         lat = CandidateLattice(X2, LevelDomain(3))
-        assert lat.prune_dominated_by(_pat(X2, (1, 1))) == 3  # (1,2),(2,1),(2,2)
+        lat.record_failure((1, 1))
+        assert _pruned(lat, 3) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_counts_only_newly_marked(self):
         lat = CandidateLattice(X2, LevelDomain(3))
-        assert lat.prune_dominated_by(_pat(X2, (2, 1))) == 1  # (2,2)
-        # upper set of (1,1) is (1,2),(2,1),(2,2); only (1,2) is new
-        assert lat.prune_dominated_by(_pat(X2, (1, 1))) == 1
+        lat.record_failure((2, 1))
+        before = _pruned(lat, 3)
+        assert before == {(2, 1), (2, 2)}
+        # upper set of (1,1) is (1,1),(1,2),(2,1),(2,2); only two are new
+        lat.record_failure((1, 1))
+        assert _pruned(lat, 3) - before == {(1, 1), (1, 2)}
 
     def test_iteration_skips_pruned(self):
         lat = CandidateLattice(X2, LevelDomain(3))

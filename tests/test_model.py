@@ -1,8 +1,10 @@
-"""Domain type behavior: satisfaction, zero-level stripping, validation."""
+"""Domain type behavior: satisfaction (as pattern_mask defines it),
+zero-level stripping, validation."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,42 +14,47 @@ from mdd import (
     DiscoveryRequest,
     LevelDomain,
     Relation,
-    StatTuple,
     ThresholdPattern,
     ValidationError,
-    satisfies,
+    pattern_mask,
     strip_zero_levels,
     to_fraction,
 )
 from mdd.errors import SchemaMismatchError
 
+from conftest import make_distribution
+
 A = tuple(AttributeId(i, f"A{i+1}") for i in range(6))
 
 
-def _stat(levels, count=1, total=100):
-    return StatTuple(A[: len(levels)], tuple(levels), count, total)
+def _records(*level_vectors):
+    """A distribution over A[:m] holding the given level vectors, d = 10."""
+    m = len(level_vectors[0])
+    return make_distribution(
+        {tuple(v): 1 for v in level_vectors}, d=10, names=[a.name for a in A[:m]]
+    )
+
+
+def _satisfies(levels, pattern) -> bool:
+    return bool(pattern_mask(_records(levels), pattern)[0])
 
 
 class TestSatisfies:
     def test_partial_pattern_met(self):
-        s = _stat((1, 0, 3, 5, 8, 4))
         lam = ThresholdPattern.of({A[0]: 1, A[2]: 3})
-        assert satisfies(s, lam)
+        assert _satisfies((1, 0, 3, 5, 8, 4), lam)
 
     def test_all_zero_pattern_always_satisfied(self):
-        s = _stat((0, 0, 0, 0, 0, 0))
         lam = ThresholdPattern.of({A[0]: 0, A[1]: 0})
-        assert satisfies(s, lam)
+        assert _satisfies((0, 0, 0, 0, 0, 0), lam)
 
     def test_single_miss_fails(self):
-        s = _stat((1, 0, 3, 5, 8, 4))
-        assert not satisfies(s, ThresholdPattern.of({A[1]: 1}))
+        assert not _satisfies((1, 0, 3, 5, 8, 4), ThresholdPattern.of({A[1]: 1}))
 
     def test_unknown_attribute_raises(self):
-        s = _stat((1, 2))
         stranger = AttributeId(9, "Z")
         with pytest.raises(SchemaMismatchError):
-            satisfies(s, ThresholdPattern.of({stranger: 1}))
+            _satisfies((1, 2), ThresholdPattern.of({stranger: 1}))
 
     @given(
         levels=st.lists(st.integers(0, 9), min_size=3, max_size=3),
@@ -56,11 +63,10 @@ class TestSatisfies:
     )
     def test_monotonicity(self, levels, low, bump):
         # if lam1 <= lam2 componentwise, satisfying lam2 implies satisfying lam1
-        s = _stat(tuple(levels))
         lam1 = ThresholdPattern.over(A[:3], low)
         lam2 = ThresholdPattern.over(A[:3], [min(9, l + b) for l, b in zip(low, bump)])
-        if satisfies(s, lam2):
-            assert satisfies(s, lam1)
+        if _satisfies(tuple(levels), lam2):
+            assert _satisfies(tuple(levels), lam1)
 
 
 class TestStripZeroLevels:
@@ -84,9 +90,8 @@ class TestStripZeroLevels:
         assert strip_zero_levels(once) == once
         # satisfaction must be unchanged on arbitrary records
         rng = random.Random(0)
-        for _ in range(20):
-            s = _stat(tuple(rng.randint(0, 9) for _ in range(6)))
-            assert satisfies(s, lam) == satisfies(s, once)
+        dist = _records(*(tuple(rng.randint(0, 9) for _ in range(6)) for _ in range(20)))
+        assert np.array_equal(pattern_mask(dist, lam), pattern_mask(dist, once))
 
 
 class TestThresholdPattern:
@@ -128,16 +133,6 @@ class TestLevelDomain:
         assert d.check_level(3) == 3
         with pytest.raises(ValidationError):
             d.check_level(4)
-
-
-class TestStatTuple:
-    def test_probability_is_exact(self):
-        s = _stat((1, 2), count=3, total=15)
-        assert s.probability == Fraction(1, 5)
-
-    def test_count_bounds(self):
-        with pytest.raises(ValidationError):
-            StatTuple(A[:1], (0,), 5, 4)
 
 
 class TestToFraction:
