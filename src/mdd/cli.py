@@ -358,7 +358,10 @@ def _add_common_discovery_flags(p: argparse.ArgumentParser) -> None:
         "--candidate-budget",
         type=int,
         default=DEFAULT_CANDIDATE_BUDGET,
-        help=f"cap on d^|lhs| candidates (default {DEFAULT_CANDIDATE_BUDGET})",
+        help=(
+            f"cap on d^|lhs| candidates (default {DEFAULT_CANDIDATE_BUDGET}); the "
+            "exact and prefix engines take 16 bytes per candidate for their count cubes"
+        ),
     )
 
 

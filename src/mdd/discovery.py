@@ -1,22 +1,31 @@
-"""The discovery algorithms, all one prefix scan over the candidate lattice.
+"""The discovery algorithms: prefix scans over the candidate lattice.
 
 The approximate engines evaluate each candidate over the first k records of
 the probability-sorted distribution and bound the mass of the rest; the exact
-engines are the same scan with k = n. Each engine sets up the scan and picks
-where a candidate stops. ea reads every record for every candidate; eps adds
-dominance pruning by support; epsc, over a distribution grouped by the rhs
-pattern, also stops a candidate where its running confidence drops below the
-minimum. ap and aps are ea and eps over the first k records (k from
-compute_prefix_k); api and apsi add a per-candidate stop once the unseen mass
-is within the candidate's own bound.
+engines are the same scans with k = n. ea reads every record for every
+candidate; eps adds dominance pruning by support; epsc, over a distribution
+grouped by the rhs pattern, also stops a candidate where its running
+confidence drops below the minimum. ap and aps are ea and eps over the first k
+records (k from compute_prefix_k); api and apsi add a per-candidate stop once
+the unseen mass is within the candidate's own bound.
+
+A scan without a per-candidate stop rule (ea, eps, ap, aps, and epsc's base
+pass) is one pass over an upper-set count cube: two int64 histograms of the
+prefix over the lhs level grid, each turned by a reversed cumulative sum along
+every axis into the joint and lhs count of every candidate, in
+O(k + m * d^m) time and 16 bytes per candidate (the superset sum behind the
+data cube; Gray et al., ICDE 1996). The pruned engines' work counters follow
+in closed form: a candidate is evaluated iff each immediate predecessor meets
+the support minimum. The stop rules stay per candidate: epsc's confidence drop
+for the rejected candidates that meet support, and api/apsi's individual
+bound, whose stop depends on the prefix, in a loop over the lattice.
 
 Decision arithmetic is exact: support thresholds become integer count minimums
 (count >= ceil(min_support * pair_total)) and confidence checks cross-multiply
 integer counts against the exact rational threshold, so no candidate flips on
-floating-point noise at a boundary. The per-candidate record scans are
-evaluated with vectorized cumulative sums, but every early-termination index
-and every reported counter equals what the sequential formulation would do,
-record by record.
+floating-point noise at a boundary. Every early-termination index and every
+reported counter equals what the sequential formulation would do, record by
+record.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,7 +49,6 @@ from .model import (
     RationalLike,
     StatDistribution,
     ThresholdPattern,
-    strip_zero_levels,
     to_fraction,
     validate_thresholds,
 )
@@ -89,17 +97,18 @@ class _Run:
 
     def finish(
         self,
-        accepted: list[tuple[tuple[int, ...], int, int]],
+        accepted: Iterable[tuple[tuple[int, ...], int, int]],
         mode: EvaluationMode,
     ) -> list[DiscoveredMd]:
         self.counters.candidates_pruned_support = (
             self.counters.candidates_total - self.counters.candidates_evaluated
         )
+        attrs = self.lattice.attributes
+        # the nonzero levels in attribute-index order, as the pattern keeps them
+        by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
         results = []
         for cand, joint, lhs in sorted(accepted):
-            pattern = strip_zero_levels(
-                ThresholdPattern.over(self.lattice.attributes, cand)
-            )
+            pattern = ThresholdPattern(tuple((attrs[i], cand[i]) for i in by_index if cand[i]))
             results.append(
                 DiscoveredMd(
                     lhs_pattern=pattern,
@@ -132,104 +141,170 @@ def _new_run(
 
 
 # ---------------------------------------------------------------------------
-# The prefix scan
+# The prefix scans
 # ---------------------------------------------------------------------------
 
-# A stop rule reads one candidate's record mask over the scanned prefix and
-# returns (records scanned, joint count, lhs count, rejected by confidence).
-_StopRule = Callable[[np.ndarray], tuple[int, int, int, bool]]
+# Candidates whose confidence is compared a block at a time, so the exact
+# integer products never need a temporary the size of the cube.
+_BLOCK = 1 << 16
 
 
-def _scan(
+def _prefix(run: _Run, bound: ApproxBound | None) -> tuple[int, EvaluationMode]:
+    """The scanned prefix: k from the approximation ``bound``, or k = n for
+    the exact engines, which pass none."""
+    if bound is None:
+        return run.dist.n, EvaluationMode.exact()
+    return bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
+
+
+def _upper_set_counts(run: _Run, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The joint and lhs count of every candidate over the first k records:
+    two int64 cubes of shape (d,)*m indexed by the candidate's levels. Each
+    record's count lands on its own level vector; a reversed cumulative sum
+    along every axis then turns each cell into the total over its upper set,
+    which is exactly the records that satisfy that candidate."""
+    d = run.lattice.domain.d
+    shape = (d,) * len(run.x_cols)
+    # a level above the lattice's top satisfies every threshold the top does
+    levels = np.minimum(run.dist.levels[:k][:, run.x_cols], d - 1)
+    cells = np.ravel_multi_index(levels.T, shape)
+    counts = run.dist.counts[:k]
+    rhs = run.rhs_mask[:k]
+    joint = np.zeros(shape, dtype=np.int64)
+    lhs = np.zeros(shape, dtype=np.int64)
+    np.add.at(joint.reshape(-1), cells[rhs], counts[rhs])
+    np.add.at(lhs.reshape(-1), cells, counts)
+    for cube in (joint, lhs):
+        for axis in range(cube.ndim):
+            upward = np.flip(cube, axis)
+            np.cumsum(upward, axis=axis, out=upward)
+    return joint, lhs
+
+
+def _evaluated(meets: np.ndarray) -> np.ndarray:
+    """The candidates a pruned scan evaluates: those whose every immediate
+    predecessor (one level lower on one axis) meets the support minimum. A
+    predecessor that misses it was either evaluated and pruned its upper set,
+    or skipped under an evaluated failure below it; both upper sets hold the
+    candidate. Conversely a failure below a candidate lies below one of its
+    predecessors, whose support is then no larger and misses too."""
+    evaluated = np.ones_like(meets)
+    for axis in range(meets.ndim):
+        above = [slice(None)] * meets.ndim
+        below = [slice(None)] * meets.ndim
+        above[axis], below[axis] = slice(1, None), slice(None, -1)
+        evaluated[tuple(above)] &= meets[tuple(below)]
+    return evaluated
+
+
+def _confident(run: _Run, joint: np.ndarray, lhs: np.ndarray) -> np.ndarray:
+    """Where joint / lhs >= min_confidence, tested as joint * den >= num * lhs
+    in exact integers (true where lhs = 0). Products that could overflow
+    int64 are formed in Python ints."""
+    num, den = run.min_confidence.numerator, run.min_confidence.denominator
+    exact = object if run.dist.pair_total * max(num, den) >= 2**63 else np.int64
+    confident = np.empty(joint.shape, dtype=bool)
+    flat_joint, flat_lhs = joint.reshape(-1), lhs.reshape(-1)
+    flat_confident = confident.reshape(-1)
+    for lo in range(0, flat_confident.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        j = flat_joint[block].astype(exact, copy=False)
+        l = flat_lhs[block].astype(exact, copy=False)
+        flat_confident[block] = j * den >= num * l
+    return confident
+
+
+def _cube_scan(
     run: _Run,
     *,
     prune: bool,
     bound: ApproxBound | None = None,
-    stop: _StopRule | None = None,
+    confidence_stop: bool = False,
 ) -> list[DiscoveredMd]:
-    """Evaluate the candidates over the first k records: k from the
-    approximation ``bound``, or k = n for the exact engines, which pass none.
-    Without a stop rule every candidate reads the whole prefix. Only a
-    candidate that read the whole prefix and missed the support minimum
-    prunes: prefix joint mass only shrinks up the lattice, so every candidate
-    it dominates misses as well, under any stop."""
-    if bound is None:
-        k, mode = run.dist.n, EvaluationMode.exact()
-    else:
-        k, mode = bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
+    """Evaluate every candidate over the first k records at once, from the
+    upper-set count cubes, with the counters the sequential scan would
+    report: every evaluated candidate reads the whole prefix, and with
+    ``prune`` only the closed-form evaluated set counts.
+
+    ``confidence_stop`` makes this epsc, over a distribution grouped by the
+    rhs pattern. It prunes iff a candidate misses support, as eps does, so it
+    evaluates the same set. It rejects the evaluated candidates whose
+    confidence is below the minimum; the ones that also meet support stop
+    reading at the confidence drop, so only those are scanned one by one."""
+    k, mode = _prefix(run, bound)
+    joint, lhs = _upper_set_counts(run, k)
+    meets = joint >= run.min_support_count
+    evaluated = _evaluated(meets) if prune else None
+    count = joint.size if evaluated is None else int(np.count_nonzero(evaluated))
+    run.counters.candidates_evaluated += count
+    run.counters.records_evaluated += k * count
+    confident = _confident(run, joint, lhs)
+    if confidence_stop:
+        rejected = np.logical_not(confident)
+        rejected &= evaluated
+        run.counters.candidates_pruned_confidence += int(np.count_nonzero(rejected))
+        # the ones that meet support stop at the drop; the rest read all k
+        rejected &= meets
+        for cand in zip(*(axis.tolist() for axis in np.nonzero(rejected))):
+            run.counters.records_evaluated -= k - _confidence_drop(run, cand, int(joint[cand]))
+    # every candidate that meets support is evaluated: its predecessors do too
+    confident &= meets
+    accepted = np.nonzero(confident)
+    return run.finish(
+        zip(
+            zip(*(axis.tolist() for axis in accepted)),
+            joint[accepted].tolist(),
+            lhs[accepted].tolist(),
+        ),
+        mode,
+    )
+
+
+def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
+    """epsc's stop for a candidate it rejects while meeting support: the
+    records read up to the first one where the running confidence drops
+    below the minimum. Over the grouped order the rhs-satisfying records come
+    first and keep it at 1, and past them the joint mass is final, so that is
+    the first record where the running lhs mass exceeds joint / eta_c."""
+    eta = run.min_confidence
+    mask = run.candidate_mask(run.dist.levels, cand)
+    cum_lhs = np.cumsum(np.where(mask, run.dist.counts, 0))
+    return int(np.searchsorted(cum_lhs, joint * eta.denominator // eta.numerator + 1)) + 1
+
+
+def _individual_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[DiscoveredMd]:
+    """api's scan: candidate by candidate in dominance order, each stopping
+    at the first record where the unseen mass is within its own bound
+    (suffix <= factor * lhs mass so far), else at the end of the prefix. The
+    left side only falls and the right side only grows, so a binary search
+    with exact integer probes finds the stop. Only a candidate that read the
+    whole prefix and missed the support minimum prunes: prefix joint mass
+    only shrinks up the lattice, so every candidate it dominates misses as
+    well, under any stop."""
+    k, mode = _prefix(run, bound)
     counts = run.dist.counts[:k]
     levels = run.dist.levels[:k]
-    joint_counts = np.where(run.rhs_mask[:k], counts, 0)
-    accepted = []
-    for cand in run.lattice.iter_levels(skip_pruned=prune):
-        run.counters.candidates_evaluated += 1
-        mask = run.candidate_mask(levels, cand)
-        if stop is None:
-            scanned, rejected = k, False
-            joint, lhs = int(joint_counts[mask].sum()), int(counts[mask].sum())
-        else:
-            scanned, joint, lhs, rejected = stop(mask)
-        run.counters.records_evaluated += scanned
-        if rejected:
-            run.counters.candidates_pruned_confidence += 1
-        elif run.accepts(joint, lhs):
-            accepted.append((cand, joint, lhs))
-        if prune and scanned == k and joint < run.min_support_count:
-            run.lattice.record_failure(cand)
-    return run.finish(accepted, mode)
-
-
-def _confidence_drop(run: _Run, pivot: int) -> _StopRule:
-    """epsc's stop over a distribution grouped for the rhs pattern, whose
-    first ``pivot`` records satisfy it. Over that order the running
-    confidence never rises, so the candidate is rejected at the first record
-    where it drops below the minimum. The scan stops at that record if the
-    support minimum is met; otherwise it keeps counting so that the failure
-    can prune."""
-    counts = run.dist.counts
-    n = run.dist.n
-    eta_num = run.min_confidence.numerator
-    eta_den = run.min_confidence.denominator
-
-    def stop(mask: np.ndarray) -> tuple[int, int, int, bool]:
-        cum_lhs = np.cumsum(np.where(mask, counts, 0))
-        lhs = int(cum_lhs[-1])
-        # Past the pivot no record satisfies the rhs pattern, so the joint
-        # mass is already final there.
-        joint = int(cum_lhs[pivot - 1]) if pivot > 0 else 0
-        # The first record where lhs mass exceeds joint/eta_c; positions with
-        # zero lhs mass have undefined confidence and never trigger.
-        reject_at = joint * eta_den // eta_num + 1
-        if reject_at > lhs:
-            return n, joint, lhs, False
-        drop = int(np.searchsorted(cum_lhs, reject_at))
-        return (drop + 1 if joint >= run.min_support_count else n), joint, lhs, True
-
-    return stop
-
-
-def _individual_bound(run: _Run, bound: ApproxBound) -> _StopRule:
-    """api's stop: the first record where the unseen mass is within the
-    candidate's own bound (suffix <= factor * lhs mass so far), else the end
-    of the prefix. The left side only falls and the right side only grows, so
-    a binary search with exact integer probes finds it."""
-    k = bound.prefix_k
-    counts = run.dist.counts[:k]
     joint_counts = np.where(run.rhs_mask[:k], counts, 0)
     cum_all = np.cumsum(run.dist.counts)
     suffix = (int(cum_all[-1]) - cum_all)[:k]
     factor = _bound_factor(bound.epsilon, run.min_confidence)
     f_num, f_den = factor.numerator, factor.denominator
-
-    def stop(mask: np.ndarray) -> tuple[int, int, int, bool]:
+    accepted = []
+    for cand in run.lattice.iter_levels(skip_pruned=prune):
+        run.counters.candidates_evaluated += 1
+        mask = run.candidate_mask(levels, cand)
         cum_lhs = np.cumsum(np.where(mask, counts, 0))
         last = bisect_left(
             range(k - 1), True, key=lambda i: int(suffix[i]) * f_den <= f_num * int(cum_lhs[i])
         )
         joint = int(joint_counts[: last + 1][mask[: last + 1]].sum())
-        return last + 1, joint, int(cum_lhs[last]), False
-
-    return stop
+        lhs = int(cum_lhs[last])
+        run.counters.records_evaluated += last + 1
+        if run.accepts(joint, lhs):
+            accepted.append((cand, joint, lhs))
+        if prune and last + 1 == k and joint < run.min_support_count:
+            run.lattice.record_failure(cand)
+    return run.finish(accepted, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +393,7 @@ def ea(
     """Evaluate every candidate against every record. The baseline the pruned
     and approximate variants are measured against."""
     run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _scan(run, prune=False)
+    return _cube_scan(run, prune=False)
 
 
 def eps(
@@ -334,7 +409,7 @@ def eps(
     candidate it dominates is skipped. Support only shrinks going up the
     lattice, so the returned set is identical to ea's."""
     run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _scan(run, prune=True)
+    return _cube_scan(run, prune=True)
 
 
 def epsc(
@@ -366,7 +441,7 @@ def epsc(
             "distribution was grouped for a different rhs pattern; regroup it"
         )
     run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _scan(run, prune=True, stop=_confidence_drop(run, marker[1]))
+    return _cube_scan(run, prune=True, confidence_stop=True)
 
 
 def ap(
@@ -383,7 +458,7 @@ def ap(
     compute_prefix_k); reported measures are the prefix approximations."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _scan(run, prune=False, bound=bound)
+    return _cube_scan(run, prune=False, bound=bound)
 
 
 def api(
@@ -401,7 +476,7 @@ def api(
     Never scans past record k."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _scan(run, prune=False, bound=bound, stop=_individual_bound(run, bound))
+    return _individual_scan(run, bound, prune=False)
 
 
 def aps(
@@ -417,7 +492,7 @@ def aps(
     """ap plus dominance pruning on the approximate support."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _scan(run, prune=True, bound=bound)
+    return _cube_scan(run, prune=True, bound=bound)
 
 
 def apsi(
@@ -434,7 +509,7 @@ def apsi(
     that scanned the whole prefix."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _scan(run, prune=True, bound=bound, stop=_individual_bound(run, bound))
+    return _individual_scan(run, bound, prune=True)
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,11 @@ def pattern_mask(dist: StatDistribution, pattern: ThresholdPattern) -> np.ndarra
     """Boolean vector over records: which satisfy every pattern threshold."""
     mask = np.ones(dist.n, dtype=bool)
     for attr, level in pattern.items():
+        # resolve the column even at level 0, so an unknown attribute raises
+        col = dist.column_index(attr)
         dist.domain.check_level(level, f"threshold for {attr.name}")
         if level > 0:
-            mask &= dist.levels[:, dist.column_index(attr)] >= level
+            mask &= dist.levels[:, col] >= level
     return mask
 
 
@@ -444,6 +446,12 @@ def load_distribution(path) -> StatDistribution:
             raise DistributionIOError(f"{path}: malformed attrs= entry {tok!r}: {exc}") from None
     if not attrs:
         raise DistributionIOError(f"{path}: empty attrs= list")
+    # Indices may have gaps and any order (a projection keeps its source
+    # positions), but each names one attribute.
+    for key in ("index", "name"):
+        values = [getattr(a, key) for a in attrs]
+        if len(set(values)) != len(values):
+            raise DistributionIOError(f"{path}: attrs= lists an attribute {key} twice")
     attrs = tuple(attrs)
     raw_specs = [urllib.parse.unquote(tok) for tok in fields["metric"].split(",")]
     if len(raw_specs) == 1:

@@ -45,7 +45,9 @@ class CandidateLattice:
     removed it first. Instances are single-use: pruning state accumulates, so
     a second scan would silently skip candidates. Create a fresh lattice per
     run. The pruning mask holds one byte per candidate, so the candidate
-    budget bounds it as well.
+    budget bounds it as well. Only api and apsi iterate and prune it; the
+    engines that count every candidate at once from the upper-set cube read
+    just its attributes, domain and size.
     """
 
     def __init__(

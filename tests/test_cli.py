@@ -213,6 +213,17 @@ class TestValidationAndExitCodes:
         assert code == 3
         assert len(err) == 1 and "attribute name must be nonempty" in err[0]
 
+    @pytest.mark.parametrize("attrs", ["5:A,5:B", "0:A,1:A"])
+    def test_cache_with_repeated_attribute_is_io_error(self, tmp_path, capsys, attrs):
+        code, err = discover_from_cache(tmp_path, f"d=10 pairs=1 attrs={attrs}", capsys)
+        assert code == 3
+        assert len(err) == 1 and "twice" in err[0]
+
+    @pytest.mark.parametrize("attrs", ["0:A,5:B", "5:A,2:B"])
+    def test_cache_keeps_gapped_and_unordered_indices(self, tmp_path, capsys, attrs):
+        code, err = discover_from_cache(tmp_path, f"d=10 pairs=1 attrs={attrs}", capsys)
+        assert code == 0 and err == []
+
     def test_conflicting_qgram_size_rejected(self, capsys):
         metric_at = DISCOVER_BASE.index("--metric") + 1
         argv = [*DISCOVER_BASE[:metric_at], "cosine-qgram:3", *DISCOVER_BASE[metric_at + 1:]]

@@ -9,16 +9,20 @@ engine paths.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdd import (
+    AttributeId,
     CandidateLattice,
     ContractViolationError,
     EvalCounters,
     LevelDomain,
     ThresholdPattern,
+    SchemaMismatchError,
     ValidationError,
     ap,
     api,
@@ -52,6 +56,41 @@ def result_key(mds):
 # ---------------------------------------------------------------------------
 # Sequential reference simulators (independent of the engine's fast paths)
 # ---------------------------------------------------------------------------
+
+
+def simulate_eps(dist, x_attrs, rhs_pattern, eta_s: Fraction, eta_c: Fraction, upto=None):
+    """Record-by-record walk of the support-pruned scan over the first
+    ``upto`` records (all by default): visit the candidates in dominance
+    order, skip every candidate in the strict upper set of a recorded
+    failure, read the whole prefix for the rest, and record a failure when
+    the support misses the minimum. Returns the accepted candidates in
+    lexicographic order, the candidates evaluated and the records read."""
+    k = dist.n if upto is None else upto
+    cols = [dist.column_index(a) for a in x_attrs]
+    records = [
+        ([int(dist.levels[i, c]) for c in cols], satisfied(dist, i, rhs_pattern),
+         int(dist.counts[i]))
+        for i in range(k)
+    ]
+    failed: list[tuple[int, ...]] = []
+    accepted = []
+    evaluated = records_read = 0
+    for cand in sorted(itertools.product(range(dist.domain.d), repeat=len(x_attrs)), key=sum):
+        if any(all(f <= c for f, c in zip(fail, cand)) for fail in failed):
+            continue
+        evaluated += 1
+        joint = lhs = 0
+        for levels, rhs_ok, count in records:
+            records_read += 1
+            if all(level >= t for level, t in zip(levels, cand)):
+                lhs += count
+                if rhs_ok:
+                    joint += count
+        if Fraction(joint, dist.pair_total) < eta_s:
+            failed.append(cand)
+        elif Fraction(joint, lhs) >= eta_c:
+            accepted.append(cand)
+    return sorted(accepted), evaluated, records_read
 
 
 def simulate_epsc(dist, x_attrs, rhs_pattern, eta_s: Fraction, eta_c: Fraction):
@@ -611,6 +650,126 @@ class TestApsApsi:
 
 
 # ---------------------------------------------------------------------------
+# The upper-set count cube behind ea/eps/epsc/ap/aps
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cube_cases(draw):
+    """A small distribution over m lhs columns and one rhs column, a support
+    and a confidence minimum, and an epsilon that puts the approximate
+    engines' prefix at k = 1 (one record carries almost all the mass) or at
+    k = n. The rhs pattern holds on no record, on every record, or on some."""
+    m = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 6))
+    pivot = draw(st.sampled_from(["none", "all", "some"]))
+    rhs_top = d - 2 if pivot == "none" else d - 1
+    vectors = st.tuples(*[st.integers(0, d - 1)] * m, st.integers(0, rhs_top))
+    records = draw(st.dictionaries(vectors, st.integers(1, 50), min_size=1, max_size=12))
+    prefix = draw(st.sampled_from(["one", "all"]))
+    if prefix == "one":
+        records[next(iter(records))] = 10**9
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    level = {"none": d - 1, "all": 0, "some": draw(st.integers(0, d - 1))}[pivot]
+    rhs = ThresholdPattern.over(Y, [level])
+    # minimums up to 1 often exceed the all-zero candidate's support, so
+    # the whole lattice prunes at once
+    eta_s = draw(st.fractions(Fraction(1, 1000), 1, max_denominator=1000))
+    eta_c = draw(st.fractions(Fraction(1, 100), Fraction(9, 10), max_denominator=100))
+    if prefix == "one":
+        epsilon = (1 - eta_c) / 2
+    else:
+        epsilon = Fraction(1, 10 * dist.pair_total)
+    k = compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k
+    assert k == (1 if prefix == "one" else dist.n)
+    return dist, X, rhs, eta_s, eta_c, epsilon
+
+
+class TestUpperSetCube:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cube_cases())
+    def test_engines_equal_fold_and_sequential_counters(self, case):
+        dist, X, rhs, eta_s, eta_c, epsilon = case
+        grouped, _ = group_by_rhs(dist, rhs)
+        sdist = sort_by_probability_desc(dist)
+        k = compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k
+        total = dist.domain.d ** len(X)
+        runs = {
+            "ea": (ea, dist, dist.n, ()),
+            "eps": (eps, dist, dist.n, ()),
+            "epsc": (epsc, grouped, dist.n, ()),
+            "ap": (ap, sdist, k, (epsilon,)),
+            "aps": (aps, sdist, k, (epsilon,)),
+        }
+        counters = {}
+        for name, (engine, target, upto, extra) in runs.items():
+            counters[name] = c = EvalCounters()
+            mds = engine(target, fresh_lattice(dist, X), rhs, eta_s, eta_c, *extra, counters=c)
+            for md in mds:
+                joint, lhs = fold(target, md.lhs_pattern, rhs, upto=upto)
+                assert md.support == Fraction(joint, dist.pair_total) >= eta_s
+                assert md.confidence == Fraction(joint, lhs) >= eta_c
+            accepted, evaluated, records = simulate_eps(target, X, rhs, eta_s, eta_c, upto=upto)
+            assert [md.lhs_pattern for md in mds] == [
+                strip_zero_levels(ThresholdPattern.over(X, c)) for c in accepted
+            ]
+            assert c.candidates_total == total
+            if name in ("eps", "aps"):
+                assert (c.candidates_evaluated, c.records_evaluated) == (evaluated, records)
+                assert c.candidates_pruned_support == total - evaluated
+                assert c.candidates_pruned_confidence == 0
+            elif name in ("ea", "ap"):
+                assert c.candidates_evaluated == total
+                assert c.records_evaluated == total * upto
+                assert c.candidates_pruned_support == c.candidates_pruned_confidence == 0
+        # epsc prunes iff a candidate misses support, so it evaluates eps's set
+        assert counters["epsc"].candidates_evaluated == counters["eps"].candidates_evaluated
+        assert counters["epsc"].records_evaluated <= counters["eps"].records_evaluated
+        if total <= 256:
+            _, per_candidate = simulate_epsc(grouped, X, rhs, eta_s, eta_c)
+            assert counters["epsc"].records_evaluated == sum(per_candidate.values())
+
+    def test_confidence_products_beyond_int64(self):
+        # count * denominator exceeds 2^63 here, so the confidence test must
+        # leave int64 to stay exact
+        dist = make_distribution({(1, 1): 10**9, (0, 0): 3, (2, 1): 5, (2, 0): 1}, d=3)
+        X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c = Fraction(1, 1000), Fraction(123456789123456789, 10**18 - 3)
+        accepted, _, _ = simulate_eps(dist, X, rhs, eta_s, eta_c)
+        assert accepted == [(0,), (1,)]
+        for engine in (ea, eps):
+            mds = engine(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c)
+            assert [md.lhs_pattern for md in mds] == [
+                strip_zero_levels(ThresholdPattern.over(X, c)) for c in accepted
+            ]
+
+    def test_peak_memory_is_two_cubes(self):
+        # d^m = 10^6 candidates over a handful of records: the two int64
+        # cubes take 16 MB. Only the bottom record satisfies the rhs, so at
+        # most one rule comes out and the results take no room.
+        d, m = 10, 6
+        vectors = {tuple([level] * m) + (int(level == 0),): 10 + level for level in range(d)}
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [1])
+        grouped, _ = group_by_rhs(dist, rhs)
+        for engine, target in ((ea, dist), (eps, dist), (epsc, grouped)):
+            lattice = fresh_lattice(dist, X)
+            tracemalloc.start()
+            try:
+                engine(target, lattice, rhs, Fraction(1, 10), Fraction(1, 2))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            cubes = 2 * 8 * d**m  # two int64 cubes
+            # up to four one-byte masks (support, evaluated, confidence and
+            # epsc's rejections) and one ~1 MB block of confidence products
+            assert cubes <= peak <= cubes + 6 * d**m, engine.__name__
+
+
+# ---------------------------------------------------------------------------
 # Request dispatch
 # ---------------------------------------------------------------------------
 
@@ -637,6 +796,22 @@ class TestRunRequest:
             request = DiscoveryRequest.build(X, Y, rhs, "0.02", "0.4", algo)
             results.append(result_key(run_request(dist, request)))
         assert results[0] == results[1] == results[2]
+
+    def test_rhs_attribute_outside_distribution_raises(self):
+        # a zero threshold still names an attribute the records must carry
+        rng = random.Random(14)
+        dist, X, _ = random_distribution(rng, m_x=2, d=4)
+        stranger = AttributeId(9, "Z")
+        rhs = ThresholdPattern.of({stranger: 0})
+        with pytest.raises(SchemaMismatchError):
+            ea(dist, fresh_lattice(dist, X), rhs, "0.1", "0.5")
+        for algo in Algorithm:
+            request = DiscoveryRequest.build(
+                X, (stranger,), rhs, "0.1", "0.5", algo,
+                epsilon="0.2" if algo.is_approximate else None,
+            )
+            with pytest.raises(SchemaMismatchError):
+                run_request(dist, request)
 
     def test_budget_violation_propagates(self):
         rng = random.Random(13)
