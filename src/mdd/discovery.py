@@ -16,21 +16,55 @@ every axis into the joint and lhs count of every candidate, in
 O(k + m * d^m) time and 16 bytes per candidate (the superset sum behind the
 data cube; Gray et al., ICDE 1996). The pruned engines' work counters follow
 in closed form: a candidate is evaluated iff each immediate predecessor meets
-the support minimum. The stop rules stay per candidate: epsc's confidence drop
-for the rejected candidates that meet support, and api/apsi's individual
-bound, whose stop depends on the prefix, in a loop over the lattice.
+the support minimum. epsc's confidence drop is found per candidate, for the
+rejected candidates that meet support.
+
+api's stop. A candidate stops after the first record i < k - 1 where the
+unseen mass R is within its bound on the joint mass read so far,
+R <= f * J_i with f = eps * min(1, eta_c / (1 - eps - eta_c)) <= eps, and
+otherwise reads all k records, past which R <= f * eta_s <= f * J for every
+reported rule by the choice of k. So every reported rule has R <= eps * J,
+and that bounds its error. Let J and L be the joint and lhs mass (as
+probabilities) read at the stop, s = J and c = J / L, and J_n, L_n the exact
+ones. The unseen records add at most R to each, so J <= J_n <= J + R and
+L <= L_n <= L + R, and R <= eps * J gives
+
+- support: (s_n - s) / s_n = (J_n - J) / J_n <= R / J_n <= eps;
+- confidence from below: c_n - c <= (J_n - J) / L_n <= R / L_n, as L <= L_n,
+  so (c_n - c) / c_n <= R / J_n <= eps;
+- confidence from above: c - c_n <= J / L - J / L_n <= J * R / (L * L_n),
+  as J <= J_n, so (c - c_n) / c_n <= (J / J_n) * (R / L) <= R / L <= eps,
+  as J <= L.
+
+A stop on the lhs mass (R <= f * L) bounds none of these when J is much
+smaller than L. The stop test is monotone in i (R falls, J_i grows), and a
+dominated candidate never has more joint mass, so stops only rise up the
+lattice. apsi prunes the strict upper set of its failures, the candidates
+that read the whole prefix and miss support. A candidate reads the whole
+prefix iff the test fails at the last probe, record k - 2, so the failures
+are an upper set computed from the joint cubes at k - 1 and k records, and
+apsi evaluates the same closed form as eps: the candidates with no failure
+among their immediate predecessors.
+
+Each evaluated candidate's stop is found in two steps. Its bracket, a run of
+about 4 * sqrt(k) records in which the test first holds, comes from
+whichever source costs less: a record-by-cell dominance test over every
+probed record, |cells| * k * m comparisons in fixed-size blocks, or
+upper-set cubes over the whole grid at each bracket end, sqrt(k) * m * d^m
+additions. A dominance test over the bracket's own records then finds the
+stop, and the joint and lhs mass there.
 
 Decision arithmetic is exact: support thresholds become integer count minimums
-(count >= ceil(min_support * pair_total)) and confidence checks cross-multiply
-integer counts against the exact rational threshold, so no candidate flips on
-floating-point noise at a boundary. Every early-termination index and every
-reported counter equals what the sequential formulation would do, record by
-record.
+(count >= ceil(min_support * pair_total)) and confidence and stop checks
+cross-multiply integer counts against exact rationals, in Python ints where
+an int64 product could overflow, so no candidate flips on floating-point
+noise at a boundary. Every early-termination index and every reported
+counter equals what the sequential formulation would do, record by record.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -90,11 +124,6 @@ class _Run:
             return np.ones(levels.shape[0], dtype=bool)
         return mask
 
-    def accepts(self, joint: int, lhs: int) -> bool:
-        # min_support_count >= 1, so an accepted candidate has lhs >= joint > 0
-        eta = self.min_confidence
-        return joint >= self.min_support_count and joint * eta.denominator >= eta.numerator * lhs
-
     def finish(
         self,
         accepted: Iterable[tuple[tuple[int, ...], int, int]],
@@ -107,16 +136,19 @@ class _Run:
         # the nonzero levels in attribute-index order, as the pattern keeps them
         by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
         results = []
+        # the engines build every pattern valid, so the checks are skipped
         for cand, joint, lhs in sorted(accepted):
-            pattern = ThresholdPattern(tuple((attrs[i], cand[i]) for i in by_index if cand[i]))
+            pattern = ThresholdPattern._trusted(
+                tuple((attrs[i], cand[i]) for i in by_index if cand[i])
+            )
             results.append(
-                DiscoveredMd(
-                    lhs_pattern=pattern,
-                    rhs_pattern=self.rhs_pattern,
-                    support=Fraction(joint, self.dist.pair_total),
-                    confidence=Fraction(joint, lhs),
-                    mode=mode,
-                    counters=self.counters,
+                DiscoveredMd._trusted(
+                    pattern,
+                    self.rhs_pattern,
+                    Fraction(joint, self.dist.pair_total),
+                    Fraction(joint, lhs),
+                    mode,
+                    self.counters,
                 )
             )
         return results
@@ -157,28 +189,47 @@ def _prefix(run: _Run, bound: ApproxBound | None) -> tuple[int, EvaluationMode]:
     return bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
 
 
+def _grid(run: _Run) -> tuple[int, ...]:
+    """The shape of the candidate grid, (d,)*m, indexed by levels."""
+    return (run.lattice.domain.d,) * len(run.x_cols)
+
+
+def _record_cells(run: _Run, lo: int, hi: int) -> np.ndarray:
+    """The flat grid cell of each of the records lo..hi-1, at its lhs levels."""
+    d = run.lattice.domain.d
+    # a level above the lattice's top satisfies every threshold the top does
+    levels = np.minimum(run.dist.levels[lo:hi][:, run.x_cols], d - 1)
+    return np.ravel_multi_index(levels.T, _grid(run))
+
+
+def _upper_set_cube(shape: tuple[int, ...], cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """An int64 cube of the given grid shape in which every cell holds the
+    total count of the ``cells`` in its upper set. Each count lands on its
+    own cell; a reversed cumulative sum along every axis then sums each cell
+    over its upper set, which is exactly the records that satisfy that
+    candidate."""
+    cube = np.zeros(shape, dtype=np.int64)
+    np.add.at(cube.reshape(-1), cells, counts)
+    d = shape[0]
+    # along the outer axes, d - 1 whole-slice additions stream through memory
+    # where a cumulative sum would stride across it
+    for axis in range(len(shape) - 1):
+        slices = cube.reshape(d**axis, d, -1)
+        for level in range(d - 2, -1, -1):
+            np.add(slices[:, level], slices[:, level + 1], out=slices[:, level])
+    upward = np.flip(cube, -1)
+    np.cumsum(upward, axis=-1, out=upward)
+    return cube
+
+
 def _upper_set_counts(run: _Run, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The joint and lhs count of every candidate over the first k records:
-    two int64 cubes of shape (d,)*m indexed by the candidate's levels. Each
-    record's count lands on its own level vector; a reversed cumulative sum
-    along every axis then turns each cell into the total over its upper set,
-    which is exactly the records that satisfy that candidate."""
-    d = run.lattice.domain.d
-    shape = (d,) * len(run.x_cols)
-    # a level above the lattice's top satisfies every threshold the top does
-    levels = np.minimum(run.dist.levels[:k][:, run.x_cols], d - 1)
-    cells = np.ravel_multi_index(levels.T, shape)
+    two int64 cubes of shape (d,)*m indexed by the candidate's levels."""
+    shape = _grid(run)
+    cells = _record_cells(run, 0, k)
     counts = run.dist.counts[:k]
     rhs = run.rhs_mask[:k]
-    joint = np.zeros(shape, dtype=np.int64)
-    lhs = np.zeros(shape, dtype=np.int64)
-    np.add.at(joint.reshape(-1), cells[rhs], counts[rhs])
-    np.add.at(lhs.reshape(-1), cells, counts)
-    for cube in (joint, lhs):
-        for axis in range(cube.ndim):
-            upward = np.flip(cube, axis)
-            np.cumsum(upward, axis=axis, out=upward)
-    return joint, lhs
+    return _upper_set_cube(shape, cells[rhs], counts[rhs]), _upper_set_cube(shape, cells, counts)
 
 
 def _evaluated(meets: np.ndarray) -> np.ndarray:
@@ -197,12 +248,17 @@ def _evaluated(meets: np.ndarray) -> np.ndarray:
     return evaluated
 
 
+def _exact_dtype(run: _Run, ratio: Fraction) -> type:
+    """The dtype in which counts times ``ratio``'s numerator or denominator
+    stay exact: int64 while they fit, else Python ints."""
+    return object if run.dist.pair_total * max(ratio.numerator, ratio.denominator) >= 2**63 else np.int64
+
+
 def _confident(run: _Run, joint: np.ndarray, lhs: np.ndarray) -> np.ndarray:
     """Where joint / lhs >= min_confidence, tested as joint * den >= num * lhs
-    in exact integers (true where lhs = 0). Products that could overflow
-    int64 are formed in Python ints."""
+    in exact integers (true where lhs = 0)."""
     num, den = run.min_confidence.numerator, run.min_confidence.denominator
-    exact = object if run.dist.pair_total * max(num, den) >= 2**63 else np.int64
+    exact = _exact_dtype(run, run.min_confidence)
     confident = np.empty(joint.shape, dtype=bool)
     flat_joint, flat_lhs = joint.reshape(-1), lhs.reshape(-1)
     flat_confident = confident.reshape(-1)
@@ -272,38 +328,206 @@ def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
     return int(np.searchsorted(cum_lhs, joint * eta.denominator // eta.numerator + 1)) + 1
 
 
-def _individual_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[DiscoveredMd]:
-    """api's scan: candidate by candidate in dominance order, each stopping
-    at the first record where the unseen mass is within its own bound
-    (suffix <= factor * lhs mass so far), else at the end of the prefix. The
-    left side only falls and the right side only grows, so a binary search
-    with exact integer probes finds the stop. Only a candidate that read the
-    whole prefix and missed the support minimum prunes: prefix joint mass
-    only shrinks up the lattice, so every candidate it dominates misses as
-    well, under any stop."""
+# ---------------------------------------------------------------------------
+# The individual stops of api and apsi
+# ---------------------------------------------------------------------------
+
+# Record-by-cell dominance tests take this many (cell, record) pairs at a
+# time, so their temporaries never grow with |cells| * k.
+_DOMINANCE_BLOCK = 1 << 18
+
+# The costs of the checkpoint cubes in (cell, record) pairs of the dominance
+# test, which pick the cheaper bracket source: per cell of a checkpoint
+# cube, and per checkpoint on its own (measured with numpy on a 2-CPU x86
+# host; a wrong pick costs time, never a different result).
+_CUBE_CELL_COST = 5
+_CHECKPOINT_COST = 30_000
+
+
+class _StopRule:
+    """api's stop over the first k records of the sorted distribution. A
+    candidate stops after the first record i < k - 1 where the unseen mass is
+    within its bound on the joint mass J_i read so far,
+    suffix[i] * den <= num * J_i, and otherwise reads all k records. The test
+    is monotone in i (the suffix falls, J_i grows), so cutting the records
+    into brackets and probing the last record of each finds the bracket a
+    candidate stops in. ``bounds`` holds the brackets' prefix lengths; the
+    final bracket is record k - 1 alone, which ends every scan."""
+
+    def __init__(self, run: _Run, bound: ApproxBound, k: int) -> None:
+        self.k = k
+        self.counts = run.dist.counts[:k]
+        self.joint_counts = np.where(run.rhs_mask[:k], self.counts, 0)
+        # the lhs levels of the prefix, one contiguous row per attribute
+        self.levels = np.ascontiguousarray(run.dist.levels[:k][:, run.x_cols].T)
+        cum = np.cumsum(run.dist.counts)
+        self.suffix = int(cum[-1]) - cum[:k]
+        factor = _bound_factor(bound.epsilon, run.min_confidence)
+        self.num, self.den = factor.numerator, factor.denominator
+        self.exact = _exact_dtype(run, factor)
+        # about 4 * sqrt(k) wide: a checkpoint cube cell costs about 16
+        # records of the in-bracket test, so this balances the two for api
+        step = max(1, math.isqrt(16 * k))
+        probes = [*range(step, k - 1, step), k - 1] if k > 1 else []
+        self.bounds = np.array([0, *probes, k])
+
+    def stopped(self, record, joint: np.ndarray) -> np.ndarray:
+        """Whether a candidate with joint mass ``joint`` over the records up
+        to ``record`` stops there, in exact integers."""
+        suffix = np.asarray(self.suffix[record]).astype(self.exact)
+        return suffix * self.den <= self.num * joint.astype(self.exact, copy=False)
+
+    def failures(self, run: _Run) -> np.ndarray:
+        """apsi's failures, the candidates that read the whole prefix and miss
+        the support minimum: an upper set, from the joint cube at the last
+        probe, k - 1 records, and at all k."""
+        k, shape = self.k, _grid(run)
+        rhs = run.rhs_mask[: k - 1]
+        joint = _upper_set_cube(shape, _record_cells(run, 0, k - 1)[rhs], self.counts[: k - 1][rhs])
+        failed = ~self.stopped(k - 2, joint) if k > 1 else np.ones(shape, dtype=bool)
+        if run.rhs_mask[k - 1]:
+            # the last record adds to every candidate it satisfies, its lower set
+            last = np.unravel_index(_record_cells(run, k - 1, k)[0], shape)
+            joint[tuple(slice(level + 1) for level in last)] += self.counts[k - 1]
+        failed &= joint < run.min_support_count
+        return failed
+
+
+def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """held[c, r]: record r meets every threshold of cell c. ``records``
+    gives one array of record levels per attribute, of shape (r,) or
+    (|cells|, r), and ``cells`` one array of cell levels per attribute."""
+    held = None
+    for levels, thresholds in zip(records, cells):
+        hit = levels >= thresholds[:, None]
+        held = hit if held is None else np.logical_and(held, hit, out=held)
+    return held
+
+
+def _masses_at(held: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The mass of the held records up to the end of each bracket, after a
+    column of zeros for the empty prefix. ``starts`` are the brackets' first
+    records, and the brackets cover all of ``held``'s records."""
+    masses = np.zeros((held.shape[0], starts.size + 1), dtype=np.int64)
+    np.cumsum(np.add.reduceat(held * counts, starts, axis=1), axis=1, out=masses[:, 1:])
+    return masses
+
+
+def _block_brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
+    """Each cell's bracket, and its joint and lhs mass where the bracket
+    starts, from a record-by-cell dominance test over every probed record, a
+    block of cells at a time: |cells| * k * m comparisons."""
+    ends = rule.bounds[1:-1]
+    probed = int(rule.bounds[-2])
+    block = max(1, _DOMINANCE_BLOCK // max(1, probed))
+    for lo in range(0, cells.size, block):
+        group = cells[lo : lo + block]
+        held = _holds(rule.levels[:, :probed], np.unravel_index(group, _grid(run)))
+        joint = _masses_at(held, rule.joint_counts[:probed], rule.bounds[:-2])
+        lhs = _masses_at(held, rule.counts[:probed], rule.bounds[:-2])
+        # the brackets before a cell's own are the probes it does not stop at
+        bracket = np.count_nonzero(~rule.stopped(ends - 1, joint[:, 1:]), axis=1)
+        rows = np.arange(group.size)
+        yield group, bracket, joint[rows, bracket], lhs[rows, bracket]
+
+
+def _cube_brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
+    """Each cell's bracket, and its joint and lhs mass where the bracket
+    starts, from upper-set cubes over the whole grid, grown one bracket at a
+    time: about sqrt(k) * m * d^m additions."""
+    shape = _grid(run)
+    joint = np.zeros(shape, dtype=np.int64).reshape(-1)
+    lhs = np.zeros_like(joint)
+    final = rule.bounds.size - 2
+    for bracket in range(final):
+        lo, hi = int(rule.bounds[bracket]), int(rule.bounds[bracket + 1])
+        records = _record_cells(run, lo, hi)
+        rhs = run.rhs_mask[lo:hi]
+        counts = rule.counts[lo:hi]
+        grown = _upper_set_cube(shape, records[rhs], counts[rhs]).reshape(-1)
+        grown += joint
+        stopped = rule.stopped(hi - 1, grown[cells])
+        group = cells[stopped]
+        yield group, np.full(group.size, bracket), joint[group], lhs[group]
+        joint = grown
+        lhs += _upper_set_cube(shape, records, counts).reshape(-1)
+        cells = cells[~stopped]
+    yield cells, np.full(cells.size, final), joint[cells], lhs[cells]
+
+
+def _bracket_source(run: _Run, rule: _StopRule, cells: np.ndarray):
+    """The cheaper bracket source for these cells: the dominance test costs
+    |cells| * (k - 1) (cell, record) pairs, the cubes a cell cost per grid
+    cell and a fixed cost at each checkpoint."""
+    block_cost = cells.size * int(rule.bounds[-2])
+    cube_cost = (rule.bounds.size - 2) * (
+        _CUBE_CELL_COST * run.lattice.candidate_count + _CHECKPOINT_COST
+    )
+    return _cube_brackets if cube_cost < block_cost else _block_brackets
+
+
+def _resolve(
+    run: _Run,
+    rule: _StopRule,
+    cells: np.ndarray,
+    bracket: np.ndarray,
+    base_joint: np.ndarray,
+    base_lhs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's stop inside its bracket (the records it reads), and its
+    joint and lhs mass there: the masses where the bracket starts plus a
+    record-by-cell dominance test over the bracket's records."""
+    lo, hi = rule.bounds[bracket], rule.bounds[bracket + 1]
+    record = lo[:, None] + np.arange(int((hi - lo).max()))
+    inside = record < hi[:, None]
+    # past its bracket a row repeats the bracket's last record, held by none
+    np.minimum(record, hi[:, None] - 1, out=record)
+    held = _holds((levels[record] for levels in rule.levels), np.unravel_index(cells, _grid(run)))
+    held &= inside
+    joint = np.cumsum(held * rule.joint_counts[record], axis=1)
+    joint += base_joint[:, None]
+    stopped = rule.stopped(record, joint)
+    stopped |= record == rule.k - 1
+    first = np.argmax(stopped, axis=1)
+    rows = np.arange(cells.size)
+    lhs = np.cumsum(held * rule.counts[record], axis=1)[rows, first]
+    return record[rows, first] + 1, joint[rows, first], lhs + base_lhs
+
+
+def _stop_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[DiscoveredMd]:
+    """api's scan: each candidate reads the prefix up to its stop (see
+    _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
+    resolved: the candidates with no immediate predecessor among the
+    failures. Each resolved cell's bracket comes from whichever source costs
+    less, the dominance test (|cells| * k * m) or the checkpoint cubes
+    (sqrt(k) * m * d^m); its stop is then resolved inside the bracket."""
     k, mode = _prefix(run, bound)
-    counts = run.dist.counts[:k]
-    levels = run.dist.levels[:k]
-    joint_counts = np.where(run.rhs_mask[:k], counts, 0)
-    cum_all = np.cumsum(run.dist.counts)
-    suffix = (int(cum_all[-1]) - cum_all)[:k]
-    factor = _bound_factor(bound.epsilon, run.min_confidence)
-    f_num, f_den = factor.numerator, factor.denominator
+    rule = _StopRule(run, bound, k)
+    if prune:
+        cells = np.flatnonzero(_evaluated(~rule.failures(run)))
+    else:
+        cells = np.arange(run.lattice.candidate_count)
+    run.counters.candidates_evaluated += cells.size
+    block = max(1, _DOMINANCE_BLOCK // int(np.diff(rule.bounds).max()))
     accepted = []
-    for cand in run.lattice.iter_levels(skip_pruned=prune):
-        run.counters.candidates_evaluated += 1
-        mask = run.candidate_mask(levels, cand)
-        cum_lhs = np.cumsum(np.where(mask, counts, 0))
-        last = bisect_left(
-            range(k - 1), True, key=lambda i: int(suffix[i]) * f_den <= f_num * int(cum_lhs[i])
-        )
-        joint = int(joint_counts[: last + 1][mask[: last + 1]].sum())
-        lhs = int(cum_lhs[last])
-        run.counters.records_evaluated += last + 1
-        if run.accepts(joint, lhs):
-            accepted.append((cand, joint, lhs))
-        if prune and last + 1 == k and joint < run.min_support_count:
-            run.lattice.record_failure(cand)
+    brackets = _bracket_source(run, rule, cells)
+    for group, bracket, base_joint, base_lhs in brackets(run, rule, cells):
+        for lo in range(0, group.size, block):
+            part = slice(lo, lo + block)
+            stop, joint, lhs = _resolve(
+                run, rule, group[part], bracket[part], base_joint[part], base_lhs[part]
+            )
+            run.counters.records_evaluated += int(stop.sum())
+            keep = joint >= run.min_support_count
+            keep &= _confident(run, joint, lhs)
+            levels = np.unravel_index(group[part][keep], _grid(run))
+            accepted.extend(
+                zip(
+                    zip(*(axis.tolist() for axis in levels)),
+                    joint[keep].tolist(),
+                    lhs[keep].tolist(),
+                )
+            )
     return run.finish(accepted, mode)
 
 
@@ -476,7 +700,7 @@ def api(
     Never scans past record k."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _individual_scan(run, bound, prune=False)
+    return _stop_scan(run, bound, prune=False)
 
 
 def aps(
@@ -509,7 +733,7 @@ def apsi(
     that scanned the whole prefix."""
     run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
     bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _individual_scan(run, bound, prune=True)
+    return _stop_scan(run, bound, prune=True)
 
 
 # ---------------------------------------------------------------------------

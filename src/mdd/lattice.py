@@ -3,13 +3,14 @@
 A pattern dominates another when it is componentwise lower or equal; lower
 patterns are satisfied by at least the records of higher ones, so they are
 enumerated first (layers of nondecreasing level sum, lexicographic within a
-layer). Pruning keeps one boolean mask over the d^m grid: recording a failed
-pattern marks its whole upper set with a single slice assignment, so checking
-a candidate is one lookup.
+layer). Pruning keeps one boolean mask over the d^m grid, made on first use:
+recording a failed pattern marks its whole upper set with a single slice
+assignment, so checking a candidate is one lookup.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,10 +45,11 @@ class CandidateLattice:
     Iteration yields every one of the d^m patterns unless dominance pruning
     removed it first. Instances are single-use: pruning state accumulates, so
     a second scan would silently skip candidates. Create a fresh lattice per
-    run. The pruning mask holds one byte per candidate, so the candidate
-    budget bounds it as well. Only api and apsi iterate and prune it; the
-    engines that count every candidate at once from the upper-set cube read
-    just its attributes, domain and size.
+    run. The engines read just its attributes, domain and size: they count
+    every candidate at once from upper-set cubes. Only the benchmark harness
+    and the tests walk and prune it, so the pruning mask, one byte per
+    candidate and bounded by the candidate budget as well, is allocated on
+    first use.
     """
 
     def __init__(
@@ -71,8 +73,11 @@ class CandidateLattice:
         self.attributes = attributes
         self.domain = domain
         self.candidate_count = count
-        self._pruned = np.zeros((domain.d,) * len(attributes), dtype=bool)
         self._scanning = False
+
+    @cached_property
+    def _pruned(self) -> np.ndarray:
+        return np.zeros((self.domain.d,) * len(self.attributes), dtype=bool)
 
     def is_pruned(self, levels: tuple[int, ...]) -> bool:
         return bool(self._pruned[levels])

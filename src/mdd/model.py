@@ -193,6 +193,14 @@ class ThresholdPattern:
         )
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[AttributeId, int], ...]) -> "ThresholdPattern":
+        """Skip the checks for entries built valid: Python-int levels >= 0 on
+        distinct attributes, already sorted by attribute index."""
+        pattern = cls.__new__(cls)
+        object.__setattr__(pattern, "entries", entries)
+        return pattern
+
+    @classmethod
     def of(cls, thresholds: Mapping[AttributeId, int]) -> "ThresholdPattern":
         return cls(tuple(thresholds.items()))
 
@@ -466,6 +474,30 @@ class DiscoveredMd:
     def __post_init__(self) -> None:
         if any(l == 0 for _, l in self.lhs_pattern.items()):
             raise ValidationError("lhs_pattern must not carry zero thresholds")
+
+    @classmethod
+    def _trusted(
+        cls,
+        lhs_pattern: ThresholdPattern,
+        rhs_pattern: ThresholdPattern,
+        support: Fraction,
+        confidence: Fraction,
+        mode: EvaluationMode,
+        counters: EvalCounters,
+    ) -> "DiscoveredMd":
+        """Skip the check for a rule whose lhs pattern was built without zero
+        levels."""
+        md = cls.__new__(cls)
+        # one dict update, where the frozen __init__ sets field by field
+        md.__dict__.update(
+            lhs_pattern=lhs_pattern,
+            rhs_pattern=rhs_pattern,
+            support=support,
+            confidence=confidence,
+            mode=mode,
+            counters=counters,
+        )
+        return md
 
 
 @dataclass(frozen=True)

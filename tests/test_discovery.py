@@ -13,12 +13,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mdd import (
     AttributeId,
     CandidateLattice,
     ContractViolationError,
+    DiscoveredMd,
     EvalCounters,
     LevelDomain,
     ThresholdPattern,
@@ -40,6 +41,8 @@ from mdd import (
     sort_by_probability_desc,
     strip_zero_levels,
 )
+import mdd.discovery as discovery
+import mdd.lattice as lattice_module
 from mdd.model import Algorithm, DiscoveryRequest, EvaluationMode
 
 from conftest import fold, make_distribution, random_distribution, random_relation, satisfied
@@ -132,7 +135,9 @@ def simulate_epsc(dist, x_attrs, rhs_pattern, eta_s: Fraction, eta_c: Fraction):
 
 def simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon):
     """Per-candidate stop indices of the individually bounded approximation,
-    straight from the definition with exact rationals."""
+    straight from the definition with exact rationals: a candidate stops
+    after the first record where the unseen mass is within its bound on the
+    joint mass read so far."""
     bound = compute_prefix_k(dist, epsilon, eta_s, eta_c)
     k = bound.prefix_k
     eps = Fraction(str(epsilon)) if not isinstance(epsilon, Fraction) else epsilon
@@ -142,19 +147,49 @@ def simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon):
     stops = {}
     for cand in itertools.product(range(d), repeat=m):
         pattern = ThresholdPattern.over(x_attrs, cand)
-        lhs = Fraction(0)
+        joint = Fraction(0)
         remaining = Fraction(1)
         stop = k
         for i in range(k):
             probability = Fraction(int(dist.counts[i]), dist.pair_total)
-            if satisfied(dist, i, pattern):
-                lhs += probability
+            if satisfied(dist, i, pattern) and satisfied(dist, i, rhs_pattern):
+                joint += probability
             remaining -= probability
-            if remaining <= min(eps * lhs, eps * lhs * eta_c / (1 - eps - eta_c)):
+            if remaining <= min(eps * joint, eps * joint * eta_c / (1 - eps - eta_c)):
                 stop = i + 1
                 break
         stops[cand] = stop
     return stops, k
+
+
+def simulate_api(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon, *, prune):
+    """api's rules and counters (apsi's with ``prune``) from the simulated
+    stops: visit the candidates in dominance order, skip the upper set of a
+    recorded failure (a candidate that read the whole prefix and missed the
+    support minimum), and measure the rest with fold at their stop. Returns
+    the rules as (pattern, support, confidence) in lexicographic order."""
+    stops, k = simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon)
+    d = dist.domain.d
+    pruned = set()
+    evaluated, rules = [], []
+    for cand in sorted(stops, key=sum):
+        if cand in pruned:
+            continue
+        evaluated.append(cand)
+        pattern = ThresholdPattern.over(x_attrs, cand)
+        joint, lhs = fold(dist, pattern, rhs_pattern, upto=stops[cand])
+        support = Fraction(joint, dist.pair_total)
+        if prune and stops[cand] == k and support < eta_s:
+            pruned.update(itertools.product(*(range(level, d) for level in cand)))
+        if support >= eta_s and Fraction(joint, lhs) >= eta_c:
+            rules.append((cand, strip_zero_levels(pattern), support, Fraction(joint, lhs)))
+    counters = EvalCounters(
+        records_evaluated=sum(stops[c] for c in evaluated),
+        candidates_evaluated=len(evaluated),
+        candidates_pruned_support=len(stops) - len(evaluated),
+        candidates_total=len(stops),
+    )
+    return [rule[1:] for rule in sorted(rules)], counters
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +644,14 @@ class TestApi:
             if not any(f != c and all(a <= b for a, b in zip(f, c)) for f in failed)
         ]
         c_apsi = EvalCounters()
-        apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_apsi)
+        r_apsi = apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_apsi)
         assert c_apsi.candidates_evaluated == len(evaluated)
         assert c_apsi.records_evaluated == sum(stops[c] for c in evaluated)
+        # the rules and their measures are fold's at each candidate's stop
+        for got, counters, prune in ((r_api, c_api, False), (r_apsi, c_apsi, True)):
+            rules, expected = simulate_api(sdist, X, rhs, eta_s, eta_c, epsilon, prune=prune)
+            assert result_key(got) == rules
+            assert counters == expected
 
 
 class TestApsApsi:
@@ -770,6 +810,161 @@ class TestUpperSetCube:
 
 
 # ---------------------------------------------------------------------------
+# api and apsi: the individual stops
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def stop_cases(draw):
+    """A small distribution over m lhs columns and one rhs column, a support
+    and a confidence minimum, and an epsilon that puts the prefix at k = 1
+    (one record carries almost all the mass), at k = n, or anywhere."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 6))
+    vectors = st.tuples(*[st.integers(0, d - 1)] * (m + 1))
+    records = draw(st.dictionaries(vectors, st.integers(1, 50), min_size=1, max_size=12))
+    prefix = draw(st.sampled_from(["one", "some", "all"]))
+    if prefix == "one":
+        records[next(iter(records))] = 10**9
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    rhs = ThresholdPattern.over(Y, [draw(st.integers(0, d - 1))])
+    eta_s = draw(st.fractions(Fraction(1, 1000), 1, max_denominator=1000))
+    eta_c = draw(st.fractions(Fraction(1, 100), Fraction(9, 10), max_denominator=100))
+    if prefix == "one":
+        epsilon = (1 - eta_c) / 2
+    elif prefix == "all":
+        epsilon = Fraction(1, 10 * dist.pair_total)
+    else:
+        share = draw(st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100))
+        epsilon = (1 - eta_c) * share
+    k = compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k
+    assert k == {"one": 1, "some": k, "all": dist.n}[prefix]
+    return dist, X, rhs, eta_s, eta_c, epsilon
+
+
+def assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon):
+    sdist = sort_by_probability_desc(dist)
+    for engine, prune in ((api, False), (apsi, True)):
+        counters = EvalCounters()
+        mds = engine(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
+        rules, expected = simulate_api(sdist, X, rhs, eta_s, eta_c, epsilon, prune=prune)
+        assert result_key(mds) == rules, engine.__name__
+        assert counters == expected, engine.__name__
+
+
+@pytest.fixture(params=["chosen", "block", "cube"])
+def bracket_source(request):
+    """Run api/apsi with the bracket source their cost model picks, or with
+    one forced, and with blocks of a single cell for the forced ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param != "chosen":
+            source = getattr(discovery, f"_{request.param}_brackets")
+            patch.setattr(discovery, "_bracket_source", lambda run, rule, cells: source)
+            patch.setattr(discovery, "_DOMINANCE_BLOCK", 1)
+        yield request.param
+
+
+class TestIndividualStops:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=stop_cases())
+    def test_engines_equal_joint_rule_simulator(self, bracket_source, case):
+        assert_stops_match_simulator(*case)
+
+    def test_stop_products_beyond_int64(self, bracket_source):
+        # count * denominator exceeds 2^63 here, so the stop test must leave
+        # int64 to stay exact
+        vectors = {(0, 1): 10**9, (1, 1): 6 * 10**8, (2, 1): 3 * 10**8, (2, 0): 2 * 10**8}
+        vectors.update({(1, 0): 10**8, (0, 0): 7, (1, 2): 5})
+        dist = make_distribution(vectors, d=3)
+        X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s = Fraction(1, 1000)
+        eta_c = Fraction(123456789123456789, 10**18 - 3)
+        epsilon = Fraction(10**17 + 1, 3 * 10**17 + 7)
+        factor = epsilon * min(1, eta_c / (1 - epsilon - eta_c))
+        assert dist.pair_total * max(factor.numerator, factor.denominator) >= 2**63
+        k = compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k
+        assert 2 < k < dist.n
+        assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
+
+    def test_single_record_prefix_reads_one_record(self, bracket_source):
+        # with k = 1 no probe runs: every evaluated candidate reads the one
+        # record, and apsi's failures are the candidates it misses
+        dist = make_distribution({(2, 1, 1): 10**6, (0, 0, 1): 3, (1, 2, 0): 2}, d=3)
+        X, Y = dist.attribute_set[:2], dist.attribute_set[2:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c, epsilon = Fraction(1, 10), Fraction(1, 2), Fraction(1, 4)
+        sdist = sort_by_probability_desc(dist)
+        assert compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k == 1
+        c_api, c_apsi = EvalCounters(), EvalCounters()
+        api(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_api)
+        apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=c_apsi)
+        assert c_api.records_evaluated == c_api.candidates_evaluated == 9
+        # the one record, at levels (2, 1), misses the three candidates at
+        # level 2 on the second attribute; the lowest, (0, 2), is evaluated
+        # and prunes the other two
+        assert c_apsi.records_evaluated == c_apsi.candidates_evaluated == 7
+        assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# The epsilon bound of every prefix engine
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bound_cases(draw):
+    """A random distribution (m 1..3, d 2..5), rhs pattern, and thresholds
+    with epsilon < 1 - eta_c. Counts mix heavy and light records, so a
+    prefix often holds much of a candidate's lhs mass but little of its
+    joint mass."""
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 5))
+    vectors = st.tuples(*[st.integers(0, d - 1)] * (m + 1))
+    counts = st.one_of(st.integers(1, 5), st.integers(20, 400))
+    records = draw(st.dictionaries(vectors, counts, min_size=1, max_size=20))
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    rhs = ThresholdPattern.over(Y, [draw(st.integers(0, d - 1))])
+    eta_s = draw(st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100))
+    eta_c = draw(st.fractions(Fraction(1, 100), Fraction(9, 10), max_denominator=100))
+    share = draw(st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100))
+    return dist, X, rhs, eta_s, eta_c, (1 - eta_c) * share
+
+
+def lhs_stop_counterexample():
+    """A case where a stop on the lhs mass breaks the bound: it stops the
+    empty lhs after two of k = 4 records, having read 1383 of lhs mass but
+    only 896 of its 984 joint mass, a support error of 88/984 > epsilon =
+    11/125. The stop on the joint mass reads a third record."""
+    dist = make_distribution({(0, 4): 896, (0, 2): 487, (1, 3): 71, (2, 3): 15, (3, 3): 2}, 5)
+    X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+    rhs = ThresholdPattern.over(Y, [3])
+    return dist, X, rhs, Fraction(3, 50), Fraction(14, 25), Fraction(11, 125)
+
+
+class TestEpsilonBound:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    @example(case=lhs_stop_counterexample())
+    def test_every_prefix_engine_within_epsilon_of_ea(self, case):
+        dist, X, rhs, eta_s, eta_c, epsilon = case
+        sdist = sort_by_probability_desc(dist)
+        tiny = Fraction(1, 10 * dist.pair_total)
+        exact = {m.lhs_pattern: m for m in ea(dist, fresh_lattice(dist, X), rhs, tiny, tiny)}
+        for algo in (ap, api, aps, apsi):
+            for md in algo(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon):
+                exact_md = exact[md.lhs_pattern]
+                c_n, c_k = exact_md.confidence, md.confidence
+                s_n, s_k = exact_md.support, md.support
+                assert abs(c_n - c_k) <= epsilon * c_n, algo.__name__
+                assert s_n - s_k <= epsilon * s_n, algo.__name__
+
+
+# ---------------------------------------------------------------------------
 # Request dispatch
 # ---------------------------------------------------------------------------
 
@@ -812,6 +1007,70 @@ class TestRunRequest:
             )
             with pytest.raises(SchemaMismatchError):
                 run_request(dist, request)
+
+    def test_engine_rules_equal_publicly_built_rules(self):
+        # the engines build their rules without the public constructors'
+        # checks; the rules must still equal, and hash as, checked ones
+        rng = random.Random(15)
+        dist, X, Y = random_distribution(rng, m_x=3, d=4)
+        rhs = ThresholdPattern.over(Y, [1])
+        for algo in Algorithm:
+            request = DiscoveryRequest.build(
+                X, Y, rhs, "0.02", "0.2", algo, epsilon="0.5" if algo.is_approximate else None
+            )
+            mds = run_request(dist, request)
+            assert mds, algo
+            for md in mds:
+                # the public constructor sorts and checks the entries again
+                pattern = ThresholdPattern(tuple(reversed(md.lhs_pattern.entries)))
+                assert pattern == md.lhs_pattern
+                assert hash(pattern) == hash(md.lhs_pattern)
+                assert all(type(level) is int and level > 0 for _, level in pattern.entries)
+                public = DiscoveredMd(
+                    pattern, md.rhs_pattern, md.support, md.confidence, md.mode, md.counters
+                )
+                assert public == md
+        md = mds[0]
+        with pytest.raises(ValidationError):
+            DiscoveredMd(
+                ThresholdPattern.over(X[:1], [0]),
+                md.rhs_pattern, md.support, md.confidence, md.mode, md.counters,
+            )
+
+    def test_no_pruning_mask_behind_the_engines(self, monkeypatch):
+        # the lattice run_request makes is kept alive here, so a d^m pruning
+        # mask would still be traced to lattice.py after the run
+        d, m = 10, 5
+        vectors = {tuple([level] * m) + (int(level < 3),): 10 + level for level in range(d)}
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [1])
+        made = []
+
+        class KeptLattice(CandidateLattice):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(discovery, "CandidateLattice", KeptLattice)
+
+        def lattice_bytes():
+            only = tracemalloc.Filter(True, lattice_module.__file__)
+            return sum(s.size for s in tracemalloc.take_snapshot().filter_traces([only]).traces)
+
+        for algo in (Algorithm.EPS, Algorithm.APSI):
+            request = DiscoveryRequest.build(
+                X, Y, rhs, "1/10", "1/2", algo, epsilon="1/4" if algo.is_approximate else None
+            )
+            tracemalloc.start()
+            try:
+                run_request(dist, request)
+                assert lattice_bytes() < d**m, algo
+                # once pruning is used, the mask appears
+                made[-1].is_pruned((0,) * m)
+                assert lattice_bytes() >= d**m, algo
+            finally:
+                tracemalloc.stop()
 
     def test_budget_violation_propagates(self):
         rng = random.Random(13)
