@@ -47,12 +47,12 @@ apsi evaluates the same closed form as eps: the candidates with no failure
 among their immediate predecessors.
 
 Each evaluated candidate's stop is found in two steps. Its bracket, a run of
-about 4 * sqrt(k) records in which the test first holds, comes from
-whichever source costs less: a record-by-cell dominance test over every
-probed record, |cells| * k * m comparisons in fixed-size blocks, or
-upper-set cubes over the whole grid at each bracket end, sqrt(k) * m * d^m
-additions. A dominance test over the bracket's own records then finds the
-stop, and the joint and lhs mass there.
+about 4 * sqrt(k) records in which the test first holds, comes from a
+record-by-cell dominance test over every probed record: |cells| * k * m
+comparisons, taken in fixed-size blocks so the temporaries stay bounded. A
+dominance test over the bracket's own records then finds the stop, and the
+joint and lhs mass there. apsi resolves a few hundred cells on a 10^5 grid;
+api resolves every cell, so its cost grows with k * m * d^m.
 
 Decision arithmetic is exact: support thresholds become integer count minimums
 (count >= ceil(min_support * pair_total)) and confidence and stop checks
@@ -336,13 +336,6 @@ def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
 # time, so their temporaries never grow with |cells| * k.
 _DOMINANCE_BLOCK = 1 << 18
 
-# The costs of the checkpoint cubes in (cell, record) pairs of the dominance
-# test, which pick the cheaper bracket source: per cell of a checkpoint
-# cube, and per checkpoint on its own (measured with numpy on a 2-CPU x86
-# host; a wrong pick costs time, never a different result).
-_CUBE_CELL_COST = 5
-_CHECKPOINT_COST = 30_000
-
 
 class _StopRule:
     """api's stop over the first k records of the sorted distribution. A
@@ -365,8 +358,8 @@ class _StopRule:
         factor = _bound_factor(bound.epsilon, run.min_confidence)
         self.num, self.den = factor.numerator, factor.denominator
         self.exact = _exact_dtype(run, factor)
-        # about 4 * sqrt(k) wide: a checkpoint cube cell costs about 16
-        # records of the in-bracket test, so this balances the two for api
+        # about 4 * sqrt(k) wide, so a cell's bracket masses and its
+        # in-bracket test both stay small next to the test over all k
         step = max(1, math.isqrt(16 * k))
         probes = [*range(step, k - 1, step), k - 1] if k > 1 else []
         self.bounds = np.array([0, *probes, k])
@@ -413,7 +406,7 @@ def _masses_at(held: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.n
     return masses
 
 
-def _block_brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
+def _brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
     """Each cell's bracket, and its joint and lhs mass where the bracket
     starts, from a record-by-cell dominance test over every probed record, a
     block of cells at a time: |cells| * k * m comparisons."""
@@ -429,41 +422,6 @@ def _block_brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
         bracket = np.count_nonzero(~rule.stopped(ends - 1, joint[:, 1:]), axis=1)
         rows = np.arange(group.size)
         yield group, bracket, joint[rows, bracket], lhs[rows, bracket]
-
-
-def _cube_brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
-    """Each cell's bracket, and its joint and lhs mass where the bracket
-    starts, from upper-set cubes over the whole grid, grown one bracket at a
-    time: about sqrt(k) * m * d^m additions."""
-    shape = _grid(run)
-    joint = np.zeros(shape, dtype=np.int64).reshape(-1)
-    lhs = np.zeros_like(joint)
-    final = rule.bounds.size - 2
-    for bracket in range(final):
-        lo, hi = int(rule.bounds[bracket]), int(rule.bounds[bracket + 1])
-        records = _record_cells(run, lo, hi)
-        rhs = run.rhs_mask[lo:hi]
-        counts = rule.counts[lo:hi]
-        grown = _upper_set_cube(shape, records[rhs], counts[rhs]).reshape(-1)
-        grown += joint
-        stopped = rule.stopped(hi - 1, grown[cells])
-        group = cells[stopped]
-        yield group, np.full(group.size, bracket), joint[group], lhs[group]
-        joint = grown
-        lhs += _upper_set_cube(shape, records, counts).reshape(-1)
-        cells = cells[~stopped]
-    yield cells, np.full(cells.size, final), joint[cells], lhs[cells]
-
-
-def _bracket_source(run: _Run, rule: _StopRule, cells: np.ndarray):
-    """The cheaper bracket source for these cells: the dominance test costs
-    |cells| * (k - 1) (cell, record) pairs, the cubes a cell cost per grid
-    cell and a fixed cost at each checkpoint."""
-    block_cost = cells.size * int(rule.bounds[-2])
-    cube_cost = (rule.bounds.size - 2) * (
-        _CUBE_CELL_COST * run.lattice.candidate_count + _CHECKPOINT_COST
-    )
-    return _cube_brackets if cube_cost < block_cost else _block_brackets
 
 
 def _resolve(
@@ -498,9 +456,9 @@ def _stop_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[Discovered
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
-    failures. Each resolved cell's bracket comes from whichever source costs
-    less, the dominance test (|cells| * k * m) or the checkpoint cubes
-    (sqrt(k) * m * d^m); its stop is then resolved inside the bracket."""
+    failures. Each resolved cell's bracket comes from a dominance test over
+    the probed records (|cells| * k * m comparisons, a fixed block at a
+    time); its stop is then resolved inside the bracket."""
     k, mode = _prefix(run, bound)
     rule = _StopRule(run, bound, k)
     if prune:
@@ -510,8 +468,7 @@ def _stop_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[Discovered
     run.counters.candidates_evaluated += cells.size
     block = max(1, _DOMINANCE_BLOCK // int(np.diff(rule.bounds).max()))
     accepted = []
-    brackets = _bracket_source(run, rule, cells)
-    for group, bracket, base_joint, base_lhs in brackets(run, rule, cells):
+    for group, bracket, base_joint, base_lhs in _brackets(run, rule, cells):
         for lo in range(0, group.size, block):
             part = slice(lo, lo + block)
             stop, joint, lhs = _resolve(

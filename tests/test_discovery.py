@@ -853,14 +853,12 @@ def assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon):
         assert counters == expected, engine.__name__
 
 
-@pytest.fixture(params=["chosen", "block", "cube"])
-def bracket_source(request):
-    """Run api/apsi with the bracket source their cost model picks, or with
-    one forced, and with blocks of a single cell for the forced ones."""
+@pytest.fixture(params=["default", "one-cell"])
+def dominance_block(request):
+    """Run api/apsi with their default dominance-test block, or with blocks
+    of a single cell, so every block boundary is crossed."""
     with pytest.MonkeyPatch.context() as patch:
-        if request.param != "chosen":
-            source = getattr(discovery, f"_{request.param}_brackets")
-            patch.setattr(discovery, "_bracket_source", lambda run, rule, cells: source)
+        if request.param == "one-cell":
             patch.setattr(discovery, "_DOMINANCE_BLOCK", 1)
         yield request.param
 
@@ -870,10 +868,10 @@ class TestIndividualStops:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(case=stop_cases())
-    def test_engines_equal_joint_rule_simulator(self, bracket_source, case):
+    def test_engines_equal_joint_rule_simulator(self, dominance_block, case):
         assert_stops_match_simulator(*case)
 
-    def test_stop_products_beyond_int64(self, bracket_source):
+    def test_stop_products_beyond_int64(self, dominance_block):
         # count * denominator exceeds 2^63 here, so the stop test must leave
         # int64 to stay exact
         vectors = {(0, 1): 10**9, (1, 1): 6 * 10**8, (2, 1): 3 * 10**8, (2, 0): 2 * 10**8}
@@ -890,7 +888,7 @@ class TestIndividualStops:
         assert 2 < k < dist.n
         assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
 
-    def test_single_record_prefix_reads_one_record(self, bracket_source):
+    def test_single_record_prefix_reads_one_record(self, dominance_block):
         # with k = 1 no probe runs: every evaluated candidate reads the one
         # record, and apsi's failures are the candidates it misses
         dist = make_distribution({(2, 1, 1): 10**6, (0, 0, 1): 3, (1, 2, 0): 2}, d=3)
@@ -1025,7 +1023,11 @@ class TestRunRequest:
                 pattern = ThresholdPattern(tuple(reversed(md.lhs_pattern.entries)))
                 assert pattern == md.lhs_pattern
                 assert hash(pattern) == hash(md.lhs_pattern)
-                assert all(type(level) is int and level > 0 for _, level in pattern.entries)
+                # a numpy integer would compare and hash equal, so check the
+                # engine-built entries themselves
+                assert all(
+                    type(level) is int and level > 0 for _, level in md.lhs_pattern.entries
+                )
                 public = DiscoveredMd(
                     pattern, md.rhs_pattern, md.support, md.confidence, md.mode, md.counters
                 )
