@@ -1,10 +1,12 @@
-"""The discovery algorithms: prefix scans over the candidate lattice.
+"""The discovery algorithms: every candidate of the lattice counted at once
+over a prefix of the distribution.
 
-The approximate engines evaluate each candidate over the first k records of
-the probability-sorted distribution and bound the mass of the rest; the exact
-engines are the same scans with k = n. ea reads every record for every
-candidate; eps adds dominance pruning by support; epsc, over a distribution
-grouped by the rhs pattern, also stops a candidate where its running
+Each engine takes the records in any order and puts them in the order it
+needs. The approximate engines sort them by nonincreasing probability,
+evaluate each candidate over the first k records and bound the mass of the
+rest; the exact engines are the same scans with k = n. ea reads every record
+for every candidate; eps adds dominance pruning by support; epsc groups the
+records by the rhs pattern and also stops a candidate where its running
 confidence drops below the minimum. ap and aps are ea and eps over the first k
 records (k from compute_prefix_k); api and apsi add a per-candidate stop once
 the unseen mass is within the candidate's own bound.
@@ -100,6 +102,7 @@ class _Run:
     min_support: Fraction
     min_confidence: Fraction
     counters: EvalCounters
+    bound: ApproxBound | None = field(init=False, default=None)
     x_cols: tuple[int, ...] = field(init=False)
     rhs_mask: np.ndarray = field(init=False)
     min_support_count: int = field(init=False)
@@ -113,16 +116,6 @@ class _Run:
         num, den = self.min_support.numerator, self.min_support.denominator
         self.min_support_count = -((-num * self.dist.pair_total) // den)
         self.counters.candidates_total = self.lattice.candidate_count
-
-    def candidate_mask(self, levels: np.ndarray, cand: tuple[int, ...]) -> np.ndarray:
-        mask: np.ndarray | None = None
-        for col, threshold in zip(self.x_cols, cand):
-            if threshold:
-                hit = levels[:, col] >= threshold
-                mask = hit if mask is None else (mask & hit)
-        if mask is None:
-            return np.ones(levels.shape[0], dtype=bool)
-        return mask
 
     def finish(
         self,
@@ -161,15 +154,21 @@ def _new_run(
     min_support: RationalLike,
     min_confidence: RationalLike,
     counters: EvalCounters | None,
+    epsilon: RationalLike | None = None,
 ) -> _Run:
-    return _Run(
-        dist,
+    """One engine run. With ``epsilon`` it is approximate: it reads the
+    records sorted by nonincreasing probability, up to its prefix bound."""
+    run = _Run(
+        dist if epsilon is None else sort_by_probability_desc(dist),
         lattice,
         rhs_pattern,
         to_fraction(min_support, "min_support"),
         to_fraction(min_confidence, "min_confidence"),
         counters if counters is not None else EvalCounters(),
     )
+    if epsilon is not None:
+        run.bound = compute_prefix_k(run.dist, epsilon, run.min_support, run.min_confidence)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +180,10 @@ def _new_run(
 _BLOCK = 1 << 16
 
 
-def _prefix(run: _Run, bound: ApproxBound | None) -> tuple[int, EvaluationMode]:
-    """The scanned prefix: k from the approximation ``bound``, or k = n for
-    the exact engines, which pass none."""
+def _prefix(run: _Run) -> tuple[int, EvaluationMode]:
+    """The scanned prefix: k from the run's approximation bound, or k = n for
+    the exact engines, which have none."""
+    bound = run.bound
     if bound is None:
         return run.dist.n, EvaluationMode.exact()
     return bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
@@ -274,7 +274,6 @@ def _cube_scan(
     run: _Run,
     *,
     prune: bool,
-    bound: ApproxBound | None = None,
     confidence_stop: bool = False,
 ) -> list[DiscoveredMd]:
     """Evaluate every candidate over the first k records at once, from the
@@ -282,12 +281,12 @@ def _cube_scan(
     report: every evaluated candidate reads the whole prefix, and with
     ``prune`` only the closed-form evaluated set counts.
 
-    ``confidence_stop`` makes this epsc, over a distribution grouped by the
-    rhs pattern. It prunes iff a candidate misses support, as eps does, so it
+    ``confidence_stop`` makes this epsc, over the records grouped by the rhs
+    pattern. It prunes iff a candidate misses support, as eps does, so it
     evaluates the same set. It rejects the evaluated candidates whose
     confidence is below the minimum; the ones that also meet support stop
     reading at the confidence drop, so only those are scanned one by one."""
-    k, mode = _prefix(run, bound)
+    k, mode = _prefix(run)
     joint, lhs = _upper_set_counts(run, k)
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
@@ -323,8 +322,9 @@ def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
     first and keep it at 1, and past them the joint mass is final, so that is
     the first record where the running lhs mass exceeds joint / eta_c."""
     eta = run.min_confidence
-    mask = run.candidate_mask(run.dist.levels, cand)
-    cum_lhs = np.cumsum(np.where(mask, run.dist.counts, 0))
+    records = (run.dist.levels[:, col] for col in run.x_cols)
+    held = _holds(records, np.array(cand)[:, None])[0]
+    cum_lhs = np.cumsum(np.where(held, run.dist.counts, 0))
     return int(np.searchsorted(cum_lhs, joint * eta.denominator // eta.numerator + 1)) + 1
 
 
@@ -347,7 +347,7 @@ class _StopRule:
     candidate stops in. ``bounds`` holds the brackets' prefix lengths; the
     final bracket is record k - 1 alone, which ends every scan."""
 
-    def __init__(self, run: _Run, bound: ApproxBound, k: int) -> None:
+    def __init__(self, run: _Run, k: int) -> None:
         self.k = k
         self.counts = run.dist.counts[:k]
         self.joint_counts = np.where(run.rhs_mask[:k], self.counts, 0)
@@ -355,7 +355,7 @@ class _StopRule:
         self.levels = np.ascontiguousarray(run.dist.levels[:k][:, run.x_cols].T)
         cum = np.cumsum(run.dist.counts)
         self.suffix = int(cum[-1]) - cum[:k]
-        factor = _bound_factor(bound.epsilon, run.min_confidence)
+        factor = _bound_factor(run.bound.epsilon, run.min_confidence)
         self.num, self.den = factor.numerator, factor.denominator
         self.exact = _exact_dtype(run, factor)
         # about 4 * sqrt(k) wide, so a cell's bracket masses and its
@@ -452,39 +452,38 @@ def _resolve(
     return record[rows, first] + 1, joint[rows, first], lhs + base_lhs
 
 
-def _stop_scan(run: _Run, bound: ApproxBound, *, prune: bool) -> list[DiscoveredMd]:
+def _stop_scan(run: _Run, *, prune: bool) -> list[DiscoveredMd]:
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
     failures. Each resolved cell's bracket comes from a dominance test over
     the probed records (|cells| * k * m comparisons, a fixed block at a
     time); its stop is then resolved inside the bracket."""
-    k, mode = _prefix(run, bound)
-    rule = _StopRule(run, bound, k)
+    k, mode = _prefix(run)
+    rule = _StopRule(run, k)
     if prune:
         cells = np.flatnonzero(_evaluated(~rule.failures(run)))
     else:
         cells = np.arange(run.lattice.candidate_count)
     run.counters.candidates_evaluated += cells.size
-    block = max(1, _DOMINANCE_BLOCK // int(np.diff(rule.bounds).max()))
     accepted = []
+    # A bracket lies within the probed records or is the last record alone,
+    # so it is at most max(1, probed) records wide: the groups _brackets
+    # sizes for its own test keep _resolve's temporaries within
+    # _DOMINANCE_BLOCK pairs too.
     for group, bracket, base_joint, base_lhs in _brackets(run, rule, cells):
-        for lo in range(0, group.size, block):
-            part = slice(lo, lo + block)
-            stop, joint, lhs = _resolve(
-                run, rule, group[part], bracket[part], base_joint[part], base_lhs[part]
+        stop, joint, lhs = _resolve(run, rule, group, bracket, base_joint, base_lhs)
+        run.counters.records_evaluated += int(stop.sum())
+        keep = joint >= run.min_support_count
+        keep &= _confident(run, joint, lhs)
+        levels = np.unravel_index(group[keep], _grid(run))
+        accepted.extend(
+            zip(
+                zip(*(axis.tolist() for axis in levels)),
+                joint[keep].tolist(),
+                lhs[keep].tolist(),
             )
-            run.counters.records_evaluated += int(stop.sum())
-            keep = joint >= run.min_support_count
-            keep &= _confident(run, joint, lhs)
-            levels = np.unravel_index(group[part][keep], _grid(run))
-            accepted.extend(
-                zip(
-                    zip(*(axis.tolist() for axis in levels)),
-                    joint[keep].tolist(),
-                    lhs[keep].tolist(),
-                )
-            )
+        )
     return run.finish(accepted, mode)
 
 
@@ -604,24 +603,17 @@ def epsc(
 ) -> list[DiscoveredMd]:
     """Support pruning plus early confidence termination.
 
-    Requires a distribution grouped for this rhs pattern (rhs-satisfying
-    records first). Over that order the running confidence of any candidate is
-    nonincreasing, so the moment it drops below the minimum the candidate is
-    rejected for good. The scan then stops immediately if the support
-    accumulated so far already meets the minimum; otherwise it keeps counting
-    (joint mass no longer grows past the pivot) so the final support is known
-    and dominated candidates can be pruned soundly.
+    Reads the records grouped by the rhs pattern (rhs-satisfying records
+    first, each group in its given order; see group_by_rhs). Over that order
+    the running confidence of any candidate is nonincreasing, so the moment it
+    drops below the minimum the candidate is rejected for good. The scan then
+    stops immediately if the support accumulated so far already meets the
+    minimum; otherwise it keeps counting (joint mass no longer grows past the
+    pivot) so the final support is known and dominated candidates can be
+    pruned soundly.
     """
-    marker = dist.rhs_group
-    if marker is None:
-        raise ContractViolationError(
-            "epsc needs a distribution prepared by group_by_rhs for this rhs pattern"
-        )
-    if marker[0] != rhs_pattern:
-        raise ContractViolationError(
-            "distribution was grouped for a different rhs pattern; regroup it"
-        )
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
+    grouped, _ = group_by_rhs(dist, rhs_pattern)
+    run = _new_run(grouped, lattice, rhs_pattern, min_support, min_confidence, counters)
     return _cube_scan(run, prune=True, confidence_stop=True)
 
 
@@ -636,10 +628,11 @@ def ap(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """Evaluate candidates on the first k records only (k from
-    compute_prefix_k); reported measures are the prefix approximations."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
-    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _cube_scan(run, prune=False, bound=bound)
+    compute_prefix_k); reported measures are the prefix approximations.
+    ``dist_sorted`` may come in any order; this and the other approximate
+    engines sort it with sort_by_probability_desc."""
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    return _cube_scan(run, prune=False)
 
 
 def api(
@@ -655,9 +648,8 @@ def api(
     """ap with per-candidate early termination: a candidate's scan stops as
     soon as the unseen mass is within its own dynamically shrinking bound.
     Never scans past record k."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
-    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _stop_scan(run, bound, prune=False)
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    return _stop_scan(run, prune=False)
 
 
 def aps(
@@ -671,9 +663,8 @@ def aps(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """ap plus dominance pruning on the approximate support."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
-    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _cube_scan(run, prune=True, bound=bound)
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    return _cube_scan(run, prune=True)
 
 
 def apsi(
@@ -688,9 +679,8 @@ def apsi(
 ) -> list[DiscoveredMd]:
     """api plus dominance pruning on the approximate support of candidates
     that scanned the whole prefix."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters)
-    bound = compute_prefix_k(dist_sorted, epsilon, run.min_support, run.min_confidence)
-    return _stop_scan(run, bound, prune=True)
+    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    return _stop_scan(run, prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -709,24 +699,6 @@ _ENGINES: dict[Algorithm, Callable[..., list[DiscoveredMd]]] = {
 }
 
 
-def prepare_distribution(
-    dist: StatDistribution, request: DiscoveryRequest
-) -> StatDistribution:
-    """Reorder the distribution the way the requested algorithm needs it."""
-    algo = request.algorithm
-    if algo == Algorithm.EPSC:
-        marker = dist.rhs_group
-        if marker is not None and marker[0] == request.rhs_pattern:
-            return dist
-        grouped, _ = group_by_rhs(dist, request.rhs_pattern)
-        return grouped
-    if algo.is_approximate:
-        if dist.probability_sorted:
-            return dist
-        return sort_by_probability_desc(dist)
-    return dist
-
-
 def run_request(
     dist: StatDistribution,
     request: DiscoveryRequest,
@@ -734,16 +706,15 @@ def run_request(
     candidate_budget: int | None = None,
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
-    """Validate the request, prepare the distribution, and run the selected
-    algorithm over a fresh candidate lattice."""
+    """Validate the request and run the selected algorithm over a fresh
+    candidate lattice."""
     request.validate()
-    prepared = prepare_distribution(dist, request)
     lattice = CandidateLattice(
         request.lhs,
         dist.domain,
         DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget,
     )
-    args = [prepared, lattice, request.rhs_pattern, request.min_support, request.min_confidence]
+    args = [dist, lattice, request.rhs_pattern, request.min_support, request.min_confidence]
     if request.algorithm.is_approximate:
         args.append(request.epsilon)
     return _ENGINES[request.algorithm](*args, counters=counters)

@@ -305,7 +305,7 @@ def group_by_rhs(
     pivot = int(mask.sum())
     idx = np.arange(dist.n)
     order = np.concatenate([idx[mask], idx[~mask]])
-    return dist.replace_order(order, rhs_group=(rhs_pattern, pivot)), pivot
+    return dist.replace_order(order), pivot
 
 
 def sort_by_probability_desc(dist: StatDistribution) -> StatDistribution:
@@ -314,7 +314,7 @@ def sort_by_probability_desc(dist: StatDistribution) -> StatDistribution:
     keys = [dist.levels[:, c] for c in range(len(dist.attribute_set) - 1, -1, -1)]
     keys.append(-dist.counts)
     order = np.lexsort(keys)
-    return dist.replace_order(order, probability_sorted=True)
+    return dist.replace_order(order)
 
 
 def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistribution:
@@ -438,11 +438,11 @@ def load_distribution(path) -> StatDistribution:
         if not tok:
             continue
         idx, sep, name = tok.partition(":")
-        if not sep or not idx.isdigit():
+        if not sep or not (idx.isascii() and idx.isdigit()):
             raise DistributionIOError(f"{path}: malformed attrs= entry {tok!r}")
         try:
             attrs.append(AttributeId(int(idx), urllib.parse.unquote(name)))
-        except ValidationError as exc:
+        except ValueError as exc:  # also an index past the int digit limit
             raise DistributionIOError(f"{path}: malformed attrs= entry {tok!r}: {exc}") from None
     if not attrs:
         raise DistributionIOError(f"{path}: empty attrs= list")

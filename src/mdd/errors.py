@@ -22,8 +22,8 @@ class CandidateBudgetError(MddError):
 
 
 class ContractViolationError(MddError):
-    """A precondition between modules was broken (e.g. an ungrouped distribution
-    fed to an algorithm that requires grouping)."""
+    """A precondition of a public function was broken (e.g. an unsorted
+    distribution passed to compute_prefix_k)."""
 
 
 class DistributionIOError(MddError):

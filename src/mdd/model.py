@@ -9,6 +9,7 @@ bit-stable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,11 +44,26 @@ def to_fraction(value: RationalLike, name: str = "value") -> Fraction:
             raise ValidationError(f"{name} must be finite, got {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{name} is not a valid rational: {value!r}") from exc
+        return _parse_fraction(value, name)
     raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def _parse_fraction(text: str, name: str) -> Fraction:
+    """``Fraction(text)``, refused where its numerator or denominator would
+    have more digits than ``sys.get_int_max_str_digits()`` allows printing."""
+    limit = sys.get_int_max_str_digits()
+    _, has_exponent, exponent = text.lower().partition("e")
+    try:
+        # Fraction raises 10 to the exponent before any digit limit applies
+        if limit and has_exponent and abs(int(exponent)) > limit:
+            value = None
+        else:
+            value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name} is not a valid rational: {text!r}") from exc
+    if limit and (value is None or max(abs(value.numerator), value.denominator) >= 10**limit):
+        raise ValidationError(f"{name} has more than {limit} digits: {text!r}")
+    return value
 
 
 def validate_thresholds(
@@ -249,9 +265,7 @@ class StatDistribution:
 
     Rows of ``levels`` are unique level vectors over ``attribute_set``;
     ``counts`` gives how many of the ``pair_total`` tuple pairs fell on each.
-    Record order is meaningful: algorithms consume grouped or sorted variants
-    produced by the reordering operations, which tag the instance via
-    ``rhs_group`` / ``probability_sorted``.
+    Records may come in any order; each engine reorders them as it needs.
     """
 
     __slots__ = (
@@ -262,8 +276,6 @@ class StatDistribution:
         "pair_total",
         "fingerprint",
         "metric_specs",
-        "rhs_group",
-        "probability_sorted",
         "__dict__",
     )
 
@@ -276,8 +288,6 @@ class StatDistribution:
         pair_total: int,
         fingerprint: str,
         metric_specs: Sequence[str] = (),
-        rhs_group: tuple[ThresholdPattern, int] | None = None,
-        probability_sorted: bool = False,
     ) -> None:
         attribute_set = tuple(attribute_set)
         if not attribute_set:
@@ -305,8 +315,7 @@ class StatDistribution:
         if metric_specs and len(metric_specs) != len(attribute_set):
             raise ValidationError("metric_specs must align with the attribute set")
         self._assign(
-            attribute_set, domain, levels, counts, pair_total, fingerprint,
-            metric_specs, rhs_group, probability_sorted,
+            attribute_set, domain, levels, counts, pair_total, fingerprint, metric_specs
         )
 
     @classmethod
@@ -319,7 +328,7 @@ class StatDistribution:
         return dist
 
     def _assign(self, attribute_set, domain, levels, counts, pair_total, fingerprint,
-                metric_specs=(), rhs_group=None, probability_sorted=False) -> None:
+                metric_specs=()) -> None:
         levels.setflags(write=False)
         counts.setflags(write=False)
         self.attribute_set = attribute_set
@@ -329,8 +338,6 @@ class StatDistribution:
         self.pair_total = int(pair_total)
         self.fingerprint = fingerprint
         self.metric_specs = tuple(metric_specs)
-        self.rhs_group = rhs_group
-        self.probability_sorted = bool(probability_sorted)
 
     @property
     def n(self) -> int:
@@ -348,14 +355,8 @@ class StatDistribution:
                 f"attribute {attr.name} not in this distribution's attribute set"
             ) from None
 
-    def replace_order(
-        self,
-        order: np.ndarray,
-        rhs_group: tuple[ThresholdPattern, int] | None = None,
-        probability_sorted: bool = False,
-    ) -> "StatDistribution":
-        """New distribution with permuted records; markers are reset to the
-        ones describing the new order."""
+    def replace_order(self, order: np.ndarray) -> "StatDistribution":
+        """New distribution with the records permuted by ``order``."""
         return StatDistribution._derived(
             self.attribute_set,
             self.domain,
@@ -364,12 +365,9 @@ class StatDistribution:
             self.pair_total,
             self.fingerprint,
             self.metric_specs,
-            rhs_group=rhs_group,
-            probability_sorted=probability_sorted,
         )
 
     def __eq__(self, other: object) -> bool:
-        # Reordering markers are transient provenance and excluded on purpose.
         if not isinstance(other, StatDistribution):
             return NotImplemented
         return (

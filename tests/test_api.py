@@ -1,7 +1,8 @@
 """The public surface: the exported names, and the entry points whose
 signatures the benchmark in perfbench/ calls (it passes the engine arguments
-positionally, ``counters=`` and ``workers=`` by keyword, and subclasses
-CandidateLattice to trace its three pruning methods)."""
+positionally, ``counters=`` and ``workers=`` by keyword, builds
+``CandidateLattice(attrs, domain)`` and subclasses it, and lists its
+candidates with ``iter_levels()``)."""
 
 import inspect
 
@@ -49,11 +50,8 @@ def test_public_api_contract():
     )
     assert "prefix_k" in mdd.ApproxBound.__dataclass_fields__
 
-    assert _signature(CandidateLattice.is_pruned) == _positional(["self", "levels"])
-    assert _signature(CandidateLattice.record_failure) == _positional(["self", "levels"])
-    assert _signature(CandidateLattice.iter_levels) == _positional(["self"]) + [
-        ("skip_pruned", P.KEYWORD_ONLY, False)
-    ]
+    assert list(inspect.signature(CandidateLattice).parameters)[:2] == ["attributes", "domain"]
+    assert _signature(CandidateLattice.iter_levels) == _positional(["self"])
 
     build = inspect.signature(mdd.build_distribution).parameters
     assert list(build)[:4] == ["relation", "attrs", "metrics", "domain"]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,26 @@ class TestValidationAndExitCodes:
         code, err = discover_from_cache(tmp_path, f"d=10 pairs=1 attrs={attrs}", capsys)
         assert code == 3
         assert len(err) == 1 and "twice" in err[0]
+
+    @pytest.mark.parametrize("attrs", ["\u00b2:A,1:B", "0:A,-1:B", f"{'9' * 5000}:A,1:B"])
+    def test_cache_with_malformed_index_is_io_error(self, tmp_path, capsys, attrs):
+        code, err = discover_from_cache(tmp_path, f"d=10 pairs=1 attrs={attrs}", capsys)
+        assert code == 3
+        assert len(err) == 1 and "malformed attrs= entry" in err[0]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--min-support", "1e-5000"), ("--epsilon", "1e-5000"), ("--min-support", "1e-9999999")],
+    )
+    def test_thresholds_beyond_the_digit_limit_rejected(self, capsys, flag, value):
+        argv = [*DISCOVER_BASE, "--algorithm", "ap", "--epsilon", "0.05"]
+        argv[argv.index(flag) + 1] = value
+        start = time.perf_counter()
+        code, _ = run_cli(*argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{flag} has more than" in err[0]
 
     @pytest.mark.parametrize("attrs", ["0:A,5:B", "5:A,2:B"])
     def test_cache_keeps_gapped_and_unordered_indices(self, tmp_path, capsys, attrs):

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -42,7 +43,6 @@ from mdd import (
     strip_zero_levels,
 )
 import mdd.discovery as discovery
-import mdd.lattice as lattice_module
 from mdd.model import Algorithm, DiscoveryRequest, EvaluationMode
 
 from conftest import fold, make_distribution, random_distribution, random_relation, satisfied
@@ -337,18 +337,22 @@ class TestEps:
 
 
 class TestEpsc:
-    def test_requires_grouping_marker(self):
-        rng = random.Random(7)
-        dist, X, Y = random_distribution(rng, m_x=1)
-        with pytest.raises(ContractViolationError):
-            epsc(dist, fresh_lattice(dist, X), ThresholdPattern.over(Y, [1]), "0.1", "0.5")
-
-    def test_rejects_marker_for_other_pattern(self):
+    def test_groups_its_input_by_the_rhs_pattern(self):
+        # the raw records, and records grouped for another rhs pattern, give
+        # the rules of the grouped records; the raw ones keep their order
+        # within each group, so the counters match too
         rng = random.Random(8)
         dist, X, Y = random_distribution(rng, m_x=1, d=4)
-        grouped, _ = group_by_rhs(dist, ThresholdPattern.over(Y, [1]))
-        with pytest.raises(ContractViolationError):
-            epsc(grouped, fresh_lattice(dist, X), ThresholdPattern.over(Y, [2]), "0.1", "0.5")
+        rhs = ThresholdPattern.over(Y, [1])
+        grouped, _ = group_by_rhs(dist, rhs)
+        other, _ = group_by_rhs(dist, ThresholdPattern.over(Y, [2]))
+        want = EvalCounters()
+        rules = result_key(epsc(grouped, fresh_lattice(dist, X), rhs, "0.1", "0.5", counters=want))
+        assert rules
+        raw = EvalCounters()
+        assert result_key(epsc(dist, fresh_lattice(dist, X), rhs, "0.1", "0.5", counters=raw)) == rules
+        assert raw == want
+        assert result_key(epsc(other, fresh_lattice(dist, X), rhs, "0.1", "0.5")) == rules
 
     def test_full_confidence_candidate_scans_everything(self):
         # a candidate satisfied only inside the rhs-satisfying prefix keeps
@@ -1039,41 +1043,6 @@ class TestRunRequest:
                 md.rhs_pattern, md.support, md.confidence, md.mode, md.counters,
             )
 
-    def test_no_pruning_mask_behind_the_engines(self, monkeypatch):
-        # the lattice run_request makes is kept alive here, so a d^m pruning
-        # mask would still be traced to lattice.py after the run
-        d, m = 10, 5
-        vectors = {tuple([level] * m) + (int(level < 3),): 10 + level for level in range(d)}
-        dist = make_distribution(vectors, d)
-        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
-        rhs = ThresholdPattern.over(Y, [1])
-        made = []
-
-        class KeptLattice(CandidateLattice):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(discovery, "CandidateLattice", KeptLattice)
-
-        def lattice_bytes():
-            only = tracemalloc.Filter(True, lattice_module.__file__)
-            return sum(s.size for s in tracemalloc.take_snapshot().filter_traces([only]).traces)
-
-        for algo in (Algorithm.EPS, Algorithm.APSI):
-            request = DiscoveryRequest.build(
-                X, Y, rhs, "1/10", "1/2", algo, epsilon="1/4" if algo.is_approximate else None
-            )
-            tracemalloc.start()
-            try:
-                run_request(dist, request)
-                assert lattice_bytes() < d**m, algo
-                # once pruning is used, the mask appears
-                made[-1].is_pruned((0,) * m)
-                assert lattice_bytes() >= d**m, algo
-            finally:
-                tracemalloc.stop()
-
     def test_budget_violation_propagates(self):
         rng = random.Random(13)
         dist, X, Y = random_distribution(rng, m_x=3, d=4)
@@ -1083,3 +1052,53 @@ class TestRunRequest:
 
         with pytest.raises(CandidateBudgetError):
             run_request(dist, request, candidate_budget=10)
+
+
+# ---------------------------------------------------------------------------
+# Plain inputs: every engine orders the records itself
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def permuted_cases(draw):
+    """A bound case and the same distribution with its records permuted."""
+    dist, X, rhs, eta_s, eta_c, epsilon = draw(bound_cases())
+    order = draw(st.permutations(range(dist.n)))
+    return dist, X, rhs, eta_s, eta_c, epsilon, dist.replace_order(np.array(order))
+
+
+def run_engine(algo, dist, X, rhs, eta_s, eta_c, epsilon):
+    """One engine's rules with their exact measures, and its counters."""
+    counters = EvalCounters()
+    args = [dist, fresh_lattice(dist, X), rhs, eta_s, eta_c]
+    if algo.is_approximate:
+        args.append(epsilon)
+    mds = getattr(discovery, algo.value)(*args, counters=counters)
+    return result_key(mds), counters
+
+
+class TestPlainInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(case=permuted_cases())
+    def test_engines_equal_dispatch_and_prepared_inputs(self, case):
+        dist, X, rhs, eta_s, eta_c, epsilon, permuted = case
+        Y = dist.attribute_set[len(X):]
+        for algo in Algorithm:
+            approximate = algo.is_approximate
+            got = run_engine(algo, dist, X, rhs, eta_s, eta_c, epsilon)
+            request = DiscoveryRequest.build(
+                X, Y, rhs, eta_s, eta_c, algo, epsilon=epsilon if approximate else None
+            )
+            counters = EvalCounters()
+            assert (result_key(run_request(dist, request, counters=counters)), counters) == got
+            if algo == Algorithm.EPSC:
+                prepared, _ = group_by_rhs(dist, rhs)
+            elif approximate:
+                prepared = sort_by_probability_desc(dist)
+            else:
+                prepared = dist
+            assert run_engine(algo, prepared, X, rhs, eta_s, eta_c, epsilon) == got, algo
+            # epsc's confidence stop depends on the record order within each
+            # group; every other engine reads a set of records
+            if algo != Algorithm.EPSC:
+                assert run_engine(algo, permuted, X, rhs, eta_s, eta_c, epsilon) == got, algo

@@ -1,34 +1,65 @@
-"""Candidate enumeration order, dominance, and pruning bookkeeping."""
+"""Candidate enumeration order, dominance, and the pruning rule the engines
+compute in closed form over the lattice."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mdd import (
     AttributeId,
     CandidateBudgetError,
     CandidateLattice,
-    ContractViolationError,
     LevelDomain,
 )
+from mdd.discovery import _evaluated, _holds
 
 X2 = (AttributeId(0, "A"), AttributeId(1, "B"))
 X1 = X2[:1]
 
 
-def _pruned(lat, d):
-    return {c for c in itertools.product(range(d), repeat=2) if lat.is_pruned(c)}
+def _scan(d, m, fails):
+    """The sequential pruned scan: walk the lattice in its dominance order,
+    skip every candidate in the strict upper set of an earlier failure, and
+    fail the candidates ``fails`` picks. Returns the candidates it evaluated
+    and the ones that failed."""
+    attrs = tuple(AttributeId(i, f"X{i}") for i in range(m))
+    evaluated, failed = [], []
+    for cand in CandidateLattice(attrs, LevelDomain(d)).iter_levels():
+        if any(all(f <= c for f, c in zip(fail, cand)) for fail in failed):
+            continue
+        evaluated.append(cand)
+        if fails(cand):
+            failed.append(cand)
+    return evaluated, failed
+
+
+def _closed_form(d, m, failed):
+    """The candidates the engines evaluate when ``failed`` miss support, and
+    with them their whole upper sets."""
+    cells = np.array(list(itertools.product(range(d), repeat=m))).T
+    misses = _holds(cells, np.array(failed).reshape(-1, m).T).any(axis=0)
+    evaluated = _evaluated(~misses.reshape((d,) * m))
+    return {tuple(map(int, c)) for c in zip(*np.nonzero(evaluated))}
+
+
+def _pruned(failed, d=3):
+    """The candidates a scan of the 2-attribute lattice skips when exactly
+    ``failed`` fail among those it evaluates."""
+    evaluated, _ = _scan(d, 2, lambda cand: cand in failed)
+    assert _closed_form(d, 2, [f for f in failed if f in evaluated]) == set(evaluated)
+    return set(itertools.product(range(d), repeat=2)) - set(evaluated)
 
 
 class TestDominates:
-    """A recorded failure prunes exactly the patterns it dominates
-    (componentwise lower or equal)."""
+    """A pattern holds for exactly the level vectors it dominates
+    (componentwise lower or equal), so a failure's upper set misses support
+    with it."""
 
     def _prunes(self, failed, other):
-        lat = CandidateLattice(X2, LevelDomain(6))
-        lat.record_failure(failed)
-        return lat.is_pruned(other)
+        held = _holds(np.array(other)[:, None], np.array(failed)[:, None])
+        return bool(held[0, 0])
 
     def test_componentwise(self):
         assert self._prunes((2, 3), (2, 5))
@@ -50,6 +81,10 @@ class TestEnumerationOrder:
         order = list(CandidateLattice(X2, LevelDomain(2)).iter_levels())
         assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_every_scan_yields_the_same_order(self):
+        lat = CandidateLattice(X2, LevelDomain(3))
+        assert list(lat.iter_levels()) == list(lat.iter_levels())
+
     def test_first_is_all_zero(self):
         first = next(CandidateLattice(X2, LevelDomain(5)).iter_levels())
         assert first == (0, 0)
@@ -67,55 +102,31 @@ class TestEnumerationOrder:
 
 
 class TestPruning:
+    """The engines' closed form, a candidate is evaluated iff no immediate
+    predecessor misses support, skips exactly what a sequential scan in
+    ``iter_levels`` order skips."""
+
     def test_all_zero_prunes_everything_else(self):
-        lat = CandidateLattice(X2, LevelDomain(3))
-        lat.record_failure((0, 0))
-        assert len(_pruned(lat, 3)) == lat.candidate_count
+        assert len(_pruned({(0, 0)})) == 3 * 3 - 1
 
     def test_top_prunes_nothing(self):
-        lat = CandidateLattice(X2, LevelDomain(3))
-        lat.record_failure((2, 2))
-        assert _pruned(lat, 3) == {(2, 2)}
+        assert _pruned({(2, 2)}) == set()
 
     def test_interior_upper_set(self):
-        lat = CandidateLattice(X2, LevelDomain(3))
-        lat.record_failure((1, 1))
-        assert _pruned(lat, 3) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-
-    def test_counts_only_newly_marked(self):
-        lat = CandidateLattice(X2, LevelDomain(3))
-        lat.record_failure((2, 1))
-        before = _pruned(lat, 3)
-        assert before == {(2, 1), (2, 2)}
-        # upper set of (1,1) is (1,1),(1,2),(2,1),(2,2); only two are new
-        lat.record_failure((1, 1))
-        assert _pruned(lat, 3) - before == {(1, 1), (1, 2)}
+        assert _pruned({(1, 1)}) == {(1, 2), (2, 1), (2, 2)}
 
     def test_iteration_skips_pruned(self):
-        lat = CandidateLattice(X2, LevelDomain(3))
-        seen = []
-        for cand in lat.iter_levels(skip_pruned=True):
-            seen.append(cand)
-            if cand == (1, 0):
-                lat.record_failure(cand)
-        assert (1, 0) in seen
-        for skipped in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
-            assert skipped not in seen
-        assert (0, 1) in seen and (0, 2) in seen
+        skipped = _pruned({(1, 0)})
+        for cand in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
+            assert cand in skipped
+        assert {(1, 0), (0, 1), (0, 2)}.isdisjoint(skipped)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d,m", [(4, 2), (3, 3), (6, 1)])
     def test_random_failures_skip_exactly_the_strict_upper_sets(self, d, m, seed):
         rng = random.Random(seed)
-        attrs = tuple(AttributeId(i, f"X{i}") for i in range(m))
-        lat = CandidateLattice(attrs, LevelDomain(d))
-        yielded, failed = [], []
-        for cand in lat.iter_levels(skip_pruned=True):
-            yielded.append(cand)
-            # a failing bottom would prune everything and test nothing
-            if any(cand) and rng.random() < 0.3:
-                lat.record_failure(cand)
-                failed.append(cand)
+        # a failing bottom would prune everything and test nothing
+        yielded, failed = _scan(d, m, lambda cand: any(cand) and rng.random() < 0.3)
         assert failed, "seed should produce at least one failure"
         grid = set(itertools.product(range(d), repeat=m))
         expected_skipped = {
@@ -128,14 +139,11 @@ class TestPruning:
         # else was skipped precisely because some failure dominates it
         assert expected_skipped.isdisjoint(yielded)
         assert set(yielded) | expected_skipped == grid
+        assert _closed_form(d, m, failed) == set(yielded)
 
     def test_redundant_failures_change_nothing(self):
-        lat = CandidateLattice(X2, LevelDomain(4))
-        lat.record_failure((1, 1))
-        grid = list(itertools.product(range(4), repeat=2))
-        before = [lat.is_pruned(c) for c in grid]
-        lat.record_failure((2, 2))  # dominated by (1, 1), redundant
-        assert [lat.is_pruned(c) for c in grid] == before
+        # (2, 2) lies above (1, 1), so adding it fails nothing new
+        assert _closed_form(4, 2, [(1, 1), (2, 2)]) == _closed_form(4, 2, [(1, 1)])
 
 
 class TestBudget:
@@ -146,11 +154,3 @@ class TestBudget:
 
     def test_budget_boundary_ok(self):
         CandidateLattice(X2, LevelDomain(10), candidate_budget=100)
-
-
-class TestSingleUse:
-    def test_second_scan_rejected(self):
-        lat = CandidateLattice(X1, LevelDomain(3))
-        list(lat.iter_levels())
-        with pytest.raises(ContractViolationError):
-            list(lat.iter_levels())

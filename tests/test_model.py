@@ -2,6 +2,8 @@
 zero-level stripping, validation."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +149,22 @@ class TestToFraction:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             to_fraction(float("nan"))
+
+    def test_digits_within_the_int_string_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert to_fraction(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        assert to_fraction(f"1E+{limit - 1}") == 10 ** (limit - 1)
+        # a result with more digits could not be printed back
+        for text in (f"1e-{limit}", f"1e{limit}", f"3.1e-{limit - 1}", "1" * (limit + 1)):
+            with pytest.raises(ValidationError):
+                to_fraction(text, "x")
+
+    @pytest.mark.parametrize("text", ["1e-9999999", "1e+9999999", "2E-99999999999999999999"])
+    def test_huge_exponent_rejected_before_expanding_it(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="digits"):
+            to_fraction(text, "x")
+        assert time.perf_counter() - start < 0.1
 
 
 class TestDiscoveryRequest:
