@@ -66,6 +66,8 @@ def _read_csv(path: str) -> Relation:
         raise DistributionIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
     width = len(header)
     for i, row in enumerate(rows, start=2):
         if len(row) != width:

@@ -48,20 +48,25 @@ are an upper set computed from the joint cubes at k - 1 and k records, and
 apsi evaluates the same closed form as eps: the candidates with no failure
 among their immediate predecessors.
 
-Each evaluated candidate's stop is found in two steps. Its bracket, a run of
+In counts, with f = f_num / f_den, the stop test at record i is the integer
+comparison J_i >= t_i, where t_i = ceil(R_i * f_den / f_num) is computed once
+per record (in Python ints where the product could overflow int64) and
+t_{k-1} = 0 ends every scan. Each evaluated candidate's stop is found in one
+pass over fixed-size blocks of cells, in two steps. Its bracket, a run of
 about 4 * sqrt(k) records in which the test first holds, comes from a
 record-by-cell dominance test over every probed record: |cells| * k * m
-comparisons, taken in fixed-size blocks so the temporaries stay bounded. A
-dominance test over the bracket's own records then finds the stop, and the
-joint and lhs mass there. apsi resolves a few hundred cells on a 10^5 grid;
-api resolves every cell, so its cost grows with k * m * d^m.
+comparisons in all, with temporaries bounded by the block. A dominance test
+over the bracket's own records then finds the stop, and the joint and lhs
+mass there. apsi resolves a few hundred cells on a 10^5 grid; api resolves
+every cell, so its cost grows with k * m * d^m.
 
-Decision arithmetic is exact: support thresholds become integer count minimums
-(count >= ceil(min_support * pair_total)) and confidence and stop checks
-cross-multiply integer counts against exact rationals, in Python ints where
-an int64 product could overflow, so no candidate flips on floating-point
-noise at a boundary. Every early-termination index and every reported
-counter equals what the sequential formulation would do, record by record.
+Decision arithmetic is exact: support minimums and stops become integer count
+thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
+confidence checks cross-multiply integer counts against the exact rational,
+in Python ints where an int64 product could overflow, so no candidate flips
+on floating-point noise at a boundary. Every early-termination index and
+every reported counter equals what the sequential formulation would do,
+record by record.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -102,10 +107,12 @@ class _Run:
     min_support: Fraction
     min_confidence: Fraction
     counters: EvalCounters
-    bound: ApproxBound | None = field(init=False, default=None)
     x_cols: tuple[int, ...] = field(init=False)
     rhs_mask: np.ndarray = field(init=False)
     min_support_count: int = field(init=False)
+    # the scanned prefix and the mode the rules report: k = n when exact
+    k: int = field(init=False)
+    mode: EvaluationMode = field(init=False)
 
     def __post_init__(self) -> None:
         if set(self.lattice.attributes) & set(self.rhs_pattern.attributes):
@@ -116,21 +123,23 @@ class _Run:
         num, den = self.min_support.numerator, self.min_support.denominator
         self.min_support_count = -((-num * self.dist.pair_total) // den)
         self.counters.candidates_total = self.lattice.candidate_count
+        self.k, self.mode = self.dist.n, EvaluationMode.exact()
 
-    def finish(
-        self,
-        accepted: Iterable[tuple[tuple[int, ...], int, int]],
-        mode: EvaluationMode,
-    ) -> list[DiscoveredMd]:
+    def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> list[DiscoveredMd]:
+        """The accepted rules from their flat grid cells and joint and lhs
+        counts, in level-tuple order: ascending C-order cells are ascending
+        level tuples."""
         self.counters.candidates_pruned_support = (
             self.counters.candidates_total - self.counters.candidates_evaluated
         )
         attrs = self.lattice.attributes
         # the nonzero levels in attribute-index order, as the pattern keeps them
         by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
+        order = np.argsort(cells)
+        levels = zip(*(axis.tolist() for axis in np.unravel_index(cells[order], _grid(self))))
         results = []
         # the engines build every pattern valid, so the checks are skipped
-        for cand, joint, lhs in sorted(accepted):
+        for cand, j, l in zip(levels, joint[order].tolist(), lhs[order].tolist()):
             pattern = ThresholdPattern._trusted(
                 tuple((attrs[i], cand[i]) for i in by_index if cand[i])
             )
@@ -138,9 +147,9 @@ class _Run:
                 DiscoveredMd._trusted(
                     pattern,
                     self.rhs_pattern,
-                    Fraction(joint, self.dist.pair_total),
-                    Fraction(joint, lhs),
-                    mode,
+                    Fraction(j, self.dist.pair_total),
+                    Fraction(j, l),
+                    self.mode,
                     self.counters,
                 )
             )
@@ -167,7 +176,8 @@ def _new_run(
         counters if counters is not None else EvalCounters(),
     )
     if epsilon is not None:
-        run.bound = compute_prefix_k(run.dist, epsilon, run.min_support, run.min_confidence)
+        bound = compute_prefix_k(run.dist, epsilon, run.min_support, run.min_confidence)
+        run.k, run.mode = bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
     return run
 
 
@@ -178,15 +188,6 @@ def _new_run(
 # Candidates whose confidence is compared a block at a time, so the exact
 # integer products never need a temporary the size of the cube.
 _BLOCK = 1 << 16
-
-
-def _prefix(run: _Run) -> tuple[int, EvaluationMode]:
-    """The scanned prefix: k from the run's approximation bound, or k = n for
-    the exact engines, which have none."""
-    bound = run.bound
-    if bound is None:
-        return run.dist.n, EvaluationMode.exact()
-    return bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
 
 
 def _grid(run: _Run) -> tuple[int, ...]:
@@ -286,7 +287,7 @@ def _cube_scan(
     evaluates the same set. It rejects the evaluated candidates whose
     confidence is below the minimum; the ones that also meet support stop
     reading at the confidence drop, so only those are scanned one by one."""
-    k, mode = _prefix(run)
+    k = run.k
     joint, lhs = _upper_set_counts(run, k)
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
@@ -300,22 +301,15 @@ def _cube_scan(
         run.counters.candidates_pruned_confidence += int(np.count_nonzero(rejected))
         # the ones that meet support stop at the drop; the rest read all k
         rejected &= meets
-        for cand in zip(*(axis.tolist() for axis in np.nonzero(rejected))):
-            run.counters.records_evaluated -= k - _confidence_drop(run, cand, int(joint[cand]))
+        for cell in np.flatnonzero(rejected).tolist():
+            run.counters.records_evaluated -= k - _confidence_drop(run, cell, int(joint.flat[cell]))
     # every candidate that meets support is evaluated: its predecessors do too
     confident &= meets
-    accepted = np.nonzero(confident)
-    return run.finish(
-        zip(
-            zip(*(axis.tolist() for axis in accepted)),
-            joint[accepted].tolist(),
-            lhs[accepted].tolist(),
-        ),
-        mode,
-    )
+    cells = np.flatnonzero(confident)
+    return run.finish(cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
 
 
-def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
+def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
     """epsc's stop for a candidate it rejects while meeting support: the
     records read up to the first one where the running confidence drops
     below the minimum. Over the grouped order the rhs-satisfying records come
@@ -323,7 +317,7 @@ def _confidence_drop(run: _Run, cand: tuple[int, ...], joint: int) -> int:
     the first record where the running lhs mass exceeds joint / eta_c."""
     eta = run.min_confidence
     records = (run.dist.levels[:, col] for col in run.x_cols)
-    held = _holds(records, np.array(cand)[:, None])[0]
+    held = _holds(records, np.unravel_index([cell], _grid(run)))[0]
     cum_lhs = np.cumsum(np.where(held, run.dist.counts, 0))
     return int(np.searchsorted(cum_lhs, joint * eta.denominator // eta.numerator + 1)) + 1
 
@@ -338,46 +332,44 @@ _DOMINANCE_BLOCK = 1 << 18
 
 
 class _StopRule:
-    """api's stop over the first k records of the sorted distribution. A
-    candidate stops after the first record i < k - 1 where the unseen mass is
-    within its bound on the joint mass J_i read so far,
-    suffix[i] * den <= num * J_i, and otherwise reads all k records. The test
-    is monotone in i (the suffix falls, J_i grows), so cutting the records
-    into brackets and probing the last record of each finds the bracket a
-    candidate stops in. ``bounds`` holds the brackets' prefix lengths; the
-    final bracket is record k - 1 alone, which ends every scan."""
+    """api's stop over the run's first k records, sorted. A candidate stops
+    after the first record i < k - 1 where the unseen mass is within its bound
+    on the joint mass J_i read so far, suffix[i] * den <= num * J_i for the
+    bound factor num / den, and otherwise reads all k records. In integers
+    that is J_i >= thresholds[i] = ceil(suffix[i] * den / num), computed once
+    per record and exact, with thresholds[k - 1] = 0 ending every scan. The
+    thresholds fall as i grows and J_i grows, so cutting the records into
+    brackets and probing the last record of each finds the bracket a candidate
+    stops in. ``bounds`` holds the brackets' prefix lengths; the final bracket
+    is record k - 1 alone."""
 
-    def __init__(self, run: _Run, k: int) -> None:
-        self.k = k
+    def __init__(self, run: _Run) -> None:
+        k = run.k
         self.counts = run.dist.counts[:k]
         self.joint_counts = np.where(run.rhs_mask[:k], self.counts, 0)
         # the lhs levels of the prefix, one contiguous row per attribute
         self.levels = np.ascontiguousarray(run.dist.levels[:k][:, run.x_cols].T)
-        cum = np.cumsum(run.dist.counts)
-        self.suffix = int(cum[-1]) - cum[:k]
-        factor = _bound_factor(run.bound.epsilon, run.min_confidence)
-        self.num, self.den = factor.numerator, factor.denominator
-        self.exact = _exact_dtype(run, factor)
+        factor = _bound_factor(run.mode.epsilon, run.min_confidence)
+        suffix = (run.dist.pair_total - np.cumsum(self.counts)).astype(_exact_dtype(run, factor))
+        thresholds = -((-suffix * factor.denominator) // factor.numerator)
+        # no joint mass exceeds pair_total, so a cap at pair_total + 1 changes
+        # no decision and brings every threshold into int64
+        self.thresholds = np.minimum(thresholds, run.dist.pair_total + 1).astype(np.int64)
+        self.thresholds[k - 1] = 0
         # about 4 * sqrt(k) wide, so a cell's bracket masses and its
         # in-bracket test both stay small next to the test over all k
         step = max(1, math.isqrt(16 * k))
         probes = [*range(step, k - 1, step), k - 1] if k > 1 else []
         self.bounds = np.array([0, *probes, k])
 
-    def stopped(self, record, joint: np.ndarray) -> np.ndarray:
-        """Whether a candidate with joint mass ``joint`` over the records up
-        to ``record`` stops there, in exact integers."""
-        suffix = np.asarray(self.suffix[record]).astype(self.exact)
-        return suffix * self.den <= self.num * joint.astype(self.exact, copy=False)
-
     def failures(self, run: _Run) -> np.ndarray:
         """apsi's failures, the candidates that read the whole prefix and miss
         the support minimum: an upper set, from the joint cube at the last
         probe, k - 1 records, and at all k."""
-        k, shape = self.k, _grid(run)
+        k, shape = run.k, _grid(run)
         rhs = run.rhs_mask[: k - 1]
         joint = _upper_set_cube(shape, _record_cells(run, 0, k - 1)[rhs], self.counts[: k - 1][rhs])
-        failed = ~self.stopped(k - 2, joint) if k > 1 else np.ones(shape, dtype=bool)
+        failed = joint < self.thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
         if run.rhs_mask[k - 1]:
             # the last record adds to every candidate it satisfies, its lower set
             last = np.unravel_index(_record_cells(run, k - 1, k)[0], shape)
@@ -397,94 +389,60 @@ def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
     return held
 
 
-def _masses_at(held: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The mass of the held records up to the end of each bracket, after a
-    column of zeros for the empty prefix. ``starts`` are the brackets' first
-    records, and the brackets cover all of ``held``'s records."""
-    masses = np.zeros((held.shape[0], starts.size + 1), dtype=np.int64)
-    np.cumsum(np.add.reduceat(held * counts, starts, axis=1), axis=1, out=masses[:, 1:])
-    return masses
-
-
-def _brackets(run: _Run, rule: _StopRule, cells: np.ndarray):
-    """Each cell's bracket, and its joint and lhs mass where the bracket
-    starts, from a record-by-cell dominance test over every probed record, a
-    block of cells at a time: |cells| * k * m comparisons."""
-    ends = rule.bounds[1:-1]
+def _stops(run: _Run, rule: _StopRule, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each cell's stop (the records it reads), and its joint and lhs mass
+    there. A record-by-cell dominance test over every probed record gives the
+    masses at each probe, and so the cell's bracket; a second one over the
+    bracket's own records finds the stop inside it."""
+    levels = np.unravel_index(cells, _grid(run))
     probed = int(rule.bounds[-2])
-    block = max(1, _DOMINANCE_BLOCK // max(1, probed))
-    for lo in range(0, cells.size, block):
-        group = cells[lo : lo + block]
-        held = _holds(rule.levels[:, :probed], np.unravel_index(group, _grid(run)))
-        joint = _masses_at(held, rule.joint_counts[:probed], rule.bounds[:-2])
-        lhs = _masses_at(held, rule.counts[:probed], rule.bounds[:-2])
-        # the brackets before a cell's own are the probes it does not stop at
-        bracket = np.count_nonzero(~rule.stopped(ends - 1, joint[:, 1:]), axis=1)
-        rows = np.arange(group.size)
-        yield group, bracket, joint[rows, bracket], lhs[rows, bracket]
-
-
-def _resolve(
-    run: _Run,
-    rule: _StopRule,
-    cells: np.ndarray,
-    bracket: np.ndarray,
-    base_joint: np.ndarray,
-    base_lhs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each cell's stop inside its bracket (the records it reads), and its
-    joint and lhs mass there: the masses where the bracket starts plus a
-    record-by-cell dominance test over the bracket's records."""
+    held = _holds(rule.levels[:, :probed], levels)
+    # the joint and lhs mass where each bracket starts: zero, then the held
+    # mass up to each probe
+    base = np.zeros((2, cells.size, rule.bounds.size - 1), dtype=np.int64)
+    for masses, counts in zip(base, (rule.joint_counts, rule.counts)):
+        sums = np.add.reduceat(held * counts[:probed], rule.bounds[:-2], axis=1)
+        np.cumsum(sums, axis=1, out=masses[:, 1:])
+    # the brackets before a cell's own are the probes it does not stop at
+    bracket = np.count_nonzero(base[0, :, 1:] < rule.thresholds[rule.bounds[1:-1] - 1], axis=1)
+    rows = np.arange(cells.size)
     lo, hi = rule.bounds[bracket], rule.bounds[bracket + 1]
     record = lo[:, None] + np.arange(int((hi - lo).max()))
     inside = record < hi[:, None]
     # past its bracket a row repeats the bracket's last record, held by none
     np.minimum(record, hi[:, None] - 1, out=record)
-    held = _holds((levels[record] for levels in rule.levels), np.unravel_index(cells, _grid(run)))
+    held = _holds((row[record] for row in rule.levels), levels)
     held &= inside
     joint = np.cumsum(held * rule.joint_counts[record], axis=1)
-    joint += base_joint[:, None]
-    stopped = rule.stopped(record, joint)
-    stopped |= record == rule.k - 1
-    first = np.argmax(stopped, axis=1)
-    rows = np.arange(cells.size)
+    joint += base[0, rows, bracket][:, None]
+    first = np.argmax(joint >= rule.thresholds[record], axis=1)
     lhs = np.cumsum(held * rule.counts[record], axis=1)[rows, first]
-    return record[rows, first] + 1, joint[rows, first], lhs + base_lhs
+    return record[rows, first] + 1, joint[rows, first], lhs + base[1, rows, bracket]
 
 
 def _stop_scan(run: _Run, *, prune: bool) -> list[DiscoveredMd]:
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
-    failures. Each resolved cell's bracket comes from a dominance test over
-    the probed records (|cells| * k * m comparisons, a fixed block at a
-    time); its stop is then resolved inside the bracket."""
-    k, mode = _prefix(run)
-    rule = _StopRule(run, k)
+    failures. The cells go through _stops a block at a time."""
+    rule = _StopRule(run)
     if prune:
         cells = np.flatnonzero(_evaluated(~rule.failures(run)))
     else:
         cells = np.arange(run.lattice.candidate_count)
     run.counters.candidates_evaluated += cells.size
-    accepted = []
+    joint, lhs = np.empty((2, cells.size), dtype=np.int64)
     # A bracket lies within the probed records or is the last record alone,
-    # so it is at most max(1, probed) records wide: the groups _brackets
-    # sizes for its own test keep _resolve's temporaries within
-    # _DOMINANCE_BLOCK pairs too.
-    for group, bracket, base_joint, base_lhs in _brackets(run, rule, cells):
-        stop, joint, lhs = _resolve(run, rule, group, bracket, base_joint, base_lhs)
+    # so it is at most max(1, probed) records wide, and a block sized for
+    # the probe test bounds the in-bracket test too.
+    block = max(1, _DOMINANCE_BLOCK // max(1, int(rule.bounds[-2])))
+    for lo in range(0, cells.size, block):
+        part = slice(lo, lo + block)
+        stop, joint[part], lhs[part] = _stops(run, rule, cells[part])
         run.counters.records_evaluated += int(stop.sum())
-        keep = joint >= run.min_support_count
-        keep &= _confident(run, joint, lhs)
-        levels = np.unravel_index(group[keep], _grid(run))
-        accepted.extend(
-            zip(
-                zip(*(axis.tolist() for axis in levels)),
-                joint[keep].tolist(),
-                lhs[keep].tolist(),
-            )
-        )
-    return run.finish(accepted, mode)
+    keep = joint >= run.min_support_count
+    keep &= _confident(run, joint, lhs)
+    return run.finish(cells[keep], joint[keep], lhs[keep])
 
 
 # ---------------------------------------------------------------------------

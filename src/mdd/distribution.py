@@ -382,9 +382,12 @@ def save_distribution(dist: StatDistribution, path) -> None:
         lines.append(",".join(str(int(v)) for v in row) + f",{int(count)}")
     body = "\n".join(lines) + "\n"
     checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(body)
-        fh.write(f"#checksum={checksum}\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
+            fh.write(f"#checksum={checksum}\n")
+    except OSError as exc:
+        raise DistributionIOError(f"cannot write distribution cache {path}: {exc}") from exc
 
 
 def load_distribution(path) -> StatDistribution:
@@ -476,7 +479,13 @@ def load_distribution(path) -> StatDistribution:
     if not rows:
         raise DistributionIOError(f"{path}: no records")
 
-    data = np.array(rows, dtype=np.int64)
+    try:
+        data = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        lineno = next(
+            i for i, row in enumerate(rows, start=2) if not all(-(2**63) <= c < 2**63 for c in row)
+        )
+        raise DistributionIOError(f"{path}:{lineno}: cell outside the int64 range") from None
     try:
         return StatDistribution(
             attrs,

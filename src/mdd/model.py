@@ -294,21 +294,27 @@ class StatDistribution:
             raise ValidationError("distribution needs a nonempty attribute set")
         if len(set(attribute_set)) != len(attribute_set):
             raise ValidationError("duplicate attributes in attribute set")
-        # own private copies: the write-protection below must not leak onto
-        # caller-held arrays
-        levels = np.array(levels, dtype=np.int16, order="C", copy=True)
-        counts = np.array(counts, dtype=np.int64, order="C", copy=True)
+        # the checks read the caller's values, before any cast could change them
+        levels, counts = np.asarray(levels), np.asarray(counts)
+        for name, values in (("levels", levels), ("counts", counts)):
+            if values.dtype.kind not in "iu":
+                raise ValidationError(f"{name} must be integers, got dtype {values.dtype}")
         if levels.ndim != 2 or levels.shape[1] != len(attribute_set):
             raise ValidationError("levels must be an (n, m) array over the attribute set")
         if counts.shape != (levels.shape[0],):
             raise ValidationError("counts must align with levels rows")
         if levels.size and (levels.min() < 0 or levels.max() > domain.max_level):
             raise ValidationError(f"levels must lie in 0..{domain.max_level}")
-        if counts.size and counts.min() <= 0:
-            raise ValidationError("record counts must be positive")
+        if counts.size and (counts.min() <= 0 or counts.max() > np.iinfo(np.int64).max):
+            raise ValidationError("record counts must be positive int64 values")
+        # own private copies: the write-protection below must not leak onto
+        # caller-held arrays
+        levels = np.array(levels, dtype=np.int16, order="C", copy=True)
+        counts = np.array(counts, dtype=np.int64, order="C", copy=True)
         if pair_total <= 0:
             raise ValidationError("pair_total must be positive")
-        if int(counts.sum()) != pair_total:
+        # summed in 32-bit halves, so no int64 sum of many large counts wraps
+        if (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum()) != pair_total:
             raise ValidationError("record counts must sum to pair_total")
         if np.unique(levels, axis=0).shape[0] != levels.shape[0]:
             raise ValidationError("level vectors must be unique across records")

@@ -36,10 +36,10 @@ def run_subprocess(*argv: str):
     return proc
 
 
-def discover_from_cache(tmp_path, header: str, capsys, lhs="A", rhs="B"):
+def discover_from_cache(tmp_path, header: str, capsys, lhs="A", rhs="B", row="0,0,1"):
     """Run discover on a one-record cache with this header and a valid
     checksum; returns the exit code and the stderr lines."""
-    body = f"#mdd-dist v1 {header} metric=edit fingerprint=x\n0,0,1\n"
+    body = f"#mdd-dist v1 {header} metric=edit fingerprint=x\n{row}\n"
     checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
     cache = tmp_path / "one.dist"
     cache.write_text(body + f"#checksum={checksum}\n", encoding="utf-8")
@@ -239,6 +239,41 @@ class TestValidationAndExitCodes:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{flag} has more than" in err[0]
+
+    def test_cache_cell_beyond_int64_is_io_error(self, tmp_path, capsys):
+        code, err = discover_from_cache(
+            tmp_path, "d=10 pairs=1 attrs=0:A,1:B", capsys, row="0,0,99999999999999999999"
+        )
+        assert code == 3
+        assert len(err) == 1 and "one.dist:2: cell outside the int64 range" in err[0]
+
+    def test_cache_level_beyond_int16_is_io_error(self, tmp_path, capsys):
+        # 65537 must not wrap to level 1 on the way into int16 storage
+        code, err = discover_from_cache(
+            tmp_path, "d=32768 pairs=5 attrs=0:A,1:B", capsys, row="0,65537,5"
+        )
+        assert code == 3
+        assert len(err) == 1 and "levels must lie in 0..32767" in err[0]
+
+    def test_distribution_out_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.dist"
+        code, _ = run_cli(
+            "distribution", "--input", CONTACTS, "--attrs", "Name,City", "--out", str(out)
+        )
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "cannot write distribution cache" in err[0]
+
+    def test_csv_field_over_the_size_limit_is_validation_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("a,b\nx,y\n" + "z" * 140_000 + ",w\n")
+        code, _ = run_cli(
+            "distribution", "--input", str(big), "--attrs", "a,b",
+            "--out", str(tmp_path / "o.dist"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "big.csv:3: malformed CSV" in err[0]
 
     @pytest.mark.parametrize("attrs", ["0:A,5:B", "5:A,2:B"])
     def test_cache_keeps_gapped_and_unordered_indices(self, tmp_path, capsys, attrs):

@@ -390,6 +390,22 @@ class TestStatDistributionInvariants:
                 "f",
             )
 
+    @pytest.mark.parametrize(
+        "levels,counts,message",
+        [
+            ([[1.7]], [3], "levels must be integers"),
+            ([[0], [1]], [1.9, 1.1], "counts must be integers"),
+            (np.array([[65537]], dtype=np.int64), [3], "levels must lie in 0..32767"),
+            ([[1]], np.array([2**63], dtype=np.uint64), "counts must be positive int64"),
+            # four counts whose int64 sum wraps around to 3
+            ([[0], [1], [2], [3]], [2**62, 2**62, 2**62, 2**62 + 3], "must sum to pair_total"),
+        ],
+    )
+    def test_values_checked_before_the_storage_cast(self, levels, counts, message):
+        attrs = make_distribution({(0,): 1}, d=3).attribute_set
+        with pytest.raises(ValidationError, match=message):
+            StatDistribution(attrs, LevelDomain(32768), levels, counts, 3, "f")
+
     def test_counts_must_sum_to_pair_total(self):
         with pytest.raises(ValidationError):
             make_distribution({(0,): 1, (1,): 1}, d=3, pair_total=5)
