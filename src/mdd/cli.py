@@ -15,10 +15,14 @@ import argparse
 import csv
 import json
 import sys
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
-from .discovery import run_request
+import numpy as np
+
+from .discovery import _request_rules, _Rules, run_request
 from .errors import (
     CandidateBudgetError,
     DistributionIOError,
@@ -172,15 +176,18 @@ def _similarity_doc(pattern: ThresholdPattern, domain: LevelDomain) -> dict:
     return {a.name: level / domain.max_level for a, level in pattern.items()}
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise DistributionIOError(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise DistributionIOError(f"cannot write to standard output: {exc}") from exc
 
 
 def cmd_distribution(args) -> int:
@@ -213,13 +220,83 @@ def _build_request(args, names, domain: LevelDomain) -> DiscoveryRequest:
     )
 
 
-def _result_document(
-    request: DiscoveryRequest, dist: StatDistribution, mds, counters: EvalCounters
-) -> dict:
+def _nested(value, indent: int) -> str:
+    """``value`` as json.dumps(doc, sort_keys=True, indent=2) writes it at
+    ``indent`` spaces into the document (a JSON string holds no raw newline)."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent)
+
+
+def _measures(num: np.ndarray, den) -> tuple[list[str], list[str]]:
+    """repr(float(f)) and str(f) of each f = Fraction(num, den), as the
+    document writes a measure and its exact string."""
+    if int(np.max(den)) < 2**53:
+        # every count is exact in float64, so one IEEE division rounds as
+        # float(Fraction) does
+        g = np.gcd(num, den)
+        reduced = zip((num // g).tolist(), np.broadcast_to(den // g, num.shape).tolist())
+        exact = [f"{n}/{d}" if d != 1 else str(n) for n, d in reduced]
+        return list(map(repr, (num / den).tolist())), exact
+    dens = np.broadcast_to(den, num.shape).tolist()
+    fractions = [Fraction(n, d) for n, d in zip(num.tolist(), dens)]
+    return [repr(float(f)) for f in fractions], list(map(str, fractions))
+
+
+def _rule_entries(rules: _Rules, domain: LevelDomain) -> str:
+    """The entries of the ``mds`` array, as json.dumps(doc, sort_keys=True,
+    indent=2) writes them there. What every rule shares (its rhs, its mode)
+    is written once, and each lhs dict is joined from one fragment per
+    (attribute, level), its keys in name order as sort_keys puts them."""
+    attrs = rules.attributes
+    levels = rules.levels()
+
+    def lhs_dicts(value) -> list[str]:
+        joined = np.full(rules.cells.size, "", dtype=object)
+        for i in sorted(range(len(attrs)), key=lambda i: attrs[i].name):
+            key = json.dumps(attrs[i].name)
+            # a zero level is no entry
+            parts = [""] + [f",\n        {key}: {value(level)}" for level in range(1, domain.d)]
+            joined += np.array(parts, dtype=object)[levels[i]]
+        return ["{" + text[1:] + "\n      }" if text else "{}" for text in joined.tolist()]
+
+    mode = {
+        "kind": rules.mode.kind,
+        "prefix_k": rules.mode.prefix_k,
+        "epsilon": None if rules.mode.epsilon is None else str(rules.mode.epsilon),
+    }
+    support, support_exact = _measures(rules.joint, rules.pair_total)
+    confidence, confidence_exact = _measures(rules.joint, rules.lhs)
+    fields = zip(
+        repeat('    {\n      "confidence": '),
+        confidence,
+        repeat(',\n      "confidence_exact": "'),
+        confidence_exact,
+        repeat('",\n      "lhs_levels": '),
+        lhs_dicts(str),
+        repeat(',\n      "lhs_similarities": '),
+        lhs_dicts(lambda level: repr(level / domain.max_level)),
+        repeat(
+            f',\n      "mode": {_nested(mode, 6)}'
+            f',\n      "rhs_levels": {_nested(_levels_doc(rules.rhs_pattern), 6)}'
+            f',\n      "rhs_similarities": {_nested(_similarity_doc(rules.rhs_pattern, domain), 6)}'
+            ',\n      "support": '
+        ),
+        support,
+        repeat(',\n      "support_exact": "'),
+        support_exact,
+        repeat('"\n    }'),
+    )
+    return ",\n".join(map("".join, fields))
+
+
+def _result_text(request: DiscoveryRequest, dist: StatDistribution, rules: _Rules) -> str:
+    """The mdd-result-v1 document, byte for byte as json.dumps(doc,
+    sort_keys=True, indent=2) + "\n" writes it. The header goes through
+    json.dumps with an empty ``mds`` array, and the rules are spliced in."""
     domain = dist.domain
-    return {
+    counters = rules.counters
+    header = {
         "schema": RESULT_SCHEMA,
-        "status": "ok" if mds else "infeasible",
+        "status": "ok" if rules.cells.size else "infeasible",
         "request": {
             "lhs": [a.name for a in request.lhs],
             "rhs": [a.name for a in request.rhs],
@@ -238,24 +315,7 @@ def _result_document(
             "fingerprint": dist.fingerprint,
         },
         "mode": "approximate" if request.algorithm.is_approximate else "exact",
-        "mds": [
-            {
-                "lhs_levels": _levels_doc(md.lhs_pattern),
-                "lhs_similarities": _similarity_doc(md.lhs_pattern, domain),
-                "rhs_levels": _levels_doc(md.rhs_pattern),
-                "rhs_similarities": _similarity_doc(md.rhs_pattern, domain),
-                "support": float(md.support),
-                "support_exact": str(md.support),
-                "confidence": float(md.confidence),
-                "confidence_exact": str(md.confidence),
-                "mode": {
-                    "kind": md.mode.kind,
-                    "prefix_k": md.mode.prefix_k,
-                    "epsilon": None if md.mode.epsilon is None else str(md.mode.epsilon),
-                },
-            }
-            for md in mds
-        ],
+        "mds": [],
         "counters": {
             "records_evaluated": counters.records_evaluated,
             "candidates_evaluated": counters.candidates_evaluated,
@@ -264,15 +324,20 @@ def _result_document(
             "candidates_total": counters.candidates_total,
         },
     }
+    text = json.dumps(header, sort_keys=True, indent=2)
+    if rules.cells.size:
+        # the top-level keys before "mds" hold numbers and one-line strings
+        head, _, tail = text.partition('\n  "mds": []')
+        text = head + '\n  "mds": [\n' + _rule_entries(rules, domain) + "\n  ]" + tail
+    return text + "\n"
 
 
 def cmd_discover(args) -> int:
     dist, request = _load_inputs(args)
-    counters = EvalCounters()
-    mds = run_request(
-        dist, request, candidate_budget=args.candidate_budget, counters=counters
+    rules = _request_rules(
+        dist, request, candidate_budget=args.candidate_budget, counters=EvalCounters()
     )
-    _emit(_result_document(request, dist, mds, counters), args.out)
+    _emit(_result_text(request, dist, rules), args.out)
     return EXIT_OK
 
 

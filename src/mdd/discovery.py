@@ -9,7 +9,10 @@ for every candidate; eps adds dominance pruning by support; epsc groups the
 records by the rhs pattern and also stops a candidate where its running
 confidence drops below the minimum. ap and aps are ea and eps over the first k
 records (k from compute_prefix_k); api and apsi add a per-candidate stop once
-the unseen mass is within the candidate's own bound.
+the unseen mass is within the candidate's own bound. Every scan ends in one
+_Rules record, the accepted rules' grid cells and joint and lhs counts as
+arrays: the engines and run_request turn it into DiscoveredMd objects, and
+the CLI writes its document from the arrays.
 
 A scan without a per-candidate stop rule (ea, eps, ap, aps, and epsc's base
 pass) is one pass over an upper-set count cube: two int64 histograms of the
@@ -74,7 +77,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -83,10 +85,12 @@ from .errors import ContractViolationError, ValidationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
+    AttributeId,
     DiscoveredMd,
     DiscoveryRequest,
     EvalCounters,
     EvaluationMode,
+    LevelDomain,
     RationalLike,
     StatDistribution,
     ThresholdPattern,
@@ -125,21 +129,57 @@ class _Run:
         self.counters.candidates_total = self.lattice.candidate_count
         self.k, self.mode = self.dist.n, EvaluationMode.exact()
 
-    def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> list[DiscoveredMd]:
+    def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> _Rules:
         """The accepted rules from their flat grid cells and joint and lhs
         counts, in level-tuple order: ascending C-order cells are ascending
         level tuples."""
         self.counters.candidates_pruned_support = (
             self.counters.candidates_total - self.counters.candidates_evaluated
         )
-        attrs = self.lattice.attributes
+        order = np.argsort(cells)
+        return _Rules(
+            self.lattice.attributes,
+            self.lattice.domain,
+            cells[order],
+            joint[order],
+            lhs[order],
+            self.rhs_pattern,
+            self.dist.pair_total,
+            self.mode,
+            self.counters,
+        )
+
+
+@dataclass(frozen=True)
+class _Rules:
+    """One run's accepted rules as arrays, in level-tuple order: each rule's
+    flat grid cell over the lattice attributes and its joint and lhs counts,
+    with what every rule of the run shares. Support is joint / pair_total,
+    confidence joint / lhs."""
+
+    attributes: tuple[AttributeId, ...]
+    domain: LevelDomain
+    cells: np.ndarray
+    joint: np.ndarray
+    lhs: np.ndarray
+    rhs_pattern: ThresholdPattern
+    pair_total: int
+    mode: EvaluationMode
+    counters: EvalCounters
+
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Each rule's level on each lattice attribute, one array per attribute."""
+        return np.unravel_index(self.cells, (self.domain.d,) * len(self.attributes))
+
+    def mds(self) -> list[DiscoveredMd]:
+        """The rules as DiscoveredMd objects."""
+        attrs = self.attributes
         # the nonzero levels in attribute-index order, as the pattern keeps them
         by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
-        order = np.argsort(cells)
-        levels = zip(*(axis.tolist() for axis in np.unravel_index(cells[order], _grid(self))))
+        levels = zip(*(axis.tolist() for axis in self.levels()))
         results = []
         # the engines build every pattern valid, so the checks are skipped
-        for cand, j, l in zip(levels, joint[order].tolist(), lhs[order].tolist()):
+        for cand, j, l in zip(levels, self.joint.tolist(), self.lhs.tolist()):
             pattern = ThresholdPattern._trusted(
                 tuple((attrs[i], cand[i]) for i in by_index if cand[i])
             )
@@ -147,7 +187,7 @@ class _Run:
                 DiscoveredMd._trusted(
                     pattern,
                     self.rhs_pattern,
-                    Fraction(j, self.dist.pair_total),
+                    Fraction(j, self.pair_total),
                     Fraction(j, l),
                     self.mode,
                     self.counters,
@@ -276,7 +316,7 @@ def _cube_scan(
     *,
     prune: bool,
     confidence_stop: bool = False,
-) -> list[DiscoveredMd]:
+) -> _Rules:
     """Evaluate every candidate over the first k records at once, from the
     upper-set count cubes, with the counters the sequential scan would
     report: every evaluated candidate reads the whole prefix, and with
@@ -420,7 +460,7 @@ def _stops(run: _Run, rule: _StopRule, cells: np.ndarray) -> tuple[np.ndarray, .
     return record[rows, first] + 1, joint[rows, first], lhs + base[1, rows, bracket]
 
 
-def _stop_scan(run: _Run, *, prune: bool) -> list[DiscoveredMd]:
+def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
@@ -530,8 +570,8 @@ def ea(
 ) -> list[DiscoveredMd]:
     """Evaluate every candidate against every record. The baseline the pruned
     and approximate variants are measured against."""
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _cube_scan(run, prune=False)
+    return _rules(Algorithm.EA, dist, lattice, rhs_pattern, min_support, min_confidence,
+                  counters=counters).mds()
 
 
 def eps(
@@ -546,8 +586,8 @@ def eps(
     """ea plus dominance pruning: once a candidate's support falls short, every
     candidate it dominates is skipped. Support only shrinks going up the
     lattice, so the returned set is identical to ea's."""
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _cube_scan(run, prune=True)
+    return _rules(Algorithm.EPS, dist, lattice, rhs_pattern, min_support, min_confidence,
+                  counters=counters).mds()
 
 
 def epsc(
@@ -570,9 +610,8 @@ def epsc(
     pivot) so the final support is known and dominated candidates can be
     pruned soundly.
     """
-    grouped, _ = group_by_rhs(dist, rhs_pattern)
-    run = _new_run(grouped, lattice, rhs_pattern, min_support, min_confidence, counters)
-    return _cube_scan(run, prune=True, confidence_stop=True)
+    return _rules(Algorithm.EPSC, dist, lattice, rhs_pattern, min_support, min_confidence,
+                  counters=counters).mds()
 
 
 def ap(
@@ -589,8 +628,8 @@ def ap(
     compute_prefix_k); reported measures are the prefix approximations.
     ``dist_sorted`` may come in any order; this and the other approximate
     engines sort it with sort_by_probability_desc."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
-    return _cube_scan(run, prune=False)
+    return _rules(Algorithm.AP, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                  epsilon, counters=counters).mds()
 
 
 def api(
@@ -606,8 +645,8 @@ def api(
     """ap with per-candidate early termination: a candidate's scan stops as
     soon as the unseen mass is within its own dynamically shrinking bound.
     Never scans past record k."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
-    return _stop_scan(run, prune=False)
+    return _rules(Algorithm.API, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                  epsilon, counters=counters).mds()
 
 
 def aps(
@@ -621,8 +660,8 @@ def aps(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """ap plus dominance pruning on the approximate support."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
-    return _cube_scan(run, prune=True)
+    return _rules(Algorithm.APS, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                  epsilon, counters=counters).mds()
 
 
 def apsi(
@@ -637,8 +676,8 @@ def apsi(
 ) -> list[DiscoveredMd]:
     """api plus dominance pruning on the approximate support of candidates
     that scanned the whole prefix."""
-    run = _new_run(dist_sorted, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
-    return _stop_scan(run, prune=True)
+    return _rules(Algorithm.APSI, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                  epsilon, counters=counters).mds()
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +685,55 @@ def apsi(
 # ---------------------------------------------------------------------------
 
 
-_ENGINES: dict[Algorithm, Callable[..., list[DiscoveredMd]]] = {
-    Algorithm.EA: ea,
-    Algorithm.EPS: eps,
-    Algorithm.EPSC: epsc,
-    Algorithm.AP: ap,
-    Algorithm.API: api,
-    Algorithm.APS: aps,
-    Algorithm.APSI: apsi,
-}
+def _rules(
+    algorithm: Algorithm,
+    dist: StatDistribution,
+    lattice: CandidateLattice,
+    rhs_pattern: ThresholdPattern,
+    min_support: RationalLike,
+    min_confidence: RationalLike,
+    epsilon: RationalLike | None = None,
+    *,
+    counters: EvalCounters | None = None,
+) -> _Rules:
+    """Run one algorithm; its accepted rules as arrays. ``epsilon`` makes the
+    run approximate, as the approximate algorithms need."""
+    if algorithm is Algorithm.EPSC:
+        dist, _ = group_by_rhs(dist, rhs_pattern)
+    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    if algorithm in (Algorithm.API, Algorithm.APSI):
+        return _stop_scan(run, prune=algorithm is Algorithm.APSI)
+    return _cube_scan(
+        run,
+        prune=algorithm not in (Algorithm.EA, Algorithm.AP),
+        confidence_stop=algorithm is Algorithm.EPSC,
+    )
+
+
+def _request_rules(
+    dist: StatDistribution,
+    request: DiscoveryRequest,
+    *,
+    candidate_budget: int | None = None,
+    counters: EvalCounters | None = None,
+) -> _Rules:
+    """run_request's rules as arrays."""
+    request.validate()
+    lattice = CandidateLattice(
+        request.lhs,
+        dist.domain,
+        DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget,
+    )
+    return _rules(
+        request.algorithm,
+        dist,
+        lattice,
+        request.rhs_pattern,
+        request.min_support,
+        request.min_confidence,
+        request.epsilon if request.algorithm.is_approximate else None,
+        counters=counters,
+    )
 
 
 def run_request(
@@ -666,13 +745,6 @@ def run_request(
 ) -> list[DiscoveredMd]:
     """Validate the request and run the selected algorithm over a fresh
     candidate lattice."""
-    request.validate()
-    lattice = CandidateLattice(
-        request.lhs,
-        dist.domain,
-        DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget,
-    )
-    args = [dist, lattice, request.rhs_pattern, request.min_support, request.min_confidence]
-    if request.algorithm.is_approximate:
-        args.append(request.epsilon)
-    return _ENGINES[request.algorithm](*args, counters=counters)
+    return _request_rules(
+        dist, request, candidate_budget=candidate_budget, counters=counters
+    ).mds()

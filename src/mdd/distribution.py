@@ -34,6 +34,7 @@ from .model import (
     Relation,
     StatDistribution,
     ThresholdPattern,
+    sorted_rows,
 )
 from .simkit import (
     MetricKind,
@@ -325,9 +326,9 @@ def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistrib
         raise ValidationError("distribution needs a nonempty attribute set")
     cols = [dist.column_index(a) for a in attrs]
     sub = dist.levels[:, cols]
-    uniq, inverse = np.unique(sub, axis=0, return_inverse=True)
-    counts = np.zeros(uniq.shape[0], dtype=np.int64)
-    np.add.at(counts, inverse, dist.counts)
+    order, starts = sorted_rows(sub)
+    uniq = sub[order[starts]]
+    counts = np.add.reduceat(dist.counts[order], starts)
     specs = tuple(dist.metric_specs[c] for c in cols) if dist.metric_specs else ()
     h = hashlib.sha256()
     h.update(f"project|{dist.fingerprint}".encode())
@@ -377,10 +378,9 @@ def _header_line(dist: StatDistribution) -> str:
 
 
 def save_distribution(dist: StatDistribution, path) -> None:
-    lines = [_header_line(dist)]
-    for row, count in zip(dist.levels, dist.counts):
-        lines.append(",".join(str(int(v)) for v in row) + f",{int(count)}")
-    body = "\n".join(lines) + "\n"
+    rows = np.column_stack((dist.levels, dist.counts)).tolist()
+    row_format = ",".join(["%d"] * (len(dist.attribute_set) + 1))
+    body = "\n".join([_header_line(dist), *(row_format % tuple(row) for row in rows)]) + "\n"
     checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -388,6 +388,44 @@ def save_distribution(dist: StatDistribution, path) -> None:
             fh.write(f"#checksum={checksum}\n")
     except OSError as exc:
         raise DistributionIOError(f"cannot write distribution cache {path}: {exc}") from exc
+
+
+def _parse_payload(path, rows: list[str], width: int) -> np.ndarray:
+    """The payload rows as an int64 array of ``width`` columns. One numpy
+    conversion parses every cell, calling int() on each as the line loop
+    does; where it or a row's width fails, the line loop runs instead, to
+    name the line at fault."""
+    try:
+        if {row.count(",") for row in rows} != {width - 1}:
+            raise ValueError("no rows, or a row of another width")
+        return np.array(",".join(rows).split(","), dtype=np.int64).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        return _parse_rows(path, rows, width)
+
+
+def _parse_rows(path, rows: list[str], width: int) -> np.ndarray:
+    """The payload rows as an int64 array, one line at a time, raising
+    DistributionIOError at the first line that is not ``width`` integers."""
+    parsed = []
+    for lineno, line in enumerate(rows, start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise DistributionIOError(
+                f"{path}:{lineno}: expected {width} comma-separated integers"
+            )
+        try:
+            parsed.append([int(c) for c in cells])
+        except ValueError:
+            raise DistributionIOError(f"{path}:{lineno}: non-integer cell") from None
+    if not parsed:
+        raise DistributionIOError(f"{path}: no records")
+    try:
+        return np.array(parsed, dtype=np.int64)
+    except OverflowError:
+        lineno = next(
+            i for i, row in enumerate(parsed, start=2) if not all(-(2**63) <= c < 2**63 for c in row)
+        )
+        raise DistributionIOError(f"{path}:{lineno}: cell outside the int64 range") from None
 
 
 def load_distribution(path) -> StatDistribution:
@@ -464,28 +502,7 @@ def load_distribution(path) -> StatDistribution:
     else:
         raise DistributionIOError(f"{path}: metric= list does not align with attrs=")
 
-    width = len(attrs) + 1
-    rows = []
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise DistributionIOError(
-                f"{path}:{lineno}: expected {width} comma-separated integers"
-            )
-        try:
-            rows.append([int(c) for c in cells])
-        except ValueError:
-            raise DistributionIOError(f"{path}:{lineno}: non-integer cell") from None
-    if not rows:
-        raise DistributionIOError(f"{path}: no records")
-
-    try:
-        data = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        lineno = next(
-            i for i, row in enumerate(rows, start=2) if not all(-(2**63) <= c < 2**63 for c in row)
-        )
-        raise DistributionIOError(f"{path}:{lineno}: cell outside the int64 range") from None
+    data = _parse_payload(path, lines[1:-1], len(attrs) + 1)
     try:
         return StatDistribution(
             attrs,

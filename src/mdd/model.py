@@ -260,6 +260,17 @@ def strip_zero_levels(pattern: ThresholdPattern) -> ThresholdPattern:
 # ---------------------------------------------------------------------------
 
 
+def sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that sorts the rows of a 2-D array lexicographically,
+    first column first, and the positions in that order where each run of
+    equal rows starts."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(order.size, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    return order, np.flatnonzero(starts)
+
+
 class StatDistribution:
     """Aggregated pairwise similarity levels with exact counts.
 
@@ -316,7 +327,7 @@ class StatDistribution:
         # summed in 32-bit halves, so no int64 sum of many large counts wraps
         if (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum()) != pair_total:
             raise ValidationError("record counts must sum to pair_total")
-        if np.unique(levels, axis=0).shape[0] != levels.shape[0]:
+        if sorted_rows(levels)[1].size != levels.shape[0]:
             raise ValidationError("level vectors must be unique across records")
         if metric_specs and len(metric_specs) != len(attribute_set):
             raise ValidationError("metric_specs must align with the attribute set")
@@ -327,7 +338,7 @@ class StatDistribution:
     @classmethod
     def _derived(cls, *args, **kwargs) -> "StatDistribution":
         """Skip the checks for records derived from a valid distribution (a
-        permutation, or an ``np.unique`` merge of some of its columns), which
+        permutation, or a merge of the equal rows of some of its columns), which
         are valid by construction. Takes ownership of the fresh arrays."""
         dist = cls.__new__(cls)
         dist._assign(*args, **kwargs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 
 from mdd import (
     AttributeId,
+    DiscoveryRequest,
+    EvalCounters,
     LevelDomain,
     MetricKind,
     Relation,
@@ -163,3 +166,67 @@ def fold(
             if satisfied(dist, i, rhs_pattern):
                 joint += int(dist.counts[i])
     return joint, lhs
+
+
+def reference_document(
+    request: DiscoveryRequest, dist: StatDistribution, mds, counters: EvalCounters
+) -> str:
+    """The mdd-result-v1 bytes the CLI's array writer is held to: the
+    document as a dict built from the rule objects, through
+    json.dumps(sort_keys=True, indent=2)."""
+    domain = dist.domain
+
+    def levels_doc(pattern: ThresholdPattern) -> dict:
+        return {a.name: level for a, level in pattern.items()}
+
+    def similarity_doc(pattern: ThresholdPattern) -> dict:
+        return {a.name: level / domain.max_level for a, level in pattern.items()}
+
+    doc = {
+        "schema": "mdd-result-v1",
+        "status": "ok" if mds else "infeasible",
+        "request": {
+            "lhs": [a.name for a in request.lhs],
+            "rhs": [a.name for a in request.rhs],
+            "rhs_levels": levels_doc(request.rhs_pattern),
+            "rhs_similarities": similarity_doc(request.rhs_pattern),
+            "min_support": str(request.min_support),
+            "min_confidence": str(request.min_confidence),
+            "epsilon": None if request.epsilon is None else str(request.epsilon),
+            "algorithm": request.algorithm.value,
+            "levels": domain.d,
+        },
+        "distribution": {
+            "n": dist.n,
+            "pair_total": dist.pair_total,
+            "d": domain.d,
+            "fingerprint": dist.fingerprint,
+        },
+        "mode": "approximate" if request.algorithm.is_approximate else "exact",
+        "mds": [
+            {
+                "lhs_levels": levels_doc(md.lhs_pattern),
+                "lhs_similarities": similarity_doc(md.lhs_pattern),
+                "rhs_levels": levels_doc(md.rhs_pattern),
+                "rhs_similarities": similarity_doc(md.rhs_pattern),
+                "support": float(md.support),
+                "support_exact": str(md.support),
+                "confidence": float(md.confidence),
+                "confidence_exact": str(md.confidence),
+                "mode": {
+                    "kind": md.mode.kind,
+                    "prefix_k": md.mode.prefix_k,
+                    "epsilon": None if md.mode.epsilon is None else str(md.mode.epsilon),
+                },
+            }
+            for md in mds
+        ],
+        "counters": {
+            "records_evaluated": counters.records_evaluated,
+            "candidates_evaluated": counters.candidates_evaluated,
+            "candidates_pruned_support": counters.candidates_pruned_support,
+            "candidates_pruned_confidence": counters.candidates_pruned_confidence,
+            "candidates_total": counters.candidates_total,
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -3,14 +3,29 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdd.cli import main
+from mdd import (
+    Algorithm,
+    AttributeId,
+    DiscoveryRequest,
+    EvalCounters,
+    StatDistribution,
+    ThresholdPattern,
+    run_request,
+)
+from mdd.cli import _result_text, main
+from mdd.discovery import _request_rules
+
+from conftest import make_distribution, random_distribution, reference_document
 
 DATA = Path(__file__).parent / "data"
 CONTACTS = str(DATA / "contacts.csv")
@@ -126,6 +141,112 @@ class TestDiscover:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["schema"] == "mdd-result-v1"
+
+
+def writer_and_reference(dist, lhs, rhs_levels, algorithm, eta_s, eta_c, epsilon=None):
+    """The CLI writer's document for one query, and the reference bytes
+    built from the rule objects of the same query."""
+    rhs = tuple(a for a in dist.attribute_set if a not in lhs)
+    request = DiscoveryRequest.build(
+        lhs, rhs, ThresholdPattern.over(rhs, rhs_levels), eta_s, eta_c, algorithm,
+        epsilon if Algorithm.parse(algorithm).is_approximate else None,
+    )
+    got = _result_text(request, dist, _request_rules(dist, request, counters=EvalCounters()))
+    counters = EvalCounters()
+    mds = run_request(dist, request, counters=counters)
+    return got, reference_document(request, dist, mds, counters)
+
+
+def renamed(dist, names):
+    """``dist`` with its attributes renamed, positions kept."""
+    attrs = tuple(AttributeId(a.index, name) for a, name in zip(dist.attribute_set, names))
+    return StatDistribution(
+        attrs, dist.domain, dist.levels, dist.counts, dist.pair_total, dist.fingerprint,
+        metric_specs=dist.metric_specs,
+    )
+
+
+@st.composite
+def writer_cases(draw):
+    m_x = draw(st.integers(1, 3))
+    dist, lhs, _ = random_distribution(
+        random.Random(draw(st.integers(0, 2**32))), m_x=m_x, d=draw(st.integers(2, 5)),
+        max_samples=60,
+    )
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=m_x + 1, max_size=m_x + 1,
+                          unique=True))
+    dist = renamed(dist, names)
+    eta_c = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(3, 4)]))
+    return (
+        dist,
+        dist.attribute_set[:m_x],
+        [draw(st.integers(0, dist.domain.max_level))],
+        draw(st.sampled_from([Fraction(1, 100), Fraction(1, 20), Fraction(1, 5), Fraction(1)])),
+        eta_c,
+        (1 - eta_c) * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)])),
+    )
+
+
+class TestDocumentWriter:
+    """The array writer's bytes equal json.dumps of the document built from
+    the rule objects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=writer_cases())
+    def test_equals_reference_for_every_algorithm(self, case):
+        dist, lhs, rhs_levels, eta_s, eta_c, epsilon = case
+        for algorithm in Algorithm:
+            got, want = writer_and_reference(
+                dist, lhs, rhs_levels, algorithm.value, eta_s, eta_c, epsilon
+            )
+            assert got == want, algorithm
+
+    @pytest.mark.parametrize("algorithm", [a.value for a in Algorithm])
+    def test_fixed_cases(self, algorithm):
+        # quote, backslash, non-ASCII and control-character names, in an
+        # index order that is not their name order
+        names = ["z\"q", "b\\s", "\u00e9t\u00e9", "a\x07", "R"]
+        dist = make_distribution(
+            {(3, 1, 2, 0, 2): 5, (1, 0, 0, 3, 2): 4, (0, 0, 0, 0, 0): 9, (2, 3, 1, 1, 1): 2},
+            d=4, names=names,
+        )
+        lhs = dist.attribute_set[:4]
+        cases = [
+            # infeasible: no rule meets support 1 at rhs level 3
+            ([3], Fraction(1), Fraction(1, 2), '"mds": [],'),
+            # every record meets rhs level 0, so the all-zero lhs is accepted
+            # with support exactly 1
+            ([0], Fraction(1, 50), Fraction(1, 2), '"lhs_levels": {},'),
+            ([2], Fraction(1, 50), Fraction(1, 3), '"a\\u0007": '),
+        ]
+        for rhs_levels, eta_s, eta_c, expected in cases:
+            got, want = writer_and_reference(
+                dist, lhs, rhs_levels, algorithm, eta_s, eta_c, Fraction(1, 4)
+            )
+            assert got == want
+            assert expected in got
+        got, _ = writer_and_reference(dist, lhs, [0], algorithm, Fraction(1, 50), Fraction(1, 2),
+                                      Fraction(1, 4))
+        if Algorithm.parse(algorithm).is_approximate:
+            assert '"epsilon": "1/4"' in got and '"prefix_k": null' not in got
+        else:
+            # an exact scan reads every record for the all-zero lhs
+            assert '"support_exact": "1"' in got
+
+    @pytest.mark.parametrize("algorithm", [a.value for a in Algorithm])
+    def test_pair_total_beyond_float64_integers(self, algorithm):
+        counts = {(1, 1): 2126805311019172, (0, 1): 1709636005579804, (0, 0): 5170757939796091}
+        dist = make_distribution(counts, d=2)
+        assert dist.pair_total >= 2**53
+        # float64 division of these counts rounds away from the exact ratio
+        for joint in (2126805311019172, 2126805311019172 + 1709636005579804):
+            assert float(joint) / float(dist.pair_total) != joint / dist.pair_total
+        got, want = writer_and_reference(
+            dist, dist.attribute_set[:1], [1], algorithm, Fraction(1, 10), Fraction(1, 10),
+            Fraction(1, 4),
+        )
+        assert got == want
+        assert json.loads(got)["mds"]
 
 
 class TestValidationAndExitCodes:
@@ -254,6 +375,38 @@ class TestValidationAndExitCodes:
         )
         assert code == 3
         assert len(err) == 1 and "levels must lie in 0..32767" in err[0]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_write_is_io_error(self, monkeypatch, capsys, failing):
+        class FullStdout:
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(28, "No space left on device")
+
+            def flush(self):
+                if failing == "flush":
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main([*DISCOVER_BASE, "--algorithm", "ea"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: cannot write to standard output: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_is_io_error(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdd", *DISCOVER_BASE, "--algorithm", "ea"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: cannot write to standard output: [Errno 28] No space left on device\n"
+        )
 
     def test_distribution_out_in_missing_directory_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.dist"

@@ -1,5 +1,6 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdd import (
     DistributionIOError,
@@ -28,6 +29,7 @@ from mdd import (
 )
 import mdd.distribution as distribution_module
 from mdd.errors import SchemaMismatchError
+from mdd.model import sorted_rows
 from mdd.oracle import _pair_levels
 
 from conftest import make_distribution, random_distribution, random_relation, satisfied
@@ -307,7 +309,92 @@ class TestProjection:
         assert by_level == {0: 7, 1: 5}
 
 
+class TestSortedRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 4).flatmap(
+            lambda m: st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=30)
+        )
+    )
+    def test_groups_equal_rows_as_np_unique_does(self, rows):
+        rows = np.array(rows, dtype=np.int16)
+        order, starts = sorted_rows(rows)
+        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(rows[order[starts]], uniq)
+        sizes = np.diff(np.append(starts, rows.shape[0]))
+        assert np.array_equal(sizes, np.bincount(inverse.reshape(-1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), keep=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    def test_projection_equals_the_unique_merge(self, seed, keep):
+        dist, _, _ = random_distribution(random.Random(seed), m_x=3, m_y=1, d=3)
+        projected = project(dist, [dist.attribute_set[c] for c in keep])
+        uniq, inverse = np.unique(dist.levels[:, keep], axis=0, return_inverse=True)
+        counts = np.zeros(uniq.shape[0], dtype=np.int64)
+        np.add.at(counts, inverse.reshape(-1), dist.counts)
+        assert projected.levels.dtype == uniq.dtype and np.array_equal(projected.levels, uniq)
+        assert projected.counts.dtype == counts.dtype and np.array_equal(projected.counts, counts)
+
+
+# Cells Python's int() accepts (a sign, surrounding spaces, an underscore, an
+# Arabic-Indic digit) and rejects (a decimal point, an empty cell), and one
+# beyond int64.
+PAYLOAD_CELLS = ["0", "1", "12", "-3", "+5", " 5", "1_0", "\u0665", "5.0", "", "99999999999999999999"]
+
+
+@st.composite
+def payloads(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(PAYLOAD_CELLS), min_size=max(1, width - 1), max_size=width + 1),
+            max_size=6,
+        )
+    )
+    return width, [",".join(row) for row in rows]
+
+
+def parse_outcome(parse, width, rows):
+    try:
+        return parse("c.dist", rows, width).tolist()
+    except DistributionIOError as exc:
+        return str(exc)
+
+
 class TestCacheFile:
+    @settings(max_examples=300, deadline=None)
+    @given(case=payloads())
+    # a row one cell short next to one a cell long: the cell count matches
+    @example(case=(2, ["1,2", "3", "4,5,6", "7,8"]))
+    @example(case=(3, ["+5, 5,1_0", "\u0665,0,1"]))
+    def test_one_conversion_parse_equals_the_line_loop(self, case):
+        width, rows = case
+        assert parse_outcome(distribution_module._parse_payload, width, rows) == parse_outcome(
+            distribution_module._parse_rows, width, rows
+        )
+
+    def test_save_writes_the_fixed_cache_text(self, tmp_path):
+        dist = make_distribution(
+            {(11, 0, 3): 2**40, (0, 0, 0): 7, (5, 10, 1): 1}, d=12, names=["a,b c", "Zip", "x"]
+        )
+        path = tmp_path / "fixed.dist"
+        save_distribution(dist, path)
+        assert path.read_bytes() == (
+            b"#mdd-dist v1 d=12 pairs=1099511627784 attrs=0:a%2Cb%20c,1:Zip,2:x metric=synthetic "
+            b"fingerprint=7b51d838b5d83645fcc83ac58f22ce4d10f6254a654745df0b480fd52a7b6f84\n"
+            b"0,0,0,7\n"
+            b"5,10,1,1\n"
+            b"11,0,3,1099511627776\n"
+            b"#checksum=5e79a723af6c6811d16259f69632485f84c4f032fb4a41350b93648068ddb6ae\n"
+        )
+
+    def test_short_row_next_to_long_row_names_the_short_one(self, tmp_path):
+        body = "#mdd-dist v1 d=3 pairs=3 attrs=0:A,1:B metric=edit fingerprint=x\n0,1,1\n1\n2,2,1,1\n"
+        path = tmp_path / "ragged.dist"
+        path.write_text(body + f"#checksum={hashlib.sha256(body.encode()).hexdigest()}\n")
+        with pytest.raises(DistributionIOError, match=r"ragged.dist:3: expected 3 comma-separated"):
+            load_distribution(path)
+
     def test_round_trip_structural_and_byte_identical(self, tmp_path, contacts, domain10, cosine_word):
         attrs = (contacts.attribute("Name"), contacts.attribute("City"))
         dist = build_distribution(contacts, attrs, cosine_word, domain10)
@@ -371,8 +458,6 @@ class TestCacheFile:
         lines = path.read_text().splitlines()
         lines.insert(1, "not,numbers")
         body = "\n".join(lines[:-1]) + "\n"
-        import hashlib
-
         path.write_text(body + f"#checksum={hashlib.sha256(body.encode()).hexdigest()}\n")
         with pytest.raises(DistributionIOError):
             load_distribution(path)
