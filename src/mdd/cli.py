@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
-from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -187,7 +188,21 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            _discard_stdout()
             raise DistributionIOError(f"cannot write to standard output: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point standard output's file descriptor at the null device, so that
+    the interpreter's flush at exit cannot fail again on what the buffer
+    still holds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_distribution(args) -> int:
@@ -226,19 +241,16 @@ def _nested(value, indent: int) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent)
 
 
-def _measures(num: np.ndarray, den) -> tuple[list[str], list[str]]:
+def _measures(nums, dens) -> tuple[list[str], list[str]]:
     """repr(float(f)) and str(f) of each f = Fraction(num, den), as the
-    document writes a measure and its exact string."""
-    if int(np.max(den)) < 2**53:
-        # every count is exact in float64, so one IEEE division rounds as
-        # float(Fraction) does
-        g = np.gcd(num, den)
-        reduced = zip((num // g).tolist(), np.broadcast_to(den // g, num.shape).tolist())
-        exact = [f"{n}/{d}" if d != 1 else str(n) for n, d in reduced]
-        return list(map(repr, (num / den).tolist())), exact
-    dens = np.broadcast_to(den, num.shape).tolist()
-    fractions = [Fraction(n, d) for n, d in zip(num.tolist(), dens)]
-    return [repr(float(f)) for f in fractions], list(map(str, fractions))
+    document writes a measure and its exact string. Python's int division
+    is correctly rounded at any size, as float(Fraction) is."""
+    floats, exact = [], []
+    for n, d in zip(nums, dens):
+        g = math.gcd(n, d)
+        floats.append(repr(n / d))
+        exact.append(f"{n // g}/{d // g}" if d != g else str(n // g))
+    return floats, exact
 
 
 def _rule_entries(rules: _Rules, domain: LevelDomain) -> str:
@@ -263,8 +275,9 @@ def _rule_entries(rules: _Rules, domain: LevelDomain) -> str:
         "prefix_k": rules.mode.prefix_k,
         "epsilon": None if rules.mode.epsilon is None else str(rules.mode.epsilon),
     }
-    support, support_exact = _measures(rules.joint, rules.pair_total)
-    confidence, confidence_exact = _measures(rules.joint, rules.lhs)
+    joint = rules.joint.tolist()
+    support, support_exact = _measures(joint, repeat(rules.pair_total))
+    confidence, confidence_exact = _measures(joint, rules.lhs.tolist())
     fields = zip(
         repeat('    {\n      "confidence": '),
         confidence,

@@ -395,12 +395,16 @@ class TestValidationAndExitCodes:
         )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_stdout_on_a_full_device_is_io_error(self):
+    # 0.05: a document larger than the stdout buffer; 1: an infeasible one
+    # that fits in it, which the interpreter would flush again at exit
+    @pytest.mark.parametrize("min_support", ["0.05", "1"])
+    def test_stdout_on_a_full_device_is_io_error(self, min_support):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        args = [*DISCOVER_BASE, "--algorithm", "ea", "--min-support", min_support]
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "mdd", *DISCOVER_BASE, "--algorithm", "ea"],
+                [sys.executable, "-m", "mdd", *args],
                 stdout=full, stderr=subprocess.PIPE, text=True, env=env,
             )
         assert proc.returncode == 3

@@ -339,7 +339,10 @@ class TestSortedRows:
 # Cells Python's int() accepts (a sign, surrounding spaces, an underscore, an
 # Arabic-Indic digit) and rejects (a decimal point, an empty cell), and one
 # beyond int64.
-PAYLOAD_CELLS = ["0", "1", "12", "-3", "+5", " 5", "1_0", "\u0665", "5.0", "", "99999999999999999999"]
+PAYLOAD_CELLS = [
+    "0", "1", "12", "-3", "+5", " 5", "1_0", "\u0665", "5.0", "", "99999999999999999999",
+    "5\x00", "\x00",
+]
 
 
 @st.composite
@@ -367,6 +370,8 @@ class TestCacheFile:
     # a row one cell short next to one a cell long: the cell count matches
     @example(case=(2, ["1,2", "3", "4,5,6", "7,8"]))
     @example(case=(3, ["+5, 5,1_0", "\u0665,0,1"]))
+    # a trailing NUL: int() rejects it, and so must the one conversion
+    @example(case=(2, ["5\x00,1", "2,3"]))
     def test_one_conversion_parse_equals_the_line_loop(self, case):
         width, rows = case
         assert parse_outcome(distribution_module._parse_payload, width, rows) == parse_outcome(
