@@ -214,7 +214,7 @@ def cmd_distribution(args) -> int:
         relation, tuple(attrs), metric, domain, workers=args.threads
     )
     dist_ops.save_distribution(dist, args.out)
-    print(f"n={dist.n} pair_total={dist.pair_total} d={domain.d} out={args.out}")
+    _emit(f"n={dist.n} pair_total={dist.pair_total} d={domain.d} out={args.out}\n", None)
     return EXIT_OK
 
 
@@ -389,17 +389,17 @@ def cmd_verify(args) -> int:
         only_oracle = [p for p in truth if p not in engine_patterns]
         sample = (only_engine + only_oracle)[0]
         sup, conf = oracle_measures(relation, lhs, rhs, sample, rhs_pattern, metric, domain)
-        print("DISAGREEMENT")
-        print(f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in sample.items())}}}")
-        print(f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}")
         engine_md = next((m for m in engine if m.lhs_pattern == sample), None)
-        if engine_md:
-            print(
-                f"  engine: support={float(engine_md.support):.12g} "
-                f"confidence={float(engine_md.confidence):.12g}"
-            )
-        else:
-            print("  engine: pattern not returned")
+        lines = [
+            "DISAGREEMENT",
+            f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in sample.items())}}}",
+            f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
+            f"  engine: support={float(engine_md.support):.12g} "
+            f"confidence={float(engine_md.confidence):.12g}"
+            if engine_md
+            else "  engine: pattern not returned",
+        ]
+        _emit("\n".join(lines) + "\n", None)
         return 1
 
     mismatched = []
@@ -411,13 +411,16 @@ def cmd_verify(args) -> int:
             mismatched.append((md, sup, conf))
     if mismatched:
         md, sup, conf = mismatched[0]
-        print("DISAGREEMENT on measures")
-        print(f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in md.lhs_pattern.items())}}}")
-        print(f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}")
-        print(f"  engine: support={float(md.support):.12g} confidence={float(md.confidence):.12g}")
+        lines = [
+            "DISAGREEMENT on measures",
+            f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in md.lhs_pattern.items())}}}",
+            f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
+            f"  engine: support={float(md.support):.12g} confidence={float(md.confidence):.12g}",
+        ]
+        _emit("\n".join(lines) + "\n", None)
         return 1
 
-    print(f"AGREEMENT: {len(engine)} rule(s), measures identical")
+    _emit(f"AGREEMENT: {len(engine)} rule(s), measures identical\n", None)
     return EXIT_OK
 
 
@@ -457,7 +460,7 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="worker processes that fill the distinct-value level matrices (capped at the CPU count)",
+        help="worker processes that fill the edit level matrices (capped at the CPU count)",
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import urllib.parse
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .model import (
     sorted_rows,
 )
 from .simkit import (
+    EDIT,
     MetricKind,
     MetricMap,
     discretize,
@@ -81,7 +82,8 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
 # Pair codes are produced and counted this many at a time: 256 KB of int64
 # codes, sorted in place. This keeps the build's temporaries under 1 MB
 # whatever the relation size; larger blocks are no faster and only raise the
-# process's peak RSS.
+# process's peak RSS. A cosine level matrix is computed over blocks of this
+# many distinct-value pairs too.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -121,6 +123,115 @@ def _fill_rows(
     return out
 
 
+def _cosine_rows(
+    values: Sequence[str], metric: MetricKind, domain: LevelDomain
+) -> np.ndarray | None:
+    """``_fill_rows(values, metric, domain, len(values))`` for a cosine
+    metric, computed over posting lists; None when the squared norms reach
+    ``max(sq)**2 >= 2**53``, where float64 no longer follows the scalar path
+    exactly.
+
+    Each token's posting list holds the values that contain it, ascending,
+    with their counts. Every later entry of a list adds ``c_i * c_j`` to the
+    int64 dot product of the pair ``i < j``; pairs that share no token keep
+    dot 0, which is level 0. That costs the sum of ``|P_t|**2 / 2`` over the
+    tokens. The rows are done a block at a time, each block's dot products
+    and similarities over at most about ``_BLOCK_PAIRS`` cells, and the
+    posting-list pairs are expanded at most about ``_BLOCK_PAIRS`` at a time.
+    """
+    u = len(values)
+    token_ids: dict = {}
+    # array.array keeps the entries as 8-byte integers, not int objects
+    owners, tokens, counts = array("q"), array("q"), array("q")
+    sq = []
+    for k, value in enumerate(values):
+        bag, norm = profile(value, metric)
+        sq.append(norm)
+        for token, count in bag.items():
+            owners.append(k)
+            tokens.append(token_ids.setdefault(token, len(token_ids)))
+            counts.append(count)
+    del token_ids
+    # Below 2**53 every product the similarity needs (sq_a * sq_b, dot * dot,
+    # dot <= sqrt(sq_a * sq_b)) is an exact int64 and converts to float64
+    # exactly, as Python's ints do in simkit._cosine.
+    if max(sq, default=0) ** 2 >= 2**53:
+        return None
+    sq = np.array(sq, dtype=np.int64)
+    owners, tokens = np.frombuffer(owners, dtype=np.int64), np.frombuffer(tokens, dtype=np.int64)
+    # Entries sorted by (token, value): owners were appended in value order.
+    order = np.argsort(tokens, kind="stable")
+    owner, count = owners[order], np.frombuffer(counts, dtype=np.int64)[order]
+    # How many entries follow each one in its posting list.
+    later = np.cumsum(np.bincount(tokens))[tokens[order]] - 1 - np.arange(len(order))
+    # Value k's entries, at their sorted positions: rank[first[k]:first[k + 1]].
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    first = np.searchsorted(owners, np.arange(u + 1))
+
+    out = np.zeros((u, u), dtype=np.int16)
+    empty = sq == 0
+    step = max(1, _BLOCK_PAIRS // u)
+    for lo in range(0, u - 1, step):
+        hi = min(u - 1, lo + step)
+        dot = np.zeros((hi - lo) * u, dtype=np.int64)
+        entries = rank[first[lo] : first[hi]]
+        ends = np.cumsum(later[entries])
+        a = 0
+        while a < len(entries):
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, side="right")))
+            n = later[entries[a:b]]
+            src = np.repeat(entries[a:b], n)
+            # each entry paired with the n entries after it in its list
+            dst = np.arange(1, len(src) + 1)
+            dst -= np.repeat(np.cumsum(n) - n, n)
+            dst += src
+            # in place, so that at most four pair arrays are alive at once
+            products = count[src]
+            products *= count[dst]
+            keys = owner[src]
+            del src
+            keys -= lo
+            keys *= u
+            keys += owner[dst]
+            del dst
+            np.add.at(dot, keys, products)
+            a = b
+        # simkit._cosine on the pairs with dot > 0, then simkit.discretize,
+        # floor(sim * max_level + 0.5). Below 2**53 the sqrt and the divide
+        # are correctly rounded from exact operands, so dot <= sqrt(sq_a * sq_b)
+        # keeps sim in [0, 1], equal to 1 where dot * dot == sq_a * sq_b: the
+        # exact Cauchy-Schwarz test and both clamps would change nothing.
+        cell = np.flatnonzero(dot)
+        dot = dot[cell]
+        prod = sq[lo + cell // u]
+        prod *= sq[cell % u]
+        sim = np.sqrt(prod)
+        np.divide(dot, sim, out=sim)
+        sim *= domain.max_level
+        sim += 0.5
+        block = out[lo:hi]
+        block.reshape(-1)[cell] = np.floor(sim, out=sim)
+        # Two token-less values are 1; one token-less value, or dot 0, is 0.
+        block[np.triu(empty[lo:hi, None] & empty, lo + 1)] = domain.max_level
+    return out
+
+
+def _mirror(matrix: np.ndarray, diagonal: int) -> None:
+    """Copy the upper triangle onto the lower one and set the diagonal, a
+    block of rows at a time, so no ``u x u`` temporary is made."""
+    u = len(matrix)
+    step = max(1, _BLOCK_PAIRS // max(u, 1))
+    for lo in range(0, u, step):
+        hi = min(u, lo + step)
+        matrix[lo:hi, :lo] = matrix[:lo, lo:hi].T
+        square = matrix[lo:hi, lo:hi]
+        square += square.T
+    # Identical strings have similarity 1 under every metric.
+    np.fill_diagonal(matrix, diagonal)
+
+
 def _level_matrices(
     distinct: Sequence[Sequence[str]],
     metrics: Sequence[MetricKind],
@@ -128,19 +239,27 @@ def _level_matrices(
     workers: int,
 ) -> list[np.ndarray]:
     """One symmetric ``u x u`` int16 level matrix per column of distinct
-    values. With ``workers > 1`` the upper triangles are filled by a process
-    pool, split into row ranges of about equal pair counts."""
-    matrices = [np.zeros((len(v), len(v)), dtype=np.int16) for v in distinct]
-    rows_to_fill = sum(len(v) - 1 for v in distinct)
+    values. Cosine columns go through ``_cosine_rows``; the rest through
+    ``_fill_rows``, whose upper triangles, with ``workers > 1``, are filled
+    by a process pool, split into row ranges of about equal pair counts."""
+    matrices = [
+        None if metric.kind == EDIT else _cosine_rows(values, metric, domain)
+        for values, metric in zip(distinct, metrics)
+    ]
+    scalar = [c for c, matrix in enumerate(matrices) if matrix is None]
+    for c in scalar:
+        matrices[c] = np.zeros((len(distinct[c]),) * 2, dtype=np.int16)
+    rows_to_fill = sum(len(distinct[c]) - 1 for c in scalar)
     workers = min(workers, os.cpu_count() or 1, rows_to_fill)
     if workers <= 1:
-        for matrix, values, metric in zip(matrices, distinct, metrics):
-            matrix[: len(values) - 1] = _fill_rows(values, metric, domain, len(values) - 1)
+        for c in scalar:
+            u = len(distinct[c])
+            matrices[c][: u - 1] = _fill_rows(distinct[c], metrics[c], domain, u - 1)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [
-            (c, lo, hi)
-            for c, values in enumerate(distinct)
-            for lo, hi in _pair_ranges(len(values), workers)
+            (c, lo, hi) for c in scalar for lo, hi in _pair_ranges(len(distinct[c]), workers)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = pool.map(
@@ -153,9 +272,7 @@ def _level_matrices(
             for (c, lo, hi), block in zip(tasks, blocks):
                 matrices[c][lo:hi, lo:] = block
     for matrix in matrices:
-        matrix += matrix.T
-        # Identical strings have similarity 1 under every metric.
-        np.fill_diagonal(matrix, domain.max_level)
+        _mirror(matrix, domain.max_level)
     return matrices
 
 
@@ -249,8 +366,11 @@ def build_distribution(
     pair into a statistical distribution over ``attrs``.
 
     Attributes outside ``attrs`` never enter the records, which is equivalent
-    to marginalizing them away up front. ``workers > 1`` fills the level
-    matrices in that many processes, capped at the CPU count.
+    to marginalizing them away up front. ``workers > 1`` spreads the
+    per-pair metric calls over that many processes, capped at the CPU count
+    and at the matrix rows they fill: those of ``edit`` columns, and of cosine
+    columns whose counts are too large for the exact numpy path. A build
+    whose columns are all cosine starts no pool.
     """
     attrs = tuple(dict.fromkeys(attrs))
     if not attrs:

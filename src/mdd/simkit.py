@@ -111,6 +111,8 @@ def _qgrams(s: str, q: int) -> Counter:
 
 
 def _cosine(a: tuple[Counter, int], b: tuple[Counter, int]) -> float:
+    # distribution._cosine_rows computes these similarities, and their
+    # discretize levels, for whole level matrices in numpy; keep the two in step.
     (ca, sq_a), (cb, sq_b) = a, b
     if not ca and not cb:
         return 1.0

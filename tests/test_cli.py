@@ -412,6 +412,28 @@ class TestValidationAndExitCodes:
             "error: cannot write to standard output: [Errno 28] No space left on device\n"
         )
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["distribution", "verify"])
+    def test_other_commands_on_a_full_device_are_io_errors(self, tmp_path, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        if command == "distribution":
+            args = ["--attrs", "Name,City", "--out", str(tmp_path / "c.dist")]
+        else:
+            args = [
+                "--lhs", "Street", "--rhs", "City", "--rhs-thresholds", "0.7",
+                "--min-support", "0.2", "--min-confidence", "0.5",
+            ]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdd", command, "--input", CONTACTS, *args],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: cannot write to standard output: [Errno 28] No space left on device\n"
+        )
+
     def test_distribution_out_in_missing_directory_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.dist"
         code, _ = run_cli(

@@ -1,5 +1,6 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
+import concurrent.futures
 import hashlib
 import random
 import tracemalloc
@@ -184,10 +185,84 @@ class TestBuildAgainstOracle:
             assert built_counts(dist) == {(9,): 3}
 
 
+COSINE_SPECS = ["cosine-word", *(f"cosine-qgram:{q}" for q in range(1, 5))]
+# "\u0130" lowercases to two code points, "\u1e9e" to "\u00df"; "!" and "-"
+# separate words, so "!!" has no word token.
+COSINE_ALPHABET = "aAbBz \u0130\u00df\u1e9e\u03a3\u00e9!-1"
+
+
+@st.composite
+def cosine_values(draw):
+    """Sorted distinct strings: token-less ones, ones shorter than q, case
+    variants, non-ASCII case pairs and heavily repeated tokens."""
+    strings = st.one_of(
+        st.sampled_from(["", "!!", " ", "a", "A", "ab", "\u0130", "\u00df", "SS", "\u1e9e"]),
+        st.text(COSINE_ALPHABET, max_size=12),
+        st.builds(
+            lambda token, times, sep: sep.join([token] * times),
+            st.sampled_from(["go", "a", "Ab", "\u0130", "\u00df"]),
+            st.integers(2, 80),
+            st.sampled_from([" ", "", "!"]),
+        ),
+    )
+    return sorted(set(draw(st.lists(strings, min_size=1, max_size=30))))
+
+
+def scalar_rows(values, metric, domain) -> np.ndarray:
+    return distribution_module._fill_rows(values, metric, domain, len(values))
+
+
+class TestCosineRows:
+    """The posting-list cosine kernel against the per-pair scalar path."""
+
+    @settings(max_examples=300, deadline=None)
+    # similarity 1/2 at d = 2: exactly half a level, which rounds up
+    @example(values=["a", "a b c d"], spec="cosine-word", d=2, block=1)
+    @given(
+        values=cosine_values(),
+        spec=st.sampled_from(COSINE_SPECS),
+        d=st.sampled_from([2, 10, 101]),
+        block=st.sampled_from([1, 3, 64, 1 << 15]),
+    )
+    def test_equals_the_scalar_path_byte_for_byte(self, values, spec, d, block):
+        metric, domain = MetricKind.parse(spec), LevelDomain(d)
+        # small blocks split the rows and the posting-list pairs many ways
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distribution_module, "_BLOCK_PAIRS", block)
+            fast = distribution_module._cosine_rows(values, metric, domain)
+        slow = scalar_rows(values, metric, domain)
+        assert fast.dtype == slow.dtype == np.int16
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_counts_beyond_float64_fall_back_to_the_scalar_path(self, recording_pool):
+        # 60,000 repeats: sq = 3.6e9, so sq_a * sq_b and dot * dot pass 2**63
+        # and an int64 kernel would wrap; the scalar path stays exact.
+        values = sorted(["a " * 60_000, "a " * 60_001 + "b", "a", "a b", "!!"])
+        metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+        matrix = distribution_module._level_matrices([values], [metric], domain, 1)[0]
+        assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
+        assert distribution_module._cosine_rows(values, metric, domain) is None
+        # the fallback column is the pool's to fill
+        recording_pool(64)
+        rel = Relation.from_rows(["v"], [(v,) for v in values])
+        dist = build_distribution(rel, rel.schema, metric, domain, workers=2)
+        assert _RecordingPool.sizes == [2] and _RecordingPool.specs == {"cosine-word"}
+        assert dist == build_distribution(rel, rel.schema, metric, domain)
+
+    def test_guard_starts_at_2_pow_53(self):
+        metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+        # 94,906,265**2 < 2**53 <= 94,906,266**2. One token repeated c times
+        # has sq = c**2: 9,741**2 = 94,887,081 and 9,742**2 = 94,906,564.
+        assert distribution_module._cosine_rows(["a " * 9_741, "b"], metric, domain) is not None
+        assert distribution_module._cosine_rows(["a " * 9_742, "b"], metric, domain) is None
+
+
 class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
+    """In-process stand-in for ProcessPoolExecutor that records its size and
+    the metrics of the tasks it runs."""
 
     sizes: list = []
+    specs: set = set()
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -198,24 +273,52 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, values, metrics, *iterables):
+        self.specs.update(m.spec() for m in metrics)
+        return map(fn, values, metrics, *iterables)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swap the process pool for _RecordingPool; returns a setter for the
+    CPU count the build sees."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "specs", set())
+    return lambda cpus: monkeypatch.setattr(distribution_module.os, "cpu_count", lambda: cpus)
 
 
 class TestWorkerPool:
+    # 7 and 5 distinct values: 6 + 4 matrix rows to fill.
+    REL = Relation.from_rows(["a", "b"], [(f"v{i % 7}", f"w {i % 5}") for i in range(14)])
+
     @pytest.mark.parametrize(
         "workers, cpus, expected",
         [(8, 3, 3), (2, 64, 2), (64, 64, 10), (8, None, None), (1, 64, None)],
     )
-    def test_pool_capped_by_cpus_and_rows(self, monkeypatch, workers, cpus, expected):
-        monkeypatch.setattr(distribution_module, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(distribution_module.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        # 7 and 5 distinct values: 6 + 4 matrix rows to fill.
-        rel = Relation.from_rows(["a", "b"], [(f"v{i % 7}", f"w {i % 5}") for i in range(14)])
-        metric, domain = MetricKind.parse("edit"), LevelDomain(10)
+    def test_pool_capped_by_cpus_and_rows(self, recording_pool, workers, cpus, expected):
+        recording_pool(cpus)
+        rel, metric, domain = self.REL, MetricKind.parse("edit"), LevelDomain(10)
         dist = build_distribution(rel, rel.schema, metric, domain, workers=workers)
         assert _RecordingPool.sizes == ([] if expected is None else [expected])
+        assert dist == build_distribution(rel, rel.schema, metric, domain)
+
+    @pytest.mark.parametrize("workers, expected", [(2, 2), (64, 6)])
+    def test_pool_sized_by_the_edit_rows_alone(self, recording_pool, workers, expected):
+        recording_pool(64)
+        rel, domain = self.REL, LevelDomain(10)
+        a, b = rel.schema
+        metrics = {a: MetricKind.parse("edit"), b: MetricKind.parse("cosine-word")}
+        dist = build_distribution(rel, rel.schema, metrics, domain, workers=workers)
+        assert _RecordingPool.sizes == [expected]
+        assert _RecordingPool.specs == {"edit"}
+        assert dist == build_distribution(rel, rel.schema, metrics, domain)
+
+    def test_cosine_only_build_starts_no_pool(self, recording_pool):
+        recording_pool(64)
+        rel, metric, domain = self.REL, MetricKind.parse("cosine-qgram:2"), LevelDomain(10)
+        dist = build_distribution(rel, rel.schema, metric, domain, workers=8)
+        assert _RecordingPool.sizes == []
         assert dist == build_distribution(rel, rel.schema, metric, domain)
 
 
@@ -232,6 +335,27 @@ def test_build_memory_stays_bounded():
         tracemalloc.stop()
     assert dist.pair_total == 2000 * 1999 // 2
     assert peak < 2 * 2**20
+
+
+def test_cosine_matrices_add_no_matrix_sized_temporary():
+    # 2,000 distinct values a column: the three int16 level matrices take
+    # 22.9 MB, and the cosine kernel works on blocks of _BLOCK_PAIRS cells.
+    words = "alpha beta gamma delta omega route north south main oak".split()
+    rows = [
+        tuple(f"{words[i % 10]} {words[i // 10 % 10]} {c}{i}" for c in "xyz")
+        for i in range(2000)
+    ]
+    rel = Relation.from_rows(["a", "b", "c"], rows)
+    metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+    tracemalloc.start()
+    try:
+        dist = build_distribution(rel, rel.schema, metric, domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.pair_total == 2000 * 1999 // 2
+    matrices = 3 * 2000 * 2000 * np.dtype(np.int16).itemsize
+    assert peak < matrices + 2 * 2**20
 
 
 class TestGroupByRhs:
