@@ -222,7 +222,7 @@ def _mirror(matrix: np.ndarray, diagonal: int) -> None:
     """Copy the upper triangle onto the lower one and set the diagonal, a
     block of rows at a time, so no ``u x u`` temporary is made."""
     u = len(matrix)
-    step = max(1, _BLOCK_PAIRS // max(u, 1))
+    step = max(1, _BLOCK_PAIRS // u)
     for lo in range(0, u, step):
         hi = min(u, lo + step)
         matrix[lo:hi, :lo] = matrix[:lo, lo:hi].T

@@ -622,3 +622,16 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    def test_edit_cache_files_identical_across_threads(self, tmp_path):
+        # cosine matrices are built without the pool; edit ones use it
+        files = []
+        for i, threads in enumerate(("1", "2")):
+            out = tmp_path / f"e{i}.dist"
+            proc = run_subprocess(
+                "distribution", "--input", CONTACTS, "--attrs", "Name,Street,SIN",
+                "--metric", "edit", "--threads", threads, "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
