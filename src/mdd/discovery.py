@@ -74,6 +74,7 @@ record by record.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,21 +179,29 @@ class _Rules:
         by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
         levels = zip(*(axis.tolist() for axis in self.levels()))
         results = []
-        # the engines build every pattern valid, so the checks are skipped
-        for cand, j, l in zip(levels, self.joint.tolist(), self.lhs.tolist()):
-            pattern = ThresholdPattern._trusted(
-                tuple((attrs[i], cand[i]) for i in by_index if cand[i])
-            )
-            results.append(
-                DiscoveredMd._trusted(
-                    pattern,
-                    self.rhs_pattern,
-                    Fraction(j, self.pair_total),
-                    Fraction(j, l),
-                    self.mode,
-                    self.counters,
+        # Every object made here stays alive, so the cyclic collector's
+        # passes over the growing list would find nothing to free.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # the engines build every pattern valid, so the checks are skipped
+            for cand, j, l in zip(levels, self.joint.tolist(), self.lhs.tolist()):
+                pattern = ThresholdPattern._trusted(
+                    tuple((attrs[i], cand[i]) for i in by_index if cand[i])
                 )
-            )
+                results.append(
+                    DiscoveredMd._trusted(
+                        pattern,
+                        self.rhs_pattern,
+                        Fraction(j, self.pair_total),
+                        Fraction(j, l),
+                        self.mode,
+                        self.counters,
+                    )
+                )
+        finally:
+            if collecting:
+                gc.enable()
         return results
 
 

@@ -7,10 +7,12 @@ distinct values: each column becomes integer codes over its sorted distinct
 values, and one ``u x u`` level matrix per attribute holds the discretized
 similarity of every pair of distinct values, so the metric runs once per
 value pair however often the pair recurs. The pairs themselves are then
-counted in numpy blocks: each pair's levels are looked up in the matrices,
-folded into one mixed-radix code, and tallied. The records come out sorted
-by level vector. Filling the matrices may be spread over worker processes;
-the matrices, and so the result, do not depend on scheduling.
+counted a block of rows at a time: each pair's levels are looked up in the
+matrices and folded into one mixed-radix code, and the codes are counted in
+one dense table where there are few of them, or sorted and tallied per block
+where there are many. The records come out sorted by level vector. Filling
+the matrices may be spread over worker processes; the matrices, and so the
+result, do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -79,11 +81,14 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
     return h.hexdigest()
 
 
-# Pair codes are produced and counted this many at a time: 256 KB of int64
-# codes, sorted in place. This keeps the build's temporaries under 1 MB
-# whatever the relation size; larger blocks are no faster and only raise the
-# process's peak RSS. A cosine level matrix is computed over blocks of this
-# many distinct-value pairs too.
+# Pair codes are produced and counted about this many at a time: 256 KB of
+# int64 codes. This keeps the build's temporaries at a few MB whatever the
+# number of rows; larger blocks are no faster and only raise the process's
+# peak RSS. Up to this many distinct codes (d**m) the pairs are counted into
+# a dense int64 table, as large as a block; beyond it a table and each
+# block's bincount would grow with d**m, so each block is sorted in place
+# instead. A cosine level matrix is computed over blocks of this many
+# distinct-value pairs too.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -276,25 +281,6 @@ def _level_matrices(
     return matrices
 
 
-def _row_runs(n: int):
-    """The pairs ``i < j`` of ``n`` rows in row-major order, in blocks of at
-    most ``_BLOCK_PAIRS`` pairs; a block is a list of ``(i, j_lo, j_hi)``
-    runs, one per row it touches."""
-    block, size = [], 0
-    for i in range(n - 1):
-        lo = i + 1
-        while lo < n:
-            hi = min(n, lo + _BLOCK_PAIRS - size)
-            block.append((i, lo, hi))
-            size += hi - lo
-            lo = hi
-            if size == _BLOCK_PAIRS:
-                yield block
-                block, size = [], 0
-    if block:
-        yield block
-
-
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys, ascending, with their multiplicities; sorts ``keys`` in
     place (``np.unique`` would sort a copy)."""
@@ -319,34 +305,62 @@ def _pair_histogram(
     """Distinct level vectors over all pairs ``i < j`` of rows, sorted
     ascending, and how many pairs have each.
 
-    The rows are walked in blocks of ``_BLOCK_PAIRS`` pairs. Each pair's
-    levels ``L_c[codes_c[i], codes_c[j]]`` are folded into one mixed-radix
-    code with base ``d``, so ascending codes are ascending level vectors. The
-    codes are int64 where ``d**m`` fits and Python integers in an object
-    array where it does not.
+    Each pair's levels ``L_c[codes_c[i], codes_c[j]]`` are folded into one
+    mixed-radix code with base ``d``, so ascending codes are ascending level
+    vectors. The codes are int64 where ``d**m`` fits and Python integers in
+    an object array where it does not.
+
+    The upper triangle is walked ``w`` rows ``s..e`` at a time. A block's
+    codes are ``sum_c d**(m-1-c) * L_c[codes_c[s:e]][:, codes_c[s:]]``, kept
+    transposed as an ``(n - s) x w`` array, so the pairs are its rows past
+    ``w``, one contiguous slice, and the strict lower triangle of its leading
+    ``w x w`` square. A block takes ``w = _BLOCK_PAIRS // max(u, n - s)``
+    rows, at least one, for the ``u`` values of the widest level matrix, so
+    it and each weighted ``u x w`` matrix slice hold at most
+    ``_BLOCK_PAIRS`` cells unless one row alone is longer. While
+    ``d**m <= _BLOCK_PAIRS`` the codes are counted into one dense table;
+    above that each block is sorted in place and tallied, and the tallies
+    are merged.
     """
     n, m = len(codes[0]), len(codes)
-    dtype = np.int64 if d**m <= np.iinfo(np.int64).max else object
+    size = d**m
+    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
+    table = np.zeros(size, dtype=np.int64) if size <= _BLOCK_PAIRS else None
+    widest = max(len(matrix) for matrix in matrices)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     pending = 0
     limit = _BLOCK_PAIRS
-    for block in _row_runs(n):
-        keys = np.zeros(sum(hi - lo for _, lo, hi in block), dtype=dtype)
-        for col, matrix in zip(codes, matrices):
-            keys *= d
-            at = 0
-            for i, lo, hi in block:
-                keys[at : at + hi - lo] += matrix[col[i], col[lo:hi]]
-                at += hi - lo
-        parts.append(_tally(keys))
-        pending += len(parts[-1][0])
+    s = 0
+    while s < n - 1:
+        e = min(n - 1, s + max(1, _BLOCK_PAIRS // max(widest, n - s)))
+        w = e - s
+        keys = None
+        for c, (col, matrix) in enumerate(zip(codes, matrices)):
+            # L_c[:, codes_c[s:e]] is L_c[codes_c[s:e]] transposed: L_c is symmetric
+            weighted = matrix[:, col[s:e]].astype(dtype)
+            weighted *= d ** (m - 1 - c)
+            if keys is None:
+                keys = weighted[col[s:]]
+            else:
+                keys += weighted[col[s:]]
+        for pairs in (keys[:w][np.tri(w, k=-1, dtype=bool)], keys[w:].reshape(-1)):
+            if table is not None:
+                table += np.bincount(pairs, minlength=size)
+            elif len(pairs):
+                parts.append(_tally(pairs))
+                pending += len(parts[-1][0])
         # Fold the per-block tallies once they outgrow both a block and twice
         # the running total, so memory and merge work stay linear.
         if pending > limit:
             parts = [_merge_counts(parts)]
             pending = len(parts[0][0])
             limit = max(_BLOCK_PAIRS, 2 * pending)
-    keys, counts = _merge_counts(parts)
+        s = e
+    if table is not None:
+        keys = np.flatnonzero(table)
+        counts = table[keys]
+    else:
+        keys, counts = _merge_counts(parts)
     levels = np.empty((len(keys), m), dtype=np.int16)
     for c in range(m - 1, -1, -1):
         levels[:, c] = keys % d

@@ -7,6 +7,7 @@ definitions, with exact rational arithmetic, independent of the vectorized
 engine paths.
 """
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -1052,6 +1053,59 @@ class TestRunRequest:
 
         with pytest.raises(CandidateBudgetError):
             run_request(dist, request, candidate_budget=10)
+
+
+class TestMdsPausesTheCollector:
+    """``_Rules.mds()`` builds its objects with the cyclic collector off and
+    leaves the collector as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def rules(self):
+        dist, X, Y = random_distribution(random.Random(16), m_x=2, d=4)
+        request = DiscoveryRequest.build(
+            X, Y, ThresholdPattern.over(Y, [1]), "0.02", "0.2", Algorithm.EPS
+        )
+        rules = discovery._request_rules(dist, request)
+        assert len(rules.cells) > 1
+        return rules
+
+    def spy_on_rules(self, monkeypatch, fail_at=None):
+        """Record the collector's state at each rule built; raise at the
+        ``fail_at``-th rule."""
+        seen = []
+        trusted = DiscoveredMd._trusted
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            if len(seen) == fail_at:
+                raise RuntimeError("rule construction failed")
+            return trusted(*args)
+
+        monkeypatch.setattr(DiscoveredMd, "_trusted", staticmethod(spy))
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_off_inside_and_restored_after(self, rules, monkeypatch, enabled):
+        (gc.enable if enabled else gc.disable)()
+        seen = self.spy_on_rules(monkeypatch)
+        mds = rules.mds()
+        assert len(mds) == len(seen) == len(rules.cells)
+        assert not any(seen)
+        assert gc.isenabled() is enabled
+
+    def test_collector_restored_when_a_rule_raises(self, rules, monkeypatch):
+        gc.enable()
+        seen = self.spy_on_rules(monkeypatch, fail_at=2)
+        with pytest.raises(RuntimeError, match="rule construction failed"):
+            rules.mds()
+        assert seen == [False, False]
+        assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ class TestBuildAgainstOracle:
 
     @pytest.mark.parametrize("block", [1, 3, 16])
     def test_small_blocks_split_rows_and_fold_tallies(self, monkeypatch, block):
-        # Blocks shorter than a row, and more distinct codes than a block,
-        # which the default block size reaches only on huge relations.
+        # Blocks of one row, and more distinct codes than a block, so the
+        # per-block tallies fold; at the default block size both happen only
+        # on huge relations.
         monkeypatch.setattr(distribution_module, "_BLOCK_PAIRS", block)
         rel = random_relation_with_empties(5, n_rows=30, n_attrs=2)
         metric, domain = MetricKind.parse("edit"), LevelDomain(32768)
@@ -183,6 +184,90 @@ class TestBuildAgainstOracle:
         for spec in METRIC_SPECS:
             dist = build_distribution(rel, rel.schema, MetricKind.parse(spec), domain10)
             assert built_counts(dist) == {(9,): 3}
+
+
+def symmetric(upper: np.ndarray) -> np.ndarray:
+    """The int16 symmetric matrix with ``upper``'s upper triangle."""
+    return (np.triu(upper) + np.triu(upper, 1).T).astype(np.int16)
+
+
+def pair_loop_histogram(codes, matrices) -> dict:
+    """Level-vector counts over every pair i < j, one pair at a time."""
+    n = len(codes[0])
+    counts = Counter()
+    for i in range(n):
+        for j in range(i + 1, n):
+            counts[tuple(int(L[col[i], col[j]]) for col, L in zip(codes, matrices))] += 1
+    return dict(counts)
+
+
+@st.composite
+def histogram_inputs(draw):
+    """Row codes into small symmetric level matrices, diagonals included,
+    from 1 to 5 columns: d**m runs from 2 to 2**75."""
+    d = draw(st.sampled_from([2, 3, 10, 32768]))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 40))
+    levels = st.integers(0, d - 1)
+    codes, matrices = [], []
+    for _ in range(m):
+        u = draw(st.integers(1, 6))
+        upper = draw(st.lists(levels, min_size=u * u, max_size=u * u))
+        matrices.append(symmetric(np.array(upper).reshape(u, u)))
+        rows = draw(st.lists(st.integers(0, u - 1), min_size=n, max_size=n))
+        codes.append(np.array(rows, dtype=np.intp))
+    return codes, matrices, d
+
+
+class TestPairHistogram:
+    """The row-block histogram against a pair-by-pair loop."""
+
+    def histogram(self, monkeypatch, codes, matrices, d, block):
+        """``_pair_histogram`` at block size ``block``, as a dict, and the
+        dtypes of the blocks it sorted and tallied."""
+        tallied = []
+        tally = distribution_module._tally
+
+        def recording_tally(keys):
+            tallied.append(keys.dtype)
+            return tally(keys)
+
+        monkeypatch.setattr(distribution_module, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(distribution_module, "_tally", recording_tally)
+        levels, counts = distribution_module._pair_histogram(codes, matrices, d)
+        assert levels.dtype == np.int16 and counts.dtype == np.int64
+        vectors = [tuple(int(v) for v in row) for row in levels]
+        assert vectors == sorted(vectors)
+        return dict(zip(vectors, counts.tolist())), tallied
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=histogram_inputs(), block=st.sampled_from([1, 3, 64, 1 << 15]))
+    def test_equals_the_pair_loop(self, case, block):
+        codes, matrices, d = case
+        with pytest.MonkeyPatch.context() as mp:
+            counts, _ = self.histogram(mp, codes, matrices, d, block)
+        assert counts == pair_loop_histogram(codes, matrices)
+
+    @pytest.mark.parametrize(
+        "d, m, block, dense",
+        [
+            (2, 15, 1 << 15, True),  # d**m == the default _BLOCK_PAIRS
+            (10, 3, 1000, True),  # d**m == _BLOCK_PAIRS
+            (10, 3, 999, False),  # d**m == _BLOCK_PAIRS + 1
+            (32768, 5, 1 << 15, False),  # 2**75: Python-int codes
+        ],
+    )
+    def test_dense_table_up_to_the_block_size(self, monkeypatch, d, m, block, dense):
+        rng = np.random.default_rng(m)
+        matrices = [symmetric(rng.integers(0, d, (5, 5))) for _ in range(m)]
+        codes = [rng.integers(0, 5, 60) for _ in range(m)]
+        counts, tallied = self.histogram(monkeypatch, codes, matrices, d, block)
+        assert counts == pair_loop_histogram(codes, matrices)
+        if dense:
+            assert tallied == []
+        else:
+            wide = d**m > np.iinfo(np.int64).max
+            assert tallied and set(tallied) == {np.dtype(object if wide else np.int64)}
 
 
 COSINE_SPECS = ["cosine-word", *(f"cosine-qgram:{q}" for q in range(1, 5))]
@@ -335,6 +420,22 @@ def test_build_memory_stays_bounded():
         tracemalloc.stop()
     assert dist.pair_total == 2000 * 1999 // 2
     assert peak < 2 * 2**20
+
+
+def test_sort_side_memory_stays_bounded():
+    # 10**6 codes are past the dense limit, where the table and one block's
+    # bincount would take 16 MB; each block is sorted and tallied instead.
+    rel = random_relation(random.Random(1), n_rows=2000, n_attrs=6)
+    metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+    assert domain.d ** 6 > distribution_module._BLOCK_PAIRS
+    tracemalloc.start()
+    try:
+        dist = build_distribution(rel, rel.schema, metric, domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.pair_total == 2000 * 1999 // 2
+    assert peak < 4 * 2**20
 
 
 def test_cosine_matrices_add_no_matrix_sized_temporary():
