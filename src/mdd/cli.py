@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from itertools import repeat
@@ -241,15 +240,12 @@ def _nested(value, indent: int) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent)
 
 
-def _measures(nums, dens) -> tuple[list[str], list[str]]:
-    """repr(float(f)) and str(f) of each f = Fraction(num, den), as the
-    document writes a measure and its exact string. Python's int division
-    is correctly rounded at any size, as float(Fraction) is."""
-    floats, exact = [], []
-    for n, d in zip(nums, dens):
-        g = math.gcd(n, d)
-        floats.append(repr(n / d))
-        exact.append(f"{n // g}/{d // g}" if d != g else str(n // g))
+def _measures(nums: list[int], dens: list[int]) -> tuple[list[str], list[str]]:
+    """repr(float(f)) and str(f) of each f = Fraction(num, den), num and den
+    coprime, as the document writes a measure and its exact string. Python's
+    int division is correctly rounded at any size, as float(Fraction) is."""
+    floats = [repr(n / d) for n, d in zip(nums, dens)]
+    exact = [f"{n}/{d}" if d != 1 else str(n) for n, d in zip(nums, dens)]
     return floats, exact
 
 
@@ -275,9 +271,9 @@ def _rule_entries(rules: _Rules, domain: LevelDomain) -> str:
         "prefix_k": rules.mode.prefix_k,
         "epsilon": None if rules.mode.epsilon is None else str(rules.mode.epsilon),
     }
-    joint = rules.joint.tolist()
-    support, support_exact = _measures(joint, repeat(rules.pair_total))
-    confidence, confidence_exact = _measures(joint, rules.lhs.tolist())
+    support_terms, confidence_terms = rules.measures()
+    support, support_exact = _measures(*support_terms)
+    confidence, confidence_exact = _measures(*confidence_terms)
     fields = zip(
         repeat('    {\n      "confidence": '),
         confidence,

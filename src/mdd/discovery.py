@@ -151,12 +151,22 @@ class _Run:
         )
 
 
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for coprime Python ints with a
+    positive denominator, without the gcd: its two slots written directly,
+    as CPython 3.12's Fraction._from_coprime_ints does."""
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
 @dataclass(frozen=True)
 class _Rules:
     """One run's accepted rules as arrays, in level-tuple order: each rule's
-    flat grid cell over the lattice attributes and its joint and lhs counts,
-    with what every rule of the run shares. Support is joint / pair_total,
-    confidence joint / lhs."""
+    flat grid cell over the lattice attributes and its int64 joint and lhs
+    counts, with what every rule of the run shares. Support is
+    joint / pair_total, confidence joint / lhs."""
 
     attributes: tuple[AttributeId, ...]
     domain: LevelDomain
@@ -172,12 +182,37 @@ class _Rules:
         """Each rule's level on each lattice attribute, one array per attribute."""
         return np.unravel_index(self.cells, (self.domain.d,) * len(self.attributes))
 
+    def measures(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+        """Each rule's support joint / pair_total and confidence joint / lhs
+        in lowest terms, as ((numerators, denominators), (numerators,
+        denominators)) of Python ints. One np.gcd per measure reduces them
+        all; it is exact because a distribution's pair_total, and so every
+        count, is below 2^63."""
+        joint = self.joint
+        reduced = []
+        for den in (np.int64(self.pair_total), self.lhs):
+            g = np.gcd(joint, den)
+            reduced.append(((joint // g).tolist(), (den // g).tolist()))
+        return tuple(reduced)
+
     def mds(self) -> list[DiscoveredMd]:
-        """The rules as DiscoveredMd objects."""
+        """The rules as DiscoveredMd objects, built eagerly from the arrays.
+        The measures come reduced from measures(), so each Fraction is made
+        without a second gcd. Rules share their (attribute, level) entries:
+        each attribute maps the levels present to one tuple each and level 0
+        to None, so a rule's entries are its row with the Nones filtered
+        out, in attribute-index order as the pattern keeps them."""
         attrs = self.attributes
-        # the nonzero levels in attribute-index order, as the pattern keeps them
-        by_index = sorted(range(len(attrs)), key=lambda i: attrs[i].index)
-        levels = zip(*(axis.tolist() for axis in self.levels()))
+        levels = self.levels()
+        columns = []
+        for i in sorted(range(len(attrs)), key=lambda i: attrs[i].index):
+            axis = levels[i].tolist()
+            entry = {level: (attrs[i], level) for level in set(axis)}
+            entry[0] = None
+            columns.append(map(entry.__getitem__, axis))
+        (support_num, support_den), (confidence_num, confidence_den) = self.measures()
+        rhs_pattern, mode, counters = self.rhs_pattern, self.mode, self.counters
+        new_pattern, new_md = ThresholdPattern._trusted, DiscoveredMd._trusted
         results = []
         # Every object made here stays alive, so the cyclic collector's
         # passes over the growing list would find nothing to free.
@@ -185,18 +220,17 @@ class _Rules:
         gc.disable()
         try:
             # the engines build every pattern valid, so the checks are skipped
-            for cand, j, l in zip(levels, self.joint.tolist(), self.lhs.tolist()):
-                pattern = ThresholdPattern._trusted(
-                    tuple((attrs[i], cand[i]) for i in by_index if cand[i])
-                )
+            for row, sn, sd, cn, cd in zip(
+                zip(*columns), support_num, support_den, confidence_num, confidence_den
+            ):
                 results.append(
-                    DiscoveredMd._trusted(
-                        pattern,
-                        self.rhs_pattern,
-                        Fraction(j, self.pair_total),
-                        Fraction(j, l),
-                        self.mode,
-                        self.counters,
+                    new_md(
+                        new_pattern(tuple(filter(None, row))),
+                        rhs_pattern,
+                        _fraction(sn, sd),
+                        _fraction(cn, cd),
+                        mode,
+                        counters,
                     )
                 )
         finally:
@@ -401,9 +435,10 @@ class _StopRule:
         factor = _bound_factor(run.mode.epsilon, run.min_confidence)
         suffix = (run.dist.pair_total - np.cumsum(self.counts)).astype(_exact_dtype(run, factor))
         thresholds = -((-suffix * factor.denominator) // factor.numerator)
-        # no joint mass exceeds pair_total, so a cap at pair_total + 1 changes
-        # no decision and brings every threshold into int64
-        self.thresholds = np.minimum(thresholds, run.dist.pair_total + 1).astype(np.int64)
+        # while unseen mass is left, the joint mass read is below pair_total;
+        # with none left the threshold is 0. So a cap at pair_total changes no
+        # decision and brings every threshold into int64.
+        self.thresholds = np.minimum(thresholds, run.dist.pair_total).astype(np.int64)
         self.thresholds[k - 1] = 0
         # about 4 * sqrt(k) wide, so a cell's bracket masses and its
         # in-bracket test both stay small next to the test over all k

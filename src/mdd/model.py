@@ -324,6 +324,9 @@ class StatDistribution:
         counts = np.array(counts, dtype=np.int64, order="C", copy=True)
         if pair_total <= 0:
             raise ValidationError("pair_total must be positive")
+        # every count sum the engines form (cubes, prefixes) then fits int64
+        if pair_total > np.iinfo(np.int64).max:
+            raise ValidationError("pair_total must be below 2^63")
         # summed in 32-bit halves, so no int64 sum of many large counts wraps
         if (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum()) != pair_total:
             raise ValidationError("record counts must sum to pair_total")

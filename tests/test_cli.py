@@ -51,9 +51,12 @@ def run_subprocess(*argv: str):
     return proc
 
 
-def discover_from_cache(tmp_path, header: str, capsys, lhs="A", rhs="B", row="0,0,1"):
-    """Run discover on a one-record cache with this header and a valid
-    checksum; returns the exit code and the stderr lines."""
+def discover_from_cache(
+    tmp_path, header: str, capsys, lhs="A", rhs="B", row="0,0,1", algorithm="epsc"
+):
+    """Run discover on a cache with this header, the records in ``row`` (one
+    by default) and a valid checksum; returns the exit code and the stderr
+    lines."""
     body = f"#mdd-dist v1 {header} metric=edit fingerprint=x\n{row}\n"
     checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
     cache = tmp_path / "one.dist"
@@ -61,6 +64,7 @@ def discover_from_cache(tmp_path, header: str, capsys, lhs="A", rhs="B", row="0,
     code = main([
         "discover", "--dist", str(cache), "--lhs", lhs, "--rhs", rhs,
         "--rhs-levels", "1", "--min-support", "0.1", "--min-confidence", "0.5",
+        "--algorithm", algorithm,
     ])
     return code, capsys.readouterr().err.strip().splitlines()
 
@@ -367,6 +371,26 @@ class TestValidationAndExitCodes:
         )
         assert code == 3
         assert len(err) == 1 and "one.dist:2: cell outside the int64 range" in err[0]
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # int64 cubes wrapped: exit 0 with "confidence_exact": "1/-2"
+            (2**62, 2**62, 2**62, 2**62),
+            # the all-zero lhs count wrapped to 0: a ZeroDivisionError traceback
+            (2**63 - 1, 2**63 - 1, 2),
+        ],
+    )
+    def test_cache_pairs_beyond_int64_is_io_error(self, tmp_path, capsys, counts):
+        cells = ("0,0", "1,1", "2,0", "2,1") if len(counts) == 4 else ("0,0", "0,1", "1,0")
+        rows = "\n".join(f"{cell},{count}" for cell, count in zip(cells, counts))
+        code, err = discover_from_cache(
+            tmp_path, f"d=3 pairs={2**64} attrs=0:X,1:Y", capsys,
+            lhs="X", rhs="Y", row=rows, algorithm="eps",
+        )
+        assert code == 3
+        assert len(err) == 1
+        assert "invalid distribution payload: pair_total must be below 2^63" in err[0]
 
     def test_cache_level_beyond_int16_is_io_error(self, tmp_path, capsys):
         # 65537 must not wrap to level 1 on the way into int16 storage

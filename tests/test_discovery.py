@@ -9,6 +9,8 @@ engine paths.
 
 import gc
 import itertools
+import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -322,6 +324,32 @@ class TestEps:
         # support of the top candidate is 0.6, above the minimum: nothing fails
         assert result_key(r1) == result_key(r2)
         assert c_eps.records_evaluated == c_ea.records_evaluated
+
+    def test_counts_summing_to_2_64_rejected(self):
+        # int64 cubes of these counts wrap: eps reported X>=2 with confidence
+        # 1/-2 and missed X>=1 (support 1/2, confidence 2/3)
+        vectors = {(0, 0): 2**62, (1, 1): 2**62, (2, 0): 2**62, (2, 1): 2**62}
+        with pytest.raises(ValidationError, match=r"pair_total must be below 2\^63"):
+            dist = make_distribution(vectors, d=3, pair_total=2**64)
+            X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+            eps(dist, fresh_lattice(dist, X), ThresholdPattern.over(Y, [1]), "0.1", "0.5")
+
+    def test_counts_summing_to_the_int64_maximum(self):
+        vectors = {(0, 0): 2**61 - 1, (1, 1): 2**61, (2, 0): 2**61, (2, 1): 2**61}
+        dist = make_distribution(vectors, d=3)
+        total = dist.pair_total
+        assert total == 2**63 - 1
+        X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+        rhs = ThresholdPattern.over(Y, [1])
+        want = [
+            (ThresholdPattern(()), Fraction(2**62, total), Fraction(2**62, total)),
+            (ThresholdPattern.over(X, [1]), Fraction(2**62, total), Fraction(2, 3)),
+            (ThresholdPattern.over(X, [2]), Fraction(2**61, total), Fraction(1, 2)),
+        ]
+        grouped, _ = group_by_rhs(dist, rhs)
+        for engine, target in ((ea, dist), (eps, dist), (epsc, grouped)):
+            mds = engine(target, fresh_lattice(dist, X), rhs, "0.1", "0.5")
+            assert result_key(mds) == want, engine.__name__
 
     @pytest.mark.parametrize("seed", range(10))
     def test_differential_vs_ea(self, seed):
@@ -893,6 +921,18 @@ class TestIndividualStops:
         assert 2 < k < dist.n
         assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
 
+    def test_pair_total_at_the_int64_maximum(self, dominance_block):
+        # the early stop thresholds exceed pair_total here; capped at it,
+        # they all fit int64
+        vectors = {(0, 0): 2**61 - 1, (1, 1): 2**61, (2, 0): 2**61, (2, 1): 2**61}
+        dist = make_distribution(vectors, d=3)
+        assert dist.pair_total == 2**63 - 1
+        X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c, epsilon = Fraction(1, 10), Fraction(1, 2), Fraction(1, 4)
+        assert compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k > 1
+        assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
+
     def test_single_record_prefix_reads_one_record(self, dominance_block):
         # with k = 1 no probe runs: every evaluated candidate reads the one
         # record, and apsi's failures are the candidates it misses
@@ -1106,6 +1146,127 @@ class TestMdsPausesTheCollector:
             rules.mds()
         assert seen == [False, False]
         assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# Building the rule objects in bulk
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rule_arrays(draw):
+    """A _Rules record as an engine could leave it, and each rule's level
+    tuple: lattice attributes in any index order, zero levels, d from 2 to
+    32,768, counts up to 2^63 - 1, and sometimes no rules at all."""
+    m = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 3, 10, 32768]) | st.integers(2, 32768))
+    indices = draw(st.lists(st.integers(0, 40), min_size=m, max_size=m, unique=True))
+    attrs = tuple(AttributeId(i, f"A{i}") for i in indices)
+    level = st.just(0) | st.integers(0, d - 1)
+    tuples = sorted(draw(st.lists(st.tuples(*[level] * m), unique=True, max_size=30)))
+    pair_total = draw(st.sampled_from([1, 6, 2**62, 2**63 - 1]) | st.integers(1, 2**63 - 1))
+    joint, lhs = [], []
+    for _ in tuples:
+        lhs.append(draw(st.integers(1, pair_total)))
+        joint.append(draw(st.integers(1, lhs[-1])))
+    cells = (
+        np.ravel_multi_index(np.array(tuples).T, (d,) * m) if tuples else np.empty(0, np.int64)
+    )
+    mode = draw(
+        st.sampled_from([EvaluationMode.exact(), EvaluationMode.approximate(3, Fraction(1, 9))])
+    )
+    rules = discovery._Rules(
+        attrs,
+        LevelDomain(d),
+        cells,
+        np.array(joint, dtype=np.int64),
+        np.array(lhs, dtype=np.int64),
+        ThresholdPattern.over((AttributeId(99, "R"),), [1]),
+        pair_total,
+        mode,
+        EvalCounters(records_evaluated=len(tuples)),
+    )
+    return rules, tuples
+
+
+class TestBulkRuleBuild:
+    """_Rules.mds() builds its rules from shared entries and measures reduced
+    by one np.gcd; they must equal the rules the public constructors build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rule_arrays())
+    def test_equals_publicly_built_rules(self, case):
+        rules, tuples = case
+        got = rules.mds()
+        assert len(got) == len(tuples)
+        joint, lhs = rules.joint.tolist(), rules.lhs.tolist()
+        for md, levels, j, l in zip(got, tuples, joint, lhs):
+            want = DiscoveredMd(
+                strip_zero_levels(ThresholdPattern.over(rules.attributes, levels)),
+                rules.rhs_pattern,
+                Fraction(j, rules.pair_total),
+                Fraction(j, l),
+                rules.mode,
+                rules.counters,
+            )
+            assert md == want
+            assert hash(md.lhs_pattern) == hash(want.lhs_pattern)
+            assert all(type(level) is int for _, level in md.lhs_pattern.entries)
+            for measure, expected in ((md.support, want.support), (md.confidence, want.confidence)):
+                assert type(measure) is Fraction
+                assert measure.denominator > 0
+                assert math.gcd(measure.numerator, measure.denominator) == 1
+                assert hash(measure) == hash(expected)
+                assert str(measure) == str(expected)
+
+    def test_fraction_slots_are_the_two_terms(self):
+        # _fraction writes these slots; a Python that changes them must fail
+        # here rather than let the library return broken measures
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.integers(1, 2**80),
+        den=st.integers(1, 2**80),
+        other=st.fractions() | st.integers(-(2**70), 2**70),
+    )
+    def test_built_fractions_behave_as_constructed_ones(self, num, den, other):
+        g = math.gcd(num, den)
+        built, public = discovery._fraction(num // g, den // g), Fraction(num, den)
+        assert type(built) is Fraction
+        assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
+        assert built == public and hash(built) == hash(public)
+        assert built + other == public + other
+        assert (built < other, built > other) == (public < other, public > other)
+        assert float(built) == float(public) and str(built) == str(public)
+        restored = pickle.loads(pickle.dumps(built))
+        assert type(restored) is Fraction and restored == public
+
+    def test_kept_memory_per_rule(self):
+        # the rules share their (attribute, level) entries, and no rule gets a
+        # __dict__ of its own: about 500 bytes a rule here, against about 700
+        # with one entry tuple per rule and level
+        rng = random.Random(5)
+        m, d = 5, 5
+        vectors = {
+            tuple(min(rng.randrange(d), rng.randrange(d)) for _ in range(m + 1)): rng.randint(1, 10**4)
+            for _ in range(3000)
+        }
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        request = DiscoveryRequest.build(
+            X, Y, ThresholdPattern.over(Y, [1]), Fraction(1, 10**6), Fraction(1, 100), Algorithm.EPS
+        )
+        rules = discovery._request_rules(dist, request)
+        assert len(rules.cells) > 2000
+        tracemalloc.start()
+        try:
+            mds = rules.mds()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mds) == len(rules.cells)
+        assert kept / len(mds) < 560
 
 
 # ---------------------------------------------------------------------------
