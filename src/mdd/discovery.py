@@ -46,22 +46,22 @@ smaller than L. The stop test is monotone in i (R falls, J_i grows), and a
 dominated candidate never has more joint mass, so stops only rise up the
 lattice. apsi prunes the strict upper set of its failures, the candidates
 that read the whole prefix and miss support. A candidate reads the whole
-prefix iff the test fails at the last probe, record k - 2, so the failures
-are an upper set computed from the joint cubes at k - 1 and k records, and
-apsi evaluates the same closed form as eps: the candidates with no failure
-among their immediate predecessors.
+prefix iff the test fails at record k - 2, so the failures are an upper set
+computed from the joint cubes at k - 1 and k records, and apsi evaluates the
+same closed form as eps: the candidates with no failure among their immediate
+predecessors.
 
 In counts, with f = f_num / f_den, the stop test at record i is the integer
 comparison J_i >= t_i, where t_i = ceil(R_i * f_den / f_num) is computed once
 per record (in Python ints where the product could overflow int64) and
-t_{k-1} = 0 ends every scan. Each evaluated candidate's stop is found in one
-pass over fixed-size blocks of cells, in two steps. Its bracket, a run of
-about 4 * sqrt(k) records in which the test first holds, comes from a
-record-by-cell dominance test over every probed record: |cells| * k * m
-comparisons in all, with temporaries bounded by the block. A dominance test
-over the bracket's own records then finds the stop, and the joint and lhs
-mass there. apsi resolves a few hundred cells on a 10^5 grid; api resolves
-every cell, so its cost grows with k * m * d^m.
+t_{k-1} = 0 ends every scan. The stops are found in one pass over blocks of
+cells, on the prefix packed eight records to a byte: the AND of a cell's
+range-encoded bit rows, level >= t per attribute (Chan and Ioannidis, SIGMOD
+1998), is the records it holds; half-byte mass tables give its joint and lhs
+mass at every byte's end; the test is monotone, so the stop lies in the first
+byte whose last record passes it. That is |cells| * k * m / 8 byte ANDs, with
+temporaries bounded by the block. apsi resolves a few hundred cells on a 10^5
+grid; api resolves every cell, so its cost grows with k * m * d^m.
 
 Decision arithmetic is exact: support minimums and stops become integer count
 thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
@@ -75,7 +75,6 @@ record by record.
 from __future__ import annotations
 
 import gc
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -409,9 +408,11 @@ def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
 # The individual stops of api and apsi
 # ---------------------------------------------------------------------------
 
-# Record-by-cell dominance tests take this many (cell, record) pairs at a
-# time, so their temporaries never grow with |cells| * k.
-_DOMINANCE_BLOCK = 1 << 18
+# The stop pass takes this many (cell, record byte) pairs at a time, so its
+# temporaries never grow with |cells| * k.
+_STOP_BLOCK = 1 << 15
+# _HALF_BYTE_BITS[v, j]: bit j of the half byte v
+_HALF_BYTE_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
 
 class _StopRule:
@@ -421,35 +422,36 @@ class _StopRule:
     bound factor num / den, and otherwise reads all k records. In integers
     that is J_i >= thresholds[i] = ceil(suffix[i] * den / num), computed once
     per record and exact, with thresholds[k - 1] = 0 ending every scan. The
-    thresholds fall as i grows and J_i grows, so cutting the records into
-    brackets and probing the last record of each finds the bracket a candidate
-    stops in. ``bounds`` holds the brackets' prefix lengths; the final bracket
-    is record k - 1 alone."""
+    arrays are padded to whole bytes of records with level -1, count 0 and
+    threshold 0, which no cell holds."""
 
     def __init__(self, run: _Run) -> None:
         k = run.k
-        self.counts = run.dist.counts[:k]
-        self.joint_counts = np.where(run.rhs_mask[:k], self.counts, 0)
+        size = -(-k // 8) * 8
+        # each record's joint and lhs count
+        masses = np.zeros((size, 2), dtype=np.int64)
+        masses[:k, 1] = run.dist.counts[:k]
+        np.multiply(masses[:k, 1], run.rhs_mask[:k], out=masses[:k, 0])
+        self.joint_counts, self.counts = masses.T
         # the lhs levels of the prefix, one contiguous row per attribute
-        self.levels = np.ascontiguousarray(run.dist.levels[:k][:, run.x_cols].T)
+        self.levels = np.full((len(run.x_cols), size), -1, dtype=run.dist.levels.dtype)
+        self.levels[:, :k] = run.dist.levels[:k][:, run.x_cols].T
         factor = _bound_factor(run.mode.epsilon, run.min_confidence)
-        suffix = (run.dist.pair_total - np.cumsum(self.counts)).astype(_exact_dtype(run, factor))
+        suffix = (run.dist.pair_total - np.cumsum(self.counts[:k])).astype(_exact_dtype(run, factor))
         thresholds = -((-suffix * factor.denominator) // factor.numerator)
         # while unseen mass is left, the joint mass read is below pair_total;
         # with none left the threshold is 0. So a cap at pair_total changes no
         # decision and brings every threshold into int64.
-        self.thresholds = np.minimum(thresholds, run.dist.pair_total).astype(np.int64)
-        self.thresholds[k - 1] = 0
-        # about 4 * sqrt(k) wide, so a cell's bracket masses and its
-        # in-bracket test both stay small next to the test over all k
-        step = max(1, math.isqrt(16 * k))
-        probes = [*range(step, k - 1, step), k - 1] if k > 1 else []
-        self.bounds = np.array([0, *probes, k])
+        self.thresholds = np.zeros(size, dtype=np.int64)
+        self.thresholds[: k - 1] = np.minimum(thresholds[: k - 1], run.dist.pair_total)
+        # tables[16 * h + v]: the joint and lhs mass of the records of half
+        # byte h whose bits v sets, at most pair_total
+        self.tables = np.matmul(_HALF_BYTE_BITS, masses.reshape(-1, 4, 2)).reshape(-1, 2)
 
     def failures(self, run: _Run) -> np.ndarray:
         """apsi's failures, the candidates that read the whole prefix and miss
-        the support minimum: an upper set, from the joint cube at the last
-        probe, k - 1 records, and at all k."""
+        the support minimum: an upper set, from the joint cube at k - 1
+        records, the last test before the end, and at all k."""
         k, shape = run.k, _grid(run)
         rhs = run.rhs_mask[: k - 1]
         joint = _upper_set_cube(shape, _record_cells(run, 0, k - 1)[rhs], self.counts[: k - 1][rhs])
@@ -475,33 +477,30 @@ def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
 
 def _stops(run: _Run, rule: _StopRule, cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each cell's stop (the records it reads), and its joint and lhs mass
-    there. A record-by-cell dominance test over every probed record gives the
-    masses at each probe, and so the cell's bracket; a second one over the
-    bracket's own records finds the stop inside it."""
-    levels = np.unravel_index(cells, _grid(run))
-    probed = int(rule.bounds[-2])
-    held = _holds(rule.levels[:, :probed], levels)
-    # the joint and lhs mass where each bracket starts: zero, then the held
-    # mass up to each probe
-    base = np.zeros((2, cells.size, rule.bounds.size - 1), dtype=np.int64)
-    for masses, counts in zip(base, (rule.joint_counts, rule.counts)):
-        sums = np.add.reduceat(held * counts[:probed], rule.bounds[:-2], axis=1)
-        np.cumsum(sums, axis=1, out=masses[:, 1:])
-    # the brackets before a cell's own are the probes it does not stop at
-    bracket = np.count_nonzero(base[0, :, 1:] < rule.thresholds[rule.bounds[1:-1] - 1], axis=1)
+    there. Bit j of byte b is record 8b + j; the rows are built for the
+    levels these cells use."""
+    held = None
+    for row, levels in zip(rule.levels, np.unravel_index(cells, _grid(run))):
+        used = np.flatnonzero(np.bincount(levels)).astype(row.dtype)
+        packed = np.packbits(row >= used[:, None], axis=1, bitorder="little")
+        bits = packed[np.searchsorted(used, levels)]
+        held = bits if held is None else np.bitwise_and(held, bits, out=held)
+    # byte b's low and high half bytes are rows 2b and 2b + 1 of the tables
+    offsets = np.arange(0, rule.tables.shape[0], 16).reshape(-1, 2)
+    masses = np.take(rule.tables, (held & 15) + offsets[:, 0], axis=0)
+    masses += np.take(rule.tables, (held >> 4) + offsets[:, 1], axis=0)
+    np.cumsum(masses, axis=1, out=masses)
+    byte = np.argmax(masses[..., 0] >= rule.thresholds[7::8], axis=1)
     rows = np.arange(cells.size)
-    lo, hi = rule.bounds[bracket], rule.bounds[bracket + 1]
-    record = lo[:, None] + np.arange(int((hi - lo).max()))
-    inside = record < hi[:, None]
-    # past its bracket a row repeats the bracket's last record, held by none
-    np.minimum(record, hi[:, None] - 1, out=record)
-    held = _holds((row[record] for row in rule.levels), levels)
-    held &= inside
-    joint = np.cumsum(held * rule.joint_counts[record], axis=1)
-    joint += base[0, rows, bracket][:, None]
+    before = masses[rows, byte - 1]
+    before[byte == 0] = 0
+    record = 8 * byte[:, None] + np.arange(8)
+    bits = np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")
+    joint = np.cumsum(bits * rule.joint_counts[record], axis=1)
+    joint += before[:, :1]
     first = np.argmax(joint >= rule.thresholds[record], axis=1)
-    lhs = np.cumsum(held * rule.counts[record], axis=1)[rows, first]
-    return record[rows, first] + 1, joint[rows, first], lhs + base[1, rows, bracket]
+    lhs = np.cumsum(bits * rule.counts[record], axis=1)[rows, first]
+    return record[rows, first] + 1, joint[rows, first], lhs + before[:, 1]
 
 
 def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
@@ -516,10 +515,7 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
         cells = np.arange(run.lattice.candidate_count)
     run.counters.candidates_evaluated += cells.size
     joint, lhs = np.empty((2, cells.size), dtype=np.int64)
-    # A bracket lies within the probed records or is the last record alone,
-    # so it is at most max(1, probed) records wide, and a block sized for
-    # the probe test bounds the in-bracket test too.
-    block = max(1, _DOMINANCE_BLOCK // max(1, int(rule.bounds[-2])))
+    block = max(1, _STOP_BLOCK * 8 // rule.thresholds.size)
     for lo in range(0, cells.size, block):
         part = slice(lo, lo + block)
         stop, joint[part], lhs[part] = _stops(run, rule, cells[part])

@@ -1,7 +1,9 @@
 """Core domain types: relations, level domains, statistical distributions,
 threshold patterns, and discovery requests/results.
 
-All types are immutable after construction and safe to share across workers.
+All types are immutable after construction and safe to share across workers,
+except EvalCounters: the rules of one run share that run's mutable
+EvalCounters object, which takes no part in their hash.
 Probabilities are kept as exact integer counts over a pair-total denominator;
 real-valued probabilities are derived on demand, so aggregate arithmetic stays
 bit-stable.
@@ -10,7 +12,7 @@ bit-stable.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -487,7 +489,9 @@ class DiscoveredMd:
     support: Fraction
     confidence: Fraction
     mode: EvaluationMode
-    counters: EvalCounters
+    # shared by every rule of the run and mutable, so it is compared but not
+    # hashed
+    counters: EvalCounters = field(hash=False)
 
     def __post_init__(self) -> None:
         if any(l == 0 for _, l in self.lhs_pattern.items()):

@@ -7,6 +7,7 @@ definitions, with exact rational arithmetic, independent of the vectorized
 engine paths.
 """
 
+import bisect
 import gc
 import itertools
 import math
@@ -888,11 +889,12 @@ def assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon):
 
 @pytest.fixture(params=["default", "one-cell"])
 def dominance_block(request):
-    """Run api/apsi with their default dominance-test block, or with blocks
-    of a single cell, so every block boundary is crossed."""
+    """Run api/apsi with their default stop-pass block (_STOP_BLOCK cell and
+    record-byte pairs), or with blocks of a single cell, so every block
+    boundary is crossed."""
     with pytest.MonkeyPatch.context() as patch:
         if request.param == "one-cell":
-            patch.setattr(discovery, "_DOMINANCE_BLOCK", 1)
+            patch.setattr(discovery, "_STOP_BLOCK", 1)
         yield request.param
 
 
@@ -934,8 +936,9 @@ class TestIndividualStops:
         assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
 
     def test_single_record_prefix_reads_one_record(self, dominance_block):
-        # with k = 1 no probe runs: every evaluated candidate reads the one
-        # record, and apsi's failures are the candidates it misses
+        # with k = 1 the one record's threshold, 0, ends every scan: every
+        # evaluated candidate reads it, and apsi's failures are the
+        # candidates it misses
         dist = make_distribution({(2, 1, 1): 10**6, (0, 0, 1): 3, (1, 2, 0): 2}, d=3)
         X, Y = dist.attribute_set[:2], dist.attribute_set[2:]
         rhs = ThresholdPattern.over(Y, [1])
@@ -951,6 +954,130 @@ class TestIndividualStops:
         # and prunes the other two
         assert c_apsi.records_evaluated == c_apsi.candidates_evaluated == 7
         assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
+
+    @pytest.mark.parametrize("k", range(1, 18))
+    def test_every_fill_of_the_last_record_byte(self, dominance_block, k):
+        # the stop pass packs the prefix eight records to a byte and pads the
+        # last one: k = 1..17 covers every fill of that byte, a prefix of one
+        # record, one whole byte (k = 8) and one byte and a record (k = 9)
+        rng = random.Random(1300 + k)
+        m, d = 2, 4
+        vectors = rng.sample(list(itertools.product(range(d), repeat=m + 1)), k)
+        dist = make_distribution({v: rng.randint(50, 100) for v in vectors}, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c, epsilon = Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2)
+        assert compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k == k
+        assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon)
+
+    def test_one_attribute_over_the_largest_domain(self):
+        # m = 1, d = 32,768. The candidates between two neighbouring record
+        # levels hold the same records, so simulate_api runs on the domain
+        # compressed to the record levels (candidate t becomes the number of
+        # record levels below t), and every t takes its class's stop and
+        # measures. api's 32,768 cells take two default blocks here.
+        d = 32768
+        record_levels = [0, 1, 255, 256, 4095, 20000, 32766, 32767]
+        rng = random.Random(17)
+        counts = rng.sample(range(50, 100), 2 * len(record_levels))
+        vectors = {
+            (level, rhs_level): counts.pop()
+            for level in record_levels
+            for rhs_level in (0, 1)
+            if rng.random() < 0.8
+        }
+        dist = make_distribution(vectors, d)
+        classes = make_distribution(
+            {(record_levels.index(v[0]), v[1]): c for v, c in vectors.items()},
+            len(record_levels) + 1,
+        )
+        eta_s, eta_c, epsilon = Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2)
+        sdist, sclasses = sort_by_probability_desc(dist), sort_by_probability_desc(classes)
+        X, rhs = dist.attribute_set[:1], ThresholdPattern.over(dist.attribute_set[1:], [1])
+        Xc, rhs_c = classes.attribute_set[:1], ThresholdPattern.over(classes.attribute_set[1:], [1])
+        stops, k = simulate_api_stops(sclasses, Xc, rhs_c, eta_s, eta_c, epsilon)
+        assert k == dist.n > 8
+        measures = {}
+        for (cls,), stop in stops.items():
+            joint, lhs = fold(sclasses, ThresholdPattern.over(Xc, [cls]), rhs_c, upto=stop)
+            failed = stop == k and Fraction(joint, dist.pair_total) < eta_s
+            measures[cls] = joint, lhs, failed
+        # apsi evaluates every candidate up to the first failure
+        cls_of = [bisect.bisect_left(record_levels, t) for t in range(d)]
+        first_failure = next((t for t in range(d) if measures[cls_of[t]][2]), d - 1)
+        for engine, evaluated in ((api, d), (apsi, first_failure + 1)):
+            counters = EvalCounters()
+            mds = engine(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
+            rules = []
+            for t in range(evaluated):
+                joint, lhs, _ = measures[cls_of[t]]
+                support = Fraction(joint, dist.pair_total)
+                if support >= eta_s and Fraction(joint, lhs) >= eta_c:
+                    pattern = strip_zero_levels(ThresholdPattern.over(X, [t]))
+                    rules.append((pattern, support, Fraction(joint, lhs)))
+            assert result_key(mds) == rules, engine.__name__
+            assert counters == EvalCounters(
+                records_evaluated=sum(stops[(cls_of[t],)] for t in range(evaluated)),
+                candidates_evaluated=evaluated,
+                candidates_pruned_support=d - evaluated,
+                candidates_total=d,
+            ), engine.__name__
+
+
+class TestStopPassMemory:
+    """The stop pass builds its bit rows and masses a block of cells at a
+    time, so its temporaries are bounded by the block, not by |cells| * k."""
+
+    def _peak(self, algorithm, dist, X, rhs, eta_s, eta_c, epsilon):
+        """The traced peak of one scan, up to its rule arrays: the rule
+        objects would add about 500 bytes a rule."""
+        sdist, lattice = sort_by_probability_desc(dist), fresh_lattice(dist, X)
+        tracemalloc.start()
+        try:
+            discovery._rules(algorithm, sdist, lattice, rhs, eta_s, eta_c, epsilon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_apsi_temporaries_on_a_seeded_grid(self):
+        # m = 5, d = 10: 10^5 candidates over k = 2,676 records, of which
+        # apsi resolves 9,874 cells; their masses at every record byte at
+        # once would take 9,874 * 335 * 16 bytes, about 53 MB
+        rng = np.random.default_rng(13)
+        m, d, n = 5, 10, 3000
+        levels = np.minimum(rng.geometric(0.35, (n, m + 1)) - 1, d - 1)
+        vectors = {tuple(row): int(c) for row, c in zip(levels.tolist(), rng.integers(50, 100, n))}
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c, epsilon = Fraction(1, 500), Fraction(1, 4), Fraction(1, 2)
+        sdist = sort_by_probability_desc(dist)
+        k = compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k
+        counters = EvalCounters()
+        apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
+        cells = counters.candidates_evaluated
+        assert cells * -(-k // 8) > 50 * discovery._STOP_BLOCK
+        peak = self._peak(Algorithm.APSI, dist, X, rhs, eta_s, eta_c, epsilon)
+        # the failures' int64 cube and its masks, about 130 bytes a record
+        # (the sorted copy, the thresholds and the half-byte tables), and
+        # about 40 bytes per (cell, record byte) pair of one block
+        assert peak <= 12 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
+
+    def test_bit_rows_per_block_over_the_largest_domain(self):
+        # m = 1, d = 32,768 over k = 1,024 records: the rows of every level
+        # at once would take a 32 MB comparison; a block's rows take a few
+        # hundred kB
+        rng = random.Random(19)
+        d, n = 32768, 1024
+        vectors = {(rng.randrange(d), y): rng.randint(50, 100) for y in range(n)}
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:1], dist.attribute_set[1:]
+        rhs = ThresholdPattern.over(Y, [0])
+        eta_s, eta_c, epsilon = Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2)
+        assert compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k == n
+        peak = self._peak(Algorithm.API, dist, X, rhs, eta_s, eta_c, epsilon)
+        assert peak <= 64 * d + 130 * n + 48 * discovery._STOP_BLOCK, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1204,7 @@ class TestRunRequest:
                     pattern, md.rhs_pattern, md.support, md.confidence, md.mode, md.counters
                 )
                 assert public == md
+                assert hash(public) == hash(md)
         md = mds[0]
         with pytest.raises(ValidationError):
             DiscoveredMd(
@@ -1209,7 +1337,7 @@ class TestBulkRuleBuild:
                 rules.mode,
                 rules.counters,
             )
-            assert md == want
+            assert md == want and hash(md) == hash(want)
             assert hash(md.lhs_pattern) == hash(want.lhs_pattern)
             assert all(type(level) is int for _, level in md.lhs_pattern.entries)
             for measure, expected in ((md.support, want.support), (md.confidence, want.confidence)):

@@ -13,7 +13,10 @@ from hypothesis import given, strategies as st
 from mdd import (
     Algorithm,
     AttributeId,
+    DiscoveredMd,
     DiscoveryRequest,
+    EvalCounters,
+    EvaluationMode,
     LevelDomain,
     Relation,
     ThresholdPattern,
@@ -109,6 +112,35 @@ class TestThresholdPattern:
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(ValidationError):
             ThresholdPattern(((A[0], 1), (A[0], 2)))
+
+
+class TestDiscoveredMd:
+    def _md(self, counters, support=Fraction(1, 4)):
+        return DiscoveredMd(
+            ThresholdPattern.of({A[0]: 2, A[1]: 1}),
+            ThresholdPattern.of({A[2]: 3}),
+            support,
+            Fraction(1, 2),
+            EvaluationMode.approximate(7, Fraction(1, 3)),
+            counters,
+        )
+
+    def test_equal_rules_hash_equal(self):
+        md = self._md(EvalCounters(records_evaluated=5))
+        twin = self._md(EvalCounters(records_evaluated=5))
+        assert md == twin and hash(md) == hash(twin)
+        assert len({md, twin}) == 1
+        assert self._md(EvalCounters(records_evaluated=5), Fraction(1, 5)) != md
+
+    def test_counters_compared_but_not_hashed(self):
+        # the rules of one run share one mutable counters object, so a change
+        # to it must not change their hash
+        shared = EvalCounters(records_evaluated=5)
+        md = self._md(shared)
+        before = hash(md)
+        shared.records_evaluated += 1
+        assert hash(md) == before
+        assert md != self._md(EvalCounters(records_evaluated=5))
 
 
 class TestRelation:
