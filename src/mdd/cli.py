@@ -59,7 +59,7 @@ VERIFY_MAX_CANDIDATES = 10_000
 
 def _read_csv(path: str) -> Relation:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -456,7 +456,7 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="worker processes that fill the edit level matrices (capped at the CPU count)",
+        help="ignored, but must be >= 1: the build runs in one process (kept for compatibility)",
     )
 
 

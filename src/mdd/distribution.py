@@ -10,15 +10,14 @@ value pair however often the pair recurs. The pairs themselves are then
 counted a block of rows at a time: each pair's levels are looked up in the
 matrices and folded into one mixed-radix code, and the codes are counted in
 one dense table where there are few of them, or sorted and tallied per block
-where there are many. The records come out sorted by level vector. Filling
-the matrices may be spread over worker processes; the matrices, and so the
-result, do not depend on scheduling.
+where there are many. The records come out sorted by level vector. The
+matrices are computed in numpy in one process, many value pairs to an
+operation, and equal the per-pair metric's levels bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import urllib.parse
 from array import array
 from typing import Sequence
@@ -46,6 +45,7 @@ from .simkit import (
     profile,
     profile_similarity,
     resolve_metrics,
+    similarity,
 )
 
 _FORMAT_TAG = "#mdd-dist"
@@ -87,40 +87,18 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
 # peak RSS. Up to this many distinct codes (d**m) the pairs are counted into
 # a dense int64 table, as large as a block; beyond it a table and each
 # block's bincount would grow with d**m, so each block is sorted in place
-# instead. A cosine level matrix is computed over blocks of this many
-# distinct-value pairs too.
+# instead. The cosine and edit level matrices are computed over blocks of
+# about this many distinct-value pairs too.
 _BLOCK_PAIRS = 1 << 15
 
 
-def _pair_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split first-index ranges so each chunk covers roughly equal pair counts."""
-    total = n * (n - 1) // 2
-    target = total / workers
-    ranges = []
-    start = 0
-    covered = 0
-    for w in range(workers - 1):
-        goal = (w + 1) * target
-        end = start
-        while end < n - 1 and covered < goal:
-            covered += n - 1 - end
-            end += 1
-        ranges.append((start, end))
-        start = end
-    ranges.append((start, n - 1))
-    return [(a, b) for a, b in ranges if a < b]
-
-
-def _fill_rows(
-    values: Sequence[str], metric: MetricKind, domain: LevelDomain, rows: int
-) -> np.ndarray:
-    """Levels of the first ``rows`` values against every later value:
-    ``out[r, c]`` for ``c > r``, zero elsewhere. ``values`` are sorted, so
-    the metric sees each pair as (smaller, larger)."""
+def _fill_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
+    """Levels of every value against every later value: ``out[r, c]`` for
+    ``c > r``, zero elsewhere. ``values`` are sorted, so the metric sees each
+    pair as (smaller, larger). The per-pair reference for the numpy kernels."""
     profiles = [profile(v, metric) for v in values]
-    out = np.zeros((rows, len(values)), dtype=np.int16)
-    for r in range(rows):
-        left = profiles[r]
+    out = np.zeros((len(values),) * 2, dtype=np.int16)
+    for r, left in enumerate(profiles):
         out[r, r + 1 :] = [
             discretize(profile_similarity(left, right, metric), domain)
             for right in profiles[r + 1 :]
@@ -131,10 +109,9 @@ def _fill_rows(
 def _cosine_rows(
     values: Sequence[str], metric: MetricKind, domain: LevelDomain
 ) -> np.ndarray | None:
-    """``_fill_rows(values, metric, domain, len(values))`` for a cosine
-    metric, computed over posting lists; None when the squared norms reach
-    ``max(sq)**2 >= 2**53``, where float64 no longer follows the scalar path
-    exactly.
+    """``_fill_rows(values, metric, domain)`` for a cosine metric, computed
+    over posting lists; None when the squared norms reach ``max(sq)**2 >=
+    2**53``, where float64 no longer follows the scalar path exactly.
 
     Each token's posting list holds the values that contain it, ascending,
     with their counts. Every later entry of a list adds ``c_i * c_j`` to the
@@ -223,9 +200,78 @@ def _cosine_rows(
     return out
 
 
-def _mirror(matrix: np.ndarray, diagonal: int) -> None:
-    """Copy the upper triangle onto the lower one and set the diagonal, a
-    block of rows at a time, so no ``u x u`` temporary is made."""
+_LOW_BITS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
+
+
+def _edit_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
+    """``_fill_rows(values, metric, domain)`` for ``edit``: ``simkit._myers``
+    in numpy, one uint64 lane per pair of values (Myers, JACM 1999; many
+    pairs to an operation as in Hyyro, Fredriksson & Navarro, ACM JEA 2005).
+
+    The row's value is the pattern, the later value the text. Blocks of
+    ``w = _BLOCK_PAIRS // max(u, sigma)`` rows share a ``w x sigma`` table
+    of their patterns' character bits, for the column's ``sigma`` characters, and
+    sort their pairs longest text first, so the lanes still reading at text
+    position ``t`` are a prefix. No step masks the bits above a pattern's
+    length, as they never reach those below: the distance is ``len(text) +
+    popcount(pv) - popcount(mv)`` over the pattern's bits, so ``len(text)``
+    for an empty pattern. Pairs with a value longer than 64 characters after
+    ``.lower()`` take the scalar metric.
+    """
+    u = len(values)
+    lowered = [v.lower() for v in values]
+    lengths = np.array([len(s) for s in lowered], dtype=np.intp)
+    short = lengths <= 64
+    points = "".join(s[:64].ljust(64, "\0") for s in lowered).encode("utf-32-le", "surrogatepass")
+    _, text = np.unique(np.frombuffer(points, dtype=np.uint32), return_inverse=True)
+    text = text.astype(np.int32).reshape(u, 64).T.copy()  # text[t, k]: character t of value k
+    sigma = int(text.max()) + 1
+    out = np.zeros((u, u), dtype=np.int16)
+    step = max(1, _BLOCK_PAIRS // max(u, sigma))
+    for lo in range(0, u - 1, step):
+        hi = min(u - 1, lo + step)
+        rows = np.arange(hi - lo) * sigma
+        peq = np.zeros((hi - lo) * sigma, dtype=np.uint64)
+        for i in range(64):
+            peq[(rows + text[i, lo:hi])[lengths[lo:hi] > i]] |= np.uint64(1 << i)
+        cells = np.flatnonzero(np.triu(short[lo:hi, None] & short, lo + 1))
+        cells = cells[np.argsort(-lengths[cells % u])]
+        row, col = np.divmod(cells, u)
+        tlen, base = lengths[col], rows[row]
+        pv = np.full(len(cells), ~np.uint64(0))
+        mv = np.zeros_like(pv)
+        for t, k in enumerate(np.searchsorted(-tlen, -np.arange(tlen.max(initial=0)))):
+            p, m = pv[:k], mv[:k]
+            eq = peq.take(text[t].take(col[:k]) + base[:k])
+            xv = eq | m
+            xh = (((eq & p) + p) ^ p) | eq
+            ph = m | ~(xh | p)
+            mh = p & xh
+            ph = (ph << 1) | 1  # row 0 of the DP is 0, 1, 2, ...
+            mv[:k] = ph & xv
+            pv[:k] = (mh << 1) | ~(xv | ph)
+        width = lengths[lo + row]
+        dist = np.bitwise_count(pv & _LOW_BITS[width]) + tlen - np.bitwise_count(mv)
+        # 1.0 - dist / len(longer), then discretize: simkit's float64 order
+        sim = 1.0 - dist / np.maximum(width, tlen)
+        out[lo:hi].reshape(-1)[cells] = np.floor(sim * domain.max_level + 0.5)
+        del cells, row, col, tlen, base, pv, mv, width, dist, sim  # before the next block allocates
+
+    for k in np.flatnonzero(~short):
+        levels = [discretize(similarity(values[k], v, metric), domain) for v in values]
+        out[:k, k], out[k, k + 1 :] = levels[:k], levels[k + 1 :]
+    return out
+
+
+def _level_matrix(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
+    """The symmetric ``u x u`` int16 level matrix of a column's distinct
+    values: the upper triangle from ``_edit_rows``, ``_cosine_rows`` or, past
+    the cosine kernel's exact range, ``_fill_rows``, copied onto the lower
+    one a block of rows at a time, so no ``u x u`` temporary is made."""
+    kernel = _edit_rows if metric.kind == EDIT else _cosine_rows
+    matrix = kernel(values, metric, domain)
+    if matrix is None:
+        matrix = _fill_rows(values, metric, domain)
     u = len(matrix)
     step = max(1, _BLOCK_PAIRS // u)
     for lo in range(0, u, step):
@@ -234,51 +280,8 @@ def _mirror(matrix: np.ndarray, diagonal: int) -> None:
         square = matrix[lo:hi, lo:hi]
         square += square.T
     # Identical strings have similarity 1 under every metric.
-    np.fill_diagonal(matrix, diagonal)
-
-
-def _level_matrices(
-    distinct: Sequence[Sequence[str]],
-    metrics: Sequence[MetricKind],
-    domain: LevelDomain,
-    workers: int,
-) -> list[np.ndarray]:
-    """One symmetric ``u x u`` int16 level matrix per column of distinct
-    values. Cosine columns go through ``_cosine_rows``; the rest through
-    ``_fill_rows``, whose upper triangles, with ``workers > 1``, are filled
-    by a process pool, split into row ranges of about equal pair counts."""
-    matrices = [
-        None if metric.kind == EDIT else _cosine_rows(values, metric, domain)
-        for values, metric in zip(distinct, metrics)
-    ]
-    scalar = [c for c, matrix in enumerate(matrices) if matrix is None]
-    for c in scalar:
-        matrices[c] = np.zeros((len(distinct[c]),) * 2, dtype=np.int16)
-    rows_to_fill = sum(len(distinct[c]) - 1 for c in scalar)
-    workers = min(workers, os.cpu_count() or 1, rows_to_fill)
-    if workers <= 1:
-        for c in scalar:
-            u = len(distinct[c])
-            matrices[c][: u - 1] = _fill_rows(distinct[c], metrics[c], domain, u - 1)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [
-            (c, lo, hi) for c in scalar for lo, hi in _pair_ranges(len(distinct[c]), workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(
-                _fill_rows,
-                [distinct[c][lo:] for c, lo, _ in tasks],
-                [metrics[c] for c, _, _ in tasks],
-                [domain] * len(tasks),
-                [hi - lo for _, lo, hi in tasks],
-            )
-            for (c, lo, hi), block in zip(tasks, blocks):
-                matrices[c][lo:hi, lo:] = block
-    for matrix in matrices:
-        _mirror(matrix, domain.max_level)
-    return matrices
+    np.fill_diagonal(matrix, domain.max_level)
+    return matrix
 
 
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,11 +383,8 @@ def build_distribution(
     pair into a statistical distribution over ``attrs``.
 
     Attributes outside ``attrs`` never enter the records, which is equivalent
-    to marginalizing them away up front. ``workers > 1`` spreads the
-    per-pair metric calls over that many processes, capped at the CPU count
-    and at the matrix rows they fill: those of ``edit`` columns, and of cosine
-    columns whose counts are too large for the exact numpy path. A build
-    whose columns are all cosine starts no pool.
+    to marginalizing them away up front. ``workers`` must be at least 1 and
+    changes nothing: the build runs in one process.
     """
     attrs = tuple(dict.fromkeys(attrs))
     if not attrs:
@@ -398,15 +398,13 @@ def build_distribution(
         raise ValidationError("workers must be >= 1")
 
     per_attr = resolve_metrics(attrs, metrics)
-    distinct, codes = [], []
-    for a in attrs:
+    matrices, codes = [], []
+    for a, metric in zip(attrs, per_attr):
         column = relation.column(a)
         values = sorted(set(column))
         index = {v: k for k, v in enumerate(values)}
-        distinct.append(values)
+        matrices.append(_level_matrix(values, metric, domain))
         codes.append(np.fromiter((index[v] for v in column), dtype=np.intp, count=n))
-
-    matrices = _level_matrices(distinct, per_attr, domain, workers)
     levels, counts = _pair_histogram(codes, matrices, domain.d)
     return StatDistribution(
         attrs,

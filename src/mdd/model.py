@@ -1,9 +1,9 @@
 """Core domain types: relations, level domains, statistical distributions,
 threshold patterns, and discovery requests/results.
 
-All types are immutable after construction and safe to share across workers,
-except EvalCounters: the rules of one run share that run's mutable
-EvalCounters object, which takes no part in their hash.
+All types are immutable after construction, except EvalCounters: the rules
+of one run share that run's mutable EvalCounters object, which takes no part
+in their hash.
 Probabilities are kept as exact integer counts over a pair-total denominator;
 real-valued probabilities are derived on demand, so aggregate arithmetic stays
 bit-stable.

@@ -148,6 +148,7 @@ def _myers(masks: dict[str, int], m: int, text: str) -> int:
     formulation for global distance): bit i of ``pv``/``mv`` says whether the
     current DP column rises or falls by one between rows i and i+1. Python
     integers hold the whole column, so any pattern length is exact.
+    Keep in step with distribution._edit_rows, its numpy form over value pairs.
     """
     if m == 0:
         return len(text)

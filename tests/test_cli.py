@@ -284,6 +284,18 @@ class TestValidationAndExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["distribution", "discover"])
+    def test_threads_below_one_rejected(self, tmp_path, command, capsys):
+        # --threads changes nothing, but must still be at least 1
+        if command == "distribution":
+            argv = ["distribution", "--input", CONTACTS, "--attrs", "SIN,Name",
+                    "--out", str(tmp_path / "c.dist")]
+        else:
+            argv = DISCOVER_BASE
+        code = main([*argv, "--metric", "edit", "--threads", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["error: workers must be >= 1"]
+
     def test_bad_epsilon_range(self, capsys):
         code, _ = run_cli(
             *DISCOVER_BASE, "--algorithm", "ap", "--epsilon", "0.5",
@@ -556,6 +568,24 @@ class TestDistributionCommand:
         doc = json.loads(out)
         assert any(md["support_exact"] == "4/15" for md in doc["mds"])
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, capsys):
+        # SIN is the first header name, so a kept mark would make it unknown
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(CONTACTS).read_bytes())
+        outputs = []
+        for i, source in enumerate((CONTACTS, str(bom))):
+            cache = tmp_path / f"c{i}.dist"
+            code, out = run_cli(
+                "distribution", "--input", source, "--attrs", "SIN,Name",
+                "--out", str(cache), capsys=capsys,
+            )
+            assert code == 0
+            assert out.endswith(f" out={cache}\n")
+            code, doc = run_cli(*DISCOVER_BASE[:2], source, *DISCOVER_BASE[3:], capsys=capsys)
+            assert code == 0
+            outputs.append((out[: -len(str(cache)) - 1], cache.read_bytes(), doc))
+        assert outputs[0] == outputs[1]
+
 
 class TestJsonRoundTrip:
     def test_reported_measures_reverify_against_oracle(self, capsys):
@@ -648,7 +678,7 @@ class TestDeterminism:
         assert files[0] == files[1]
 
     def test_edit_cache_files_identical_across_threads(self, tmp_path):
-        # cosine matrices are built without the pool; edit ones use it
+        # --threads is accepted and changes nothing
         files = []
         for i, threads in enumerate(("1", "2")):
             out = tmp_path / f"e{i}.dist"

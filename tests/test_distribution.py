@@ -1,11 +1,14 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
-import concurrent.futures
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,7 +297,7 @@ def cosine_values(draw):
 
 
 def scalar_rows(values, metric, domain) -> np.ndarray:
-    return distribution_module._fill_rows(values, metric, domain, len(values))
+    return distribution_module._fill_rows(values, metric, domain)
 
 
 class TestCosineRows:
@@ -319,20 +322,14 @@ class TestCosineRows:
         assert fast.dtype == slow.dtype == np.int16
         assert fast.tobytes() == slow.tobytes()
 
-    def test_counts_beyond_float64_fall_back_to_the_scalar_path(self, recording_pool):
+    def test_counts_beyond_float64_fall_back_to_the_scalar_path(self):
         # 60,000 repeats: sq = 3.6e9, so sq_a * sq_b and dot * dot pass 2**63
         # and an int64 kernel would wrap; the scalar path stays exact.
         values = sorted(["a " * 60_000, "a " * 60_001 + "b", "a", "a b", "!!"])
         metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
-        matrix = distribution_module._level_matrices([values], [metric], domain, 1)[0]
+        matrix = distribution_module._level_matrix(values, metric, domain)
         assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
         assert distribution_module._cosine_rows(values, metric, domain) is None
-        # the fallback column is the pool's to fill
-        recording_pool(64)
-        rel = Relation.from_rows(["v"], [(v,) for v in values])
-        dist = build_distribution(rel, rel.schema, metric, domain, workers=2)
-        assert _RecordingPool.sizes == [2] and _RecordingPool.specs == {"cosine-word"}
-        assert dist == build_distribution(rel, rel.schema, metric, domain)
 
     def test_guard_starts_at_2_pow_53(self):
         metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
@@ -342,69 +339,105 @@ class TestCosineRows:
         assert distribution_module._cosine_rows(["a " * 9_742, "b"], metric, domain) is None
 
 
-class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its size and
-    the metrics of the tasks it runs."""
-
-    sizes: list = []
-    specs: set = set()
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, values, metrics, *iterables):
-        self.specs.update(m.spec() for m in metrics)
-        return map(fn, values, metrics, *iterables)
+# "\u0130" lowercases to two code points, "\u1e9e" to "\u00df"; "\x00" is
+# also the kernel's padding character.
+EDIT_ALPHABET = "aAbBz \u0130\u00df\u1e9e\u4e2d\x00"
 
 
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """Swap the process pool for _RecordingPool; returns a setter for the
-    CPU count the build sees."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "specs", set())
-    return lambda cpus: monkeypatch.setattr(distribution_module.os, "cpu_count", lambda: cpus)
-
-
-class TestWorkerPool:
-    # 7 and 5 distinct values: 6 + 4 matrix rows to fill.
-    REL = Relation.from_rows(["a", "b"], [(f"v{i % 7}", f"w {i % 5}") for i in range(14)])
-
-    @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(8, 3, 3), (2, 64, 2), (64, 64, 10), (8, None, None), (1, 64, None)],
+@st.composite
+def edit_values(draw):
+    """Sorted distinct strings: empty ones, case variants, non-ASCII case
+    pairs, and lengths around the 64-character lane, before and after
+    ``.lower()`` ("\u0130" * 32 lowercases to 64 characters, "\u0130" * 33
+    to 66)."""
+    strings = st.one_of(
+        st.sampled_from(["", "a", "A", "ab", "\u0130", "i\u0307", "\u00df", "SS", "\u1e9e"]),
+        st.text(EDIT_ALPHABET, max_size=12),
+        st.builds(
+            lambda part, length, tail: (part * length)[:length] + tail,
+            st.sampled_from(["a", "Ab", "ab\u00df", "\u0130"]),
+            st.sampled_from([63, 64, 65, 70]),
+            st.sampled_from(["", "b", "Z"]),
+        ),
+        st.builds(lambda times: "\u0130" * times, st.sampled_from([31, 32, 33])),
     )
-    def test_pool_capped_by_cpus_and_rows(self, recording_pool, workers, cpus, expected):
-        recording_pool(cpus)
-        rel, metric, domain = self.REL, MetricKind.parse("edit"), LevelDomain(10)
-        dist = build_distribution(rel, rel.schema, metric, domain, workers=workers)
-        assert _RecordingPool.sizes == ([] if expected is None else [expected])
-        assert dist == build_distribution(rel, rel.schema, metric, domain)
+    return sorted(set(draw(st.lists(strings, min_size=1, max_size=30))))
 
-    @pytest.mark.parametrize("workers, expected", [(2, 2), (64, 6)])
-    def test_pool_sized_by_the_edit_rows_alone(self, recording_pool, workers, expected):
-        recording_pool(64)
-        rel, domain = self.REL, LevelDomain(10)
-        a, b = rel.schema
-        metrics = {a: MetricKind.parse("edit"), b: MetricKind.parse("cosine-word")}
-        dist = build_distribution(rel, rel.schema, metrics, domain, workers=workers)
-        assert _RecordingPool.sizes == [expected]
-        assert _RecordingPool.specs == {"edit"}
-        assert dist == build_distribution(rel, rel.schema, metrics, domain)
 
-    def test_cosine_only_build_starts_no_pool(self, recording_pool):
-        recording_pool(64)
-        rel, metric, domain = self.REL, MetricKind.parse("cosine-qgram:2"), LevelDomain(10)
-        dist = build_distribution(rel, rel.schema, metric, domain, workers=8)
-        assert _RecordingPool.sizes == []
-        assert dist == build_distribution(rel, rel.schema, metric, domain)
+class TestEditRows:
+    """The bit-parallel edit kernel against the per-pair scalar path."""
+
+    @settings(max_examples=300, deadline=None)
+    # an empty pattern against one character: distance 1, level 0 of 101
+    @example(values=["", "a", "A"], d=101, block=1)
+    # 65 characters take the scalar metric, 64 the lanes
+    @example(values=["a" * 63 + "b", "a" * 64 + "b", "a" * 64], d=101, block=1 << 15)
+    @given(
+        values=edit_values(),
+        d=st.sampled_from([2, 3, 10, 101]),
+        block=st.sampled_from([1, 3, 64, 1 << 15]),
+    )
+    def test_equals_the_scalar_path_byte_for_byte(self, values, d, block):
+        metric, domain = MetricKind.parse("edit"), LevelDomain(d)
+        # small blocks split the rows, down to one a block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distribution_module, "_BLOCK_PAIRS", block)
+            fast = distribution_module._edit_rows(values, metric, domain)
+        slow = scalar_rows(values, metric, domain)
+        assert fast.dtype == slow.dtype == np.int16
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 101])
+    def test_empty_value_is_as_far_as_the_other_is_long(self, d):
+        # distance len(text), similarity 0: level 0 against every value
+        values = ["", "a", "ab", "x" * 64]
+        metric, domain = MetricKind.parse("edit"), LevelDomain(d)
+        fast = distribution_module._edit_rows(values, metric, domain)
+        assert fast[0].tolist() == [0, 0, 0, 0]
+        assert fast.tobytes() == scalar_rows(values, metric, domain).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 101])
+    def test_values_past_64_characters_take_the_scalar_path(self, d):
+        # "\u0130" * 33 has 33 characters but 66 after .lower()
+        values = sorted(["a" * 64, "a" * 65, "a" * 70 + "b", "\u0130" * 33, "i\u0307" * 32, "ab"])
+        metric, domain = MetricKind.parse("edit"), LevelDomain(d)
+        fast = distribution_module._edit_rows(values, metric, domain)
+        assert fast.tobytes() == scalar_rows(values, metric, domain).tobytes()
+
+    def test_memory_is_the_matrix_and_a_few_blocks(self):
+        # 2,000 values over 1,000 characters: a block is 16 rows, so its peq
+        # table is 16 x 1,000 lanes; a u x sigma table would take 16 MB.
+        rng = random.Random(1)
+        values = set()
+        while len(values) < 2000:
+            values.add("".join(chr(0x4E00 + rng.randrange(1000)) for _ in range(rng.randint(1, 20))))
+        values = sorted(values)
+        assert len({ch for v in values for ch in v}) == 1000
+        metric, domain = MetricKind.parse("edit"), LevelDomain(10)
+        tracemalloc.start()
+        try:
+            matrix = distribution_module._edit_rows(values, metric, domain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes == 2000 * 2000 * 2
+        assert peak < matrix.nbytes + 5 * 2**20
+
+    def test_edit_build_runs_in_one_process_at_any_worker_count(self):
+        code = (
+            "import sys\n"
+            "from mdd import LevelDomain, MetricKind, Relation, build_distribution\n"
+            "rel = Relation.from_rows(['a'], [(f'v{i}',) for i in range(50)])\n"
+            "build_distribution(rel, rel.schema, MetricKind.parse('edit'), LevelDomain(10), workers=4)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))\n"
+        )
+        src = str(Path(distribution_module.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 def test_build_memory_stays_bounded():
