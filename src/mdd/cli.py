@@ -42,7 +42,7 @@ from .model import (
     ThresholdPattern,
     to_fraction,
 )
-from .oracle import oracle_discover, oracle_measures
+from .oracle import _oracle_rules, oracle_measures
 from .simkit import MetricKind, discretize
 from . import distribution as dist_ops
 
@@ -374,17 +374,24 @@ def cmd_verify(args) -> int:
         relation, tuple(lhs + rhs), metric, domain, workers=args.threads
     )
     engine = run_request(dist, request, candidate_budget=args.candidate_budget)
-    truth = oracle_discover(
+    truth = _oracle_rules(
         relation, lhs, rhs, rhs_pattern,
         request.min_support, request.min_confidence, metric, domain,
         candidate_cap=VERIFY_MAX_CANDIDATES,
     )
+    if [(md.lhs_pattern, md.support, md.confidence) for md in engine] == truth:
+        _emit(f"AGREEMENT: {len(engine)} rule(s), measures identical\n", None)
+        return EXIT_OK
+
+    oracle = {pattern: (sup, conf) for pattern, sup, conf in truth}
     engine_patterns = [md.lhs_pattern for md in engine]
-    if engine_patterns != truth:
-        only_engine = [p for p in engine_patterns if p not in truth]
-        only_oracle = [p for p in truth if p not in engine_patterns]
-        sample = (only_engine + only_oracle)[0]
-        sup, conf = oracle_measures(relation, lhs, rhs, sample, rhs_pattern, metric, domain)
+    if engine_patterns != list(oracle):
+        # the first pattern only the engine returned, else the first only the
+        # oracle did; the oracle's pass measured the patterns it accepted
+        sample = next(p for p in engine_patterns + list(oracle) if (p in oracle) != (p in engine_patterns))
+        sup, conf = oracle[sample] if sample in oracle else oracle_measures(
+            relation, lhs, rhs, sample, rhs_pattern, metric, domain
+        )
         engine_md = next((m for m in engine if m.lhs_pattern == sample), None)
         lines = [
             "DISAGREEMENT",
@@ -395,29 +402,17 @@ def cmd_verify(args) -> int:
             if engine_md
             else "  engine: pattern not returned",
         ]
-        _emit("\n".join(lines) + "\n", None)
-        return 1
-
-    mismatched = []
-    for md in engine:
-        sup, conf = oracle_measures(
-            relation, lhs, rhs, md.lhs_pattern, rhs_pattern, metric, domain
-        )
-        if sup != md.support or conf != md.confidence:
-            mismatched.append((md, sup, conf))
-    if mismatched:
-        md, sup, conf = mismatched[0]
+    else:
+        md = next(md for md in engine if (md.support, md.confidence) != oracle[md.lhs_pattern])
+        sup, conf = oracle[md.lhs_pattern]
         lines = [
             "DISAGREEMENT on measures",
             f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in md.lhs_pattern.items())}}}",
             f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
             f"  engine: support={float(md.support):.12g} confidence={float(md.confidence):.12g}",
         ]
-        _emit("\n".join(lines) + "\n", None)
-        return 1
-
-    _emit(f"AGREEMENT: {len(engine)} rule(s), measures identical\n", None)
-    return EXIT_OK
+    _emit("\n".join(lines) + "\n", None)
+    return 1
 
 
 def _add_common_discovery_flags(p: argparse.ArgumentParser) -> None:
@@ -495,6 +490,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:  # every command takes --threads
+            raise ValidationError("workers must be >= 1")
         return args.func(args)
     except CandidateBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -502,10 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DistributionIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MddError as exc:
+    except MddError as exc:  # ValidationError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

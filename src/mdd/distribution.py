@@ -12,7 +12,9 @@ matrices and folded into one mixed-radix code, and the codes are counted in
 one dense table where there are few of them, or sorted and tallied per block
 where there are many. The records come out sorted by level vector. The
 matrices are computed in numpy in one process, many value pairs to an
-operation, and equal the per-pair metric's levels bit for bit.
+operation, and equal the per-pair metric's levels bit for bit. A value past
+its kernel's exact range is compared with the scalar metric, against every
+other value of its column, while the rest of the column stays in numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .simkit import (
     profile,
     profile_similarity,
     resolve_metrics,
-    similarity,
 )
 
 _FORMAT_TAG = "#mdd-dist"
@@ -72,15 +73,6 @@ def relation_fingerprint(
     return h.hexdigest()
 
 
-def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomain) -> str:
-    """Fingerprint for distributions assembled directly from arrays."""
-    h = hashlib.sha256()
-    h.update(f"arrays|d={domain.d}|".encode())
-    h.update(np.ascontiguousarray(levels, dtype=np.int16).tobytes())
-    h.update(np.ascontiguousarray(counts, dtype=np.int64).tobytes())
-    return h.hexdigest()
-
-
 # Pair codes are produced and counted about this many at a time: 256 KB of
 # int64 codes. This keeps the build's temporaries at a few MB whatever the
 # number of rows; larger blocks are no faster and only raise the process's
@@ -92,26 +84,13 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
 _BLOCK_PAIRS = 1 << 15
 
 
-def _fill_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
-    """Levels of every value against every later value: ``out[r, c]`` for
-    ``c > r``, zero elsewhere. ``values`` are sorted, so the metric sees each
-    pair as (smaller, larger). The per-pair reference for the numpy kernels."""
-    profiles = [profile(v, metric) for v in values]
-    out = np.zeros((len(values),) * 2, dtype=np.int16)
-    for r, left in enumerate(profiles):
-        out[r, r + 1 :] = [
-            discretize(profile_similarity(left, right, metric), domain)
-            for right in profiles[r + 1 :]
-        ]
-    return out
-
-
 def _cosine_rows(
     values: Sequence[str], metric: MetricKind, domain: LevelDomain
-) -> np.ndarray | None:
-    """``_fill_rows(values, metric, domain)`` for a cosine metric, computed
-    over posting lists; None when the squared norms reach ``max(sq)**2 >=
-    2**53``, where float64 no longer follows the scalar path exactly.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangle of the level matrix for a cosine metric, computed over
+    posting lists, and the mask of the values it leaves out: those whose
+    squared norm ``sq`` has ``sq * sq >= 2**53``, where float64 no longer
+    follows the scalar path. They add no entries, so their pairs stay 0.
 
     Each token's posting list holds the values that contain it, ascending,
     with their counts. Every later entry of a list adds ``c_i * c_j`` to the
@@ -125,21 +104,22 @@ def _cosine_rows(
     token_ids: dict = {}
     # array.array keeps the entries as 8-byte integers, not int objects
     owners, tokens, counts = array("q"), array("q"), array("q")
-    sq = []
+    sq = np.zeros(u, dtype=np.int64)
+    marked = np.zeros(u, dtype=bool)
     for k, value in enumerate(values):
         bag, norm = profile(value, metric)
-        sq.append(norm)
+        # Below 2**53 every product the similarity needs (sq_a * sq_b, dot *
+        # dot, dot <= sqrt(sq_a * sq_b)) is an exact int64 and converts to
+        # float64 exactly, as Python's ints do in simkit._cosine.
+        if norm * norm >= 2**53:
+            marked[k] = True
+            continue
+        sq[k] = norm
         for token, count in bag.items():
             owners.append(k)
             tokens.append(token_ids.setdefault(token, len(token_ids)))
             counts.append(count)
     del token_ids
-    # Below 2**53 every product the similarity needs (sq_a * sq_b, dot * dot,
-    # dot <= sqrt(sq_a * sq_b)) is an exact int64 and converts to float64
-    # exactly, as Python's ints do in simkit._cosine.
-    if max(sq, default=0) ** 2 >= 2**53:
-        return None
-    sq = np.array(sq, dtype=np.int64)
     owners, tokens = np.frombuffer(owners, dtype=np.int64), np.frombuffer(tokens, dtype=np.int64)
     # Entries sorted by (token, value): owners were appended in value order.
     order = np.argsort(tokens, kind="stable")
@@ -152,7 +132,7 @@ def _cosine_rows(
     first = np.searchsorted(owners, np.arange(u + 1))
 
     out = np.zeros((u, u), dtype=np.int16)
-    empty = sq == 0
+    empty = (sq == 0) & ~marked
     step = max(1, _BLOCK_PAIRS // u)
     for lo in range(0, u - 1, step):
         hi = min(u - 1, lo + step)
@@ -197,16 +177,20 @@ def _cosine_rows(
         block.reshape(-1)[cell] = np.floor(sim, out=sim)
         # Two token-less values are 1; one token-less value, or dot 0, is 0.
         block[np.triu(empty[lo:hi, None] & empty, lo + 1)] = domain.max_level
-    return out
+    return out, marked
 
 
 _LOW_BITS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
 
 
-def _edit_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
-    """``_fill_rows(values, metric, domain)`` for ``edit``: ``simkit._myers``
-    in numpy, one uint64 lane per pair of values (Myers, JACM 1999; many
-    pairs to an operation as in Hyyro, Fredriksson & Navarro, ACM JEA 2005).
+def _edit_rows(
+    values: Sequence[str], metric: MetricKind, domain: LevelDomain
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangle of the level matrix for ``edit``, and the mask of the
+    values it leaves out: those longer than 64 characters after ``.lower()``,
+    whose rows and columns stay 0. ``simkit._myers`` in numpy, one uint64
+    lane per pair of values (Myers, JACM 1999; many pairs to an operation as
+    in Hyyro, Fredriksson & Navarro, ACM JEA 2005).
 
     The row's value is the pattern, the later value the text. Blocks of
     ``w = _BLOCK_PAIRS // max(u, sigma)`` rows share a ``w x sigma`` table
@@ -215,8 +199,7 @@ def _edit_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -
     position ``t`` are a prefix. No step masks the bits above a pattern's
     length, as they never reach those below: the distance is ``len(text) +
     popcount(pv) - popcount(mv)`` over the pattern's bits, so ``len(text)``
-    for an empty pattern. Pairs with a value longer than 64 characters after
-    ``.lower()`` take the scalar metric.
+    for an empty pattern.
     """
     u = len(values)
     lowered = [v.lower() for v in values]
@@ -256,22 +239,26 @@ def _edit_rows(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -
         sim = 1.0 - dist / np.maximum(width, tlen)
         out[lo:hi].reshape(-1)[cells] = np.floor(sim * domain.max_level + 0.5)
         del cells, row, col, tlen, base, pv, mv, width, dist, sim  # before the next block allocates
-
-    for k in np.flatnonzero(~short):
-        levels = [discretize(similarity(values[k], v, metric), domain) for v in values]
-        out[:k, k], out[k, k + 1 :] = levels[:k], levels[k + 1 :]
-    return out
+    return out, ~short
 
 
 def _level_matrix(values: Sequence[str], metric: MetricKind, domain: LevelDomain) -> np.ndarray:
     """The symmetric ``u x u`` int16 level matrix of a column's distinct
-    values: the upper triangle from ``_edit_rows``, ``_cosine_rows`` or, past
-    the cosine kernel's exact range, ``_fill_rows``, copied onto the lower
-    one a block of rows at a time, so no ``u x u`` temporary is made."""
+    values. The upper triangle comes from ``_edit_rows`` or ``_cosine_rows``;
+    the values a kernel marks get their row and column from the scalar
+    metric, one value against every other, over profiles made once. The
+    upper triangle is then copied onto the lower one a block of rows at a
+    time, so no ``u x u`` temporary is made."""
     kernel = _edit_rows if metric.kind == EDIT else _cosine_rows
-    matrix = kernel(values, metric, domain)
-    if matrix is None:
-        matrix = _fill_rows(values, metric, domain)
+    matrix, marked = kernel(values, metric, domain)
+    profiles = [profile(v, metric) for v in values] if marked.any() else []
+    for k in np.flatnonzero(marked):
+        # profile_similarity is symmetric, bit for bit, in its two arguments
+        levels = [
+            discretize(profile_similarity(profiles[k], other, metric), domain)
+            for other in profiles[:k] + profiles[k + 1 :]
+        ]
+        matrix[:k, k], matrix[k, k + 1 :] = levels[:k], levels[k:]
     u = len(matrix)
     step = max(1, _BLOCK_PAIRS // u)
     for lo in range(0, u, step):

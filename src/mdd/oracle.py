@@ -122,6 +122,24 @@ def oracle_discover(
     ``oracle_measures`` per candidate, just without recomputing similarities
     d^m times.
     """
+    rules = _oracle_rules(
+        relation, lhs, rhs, rhs_pattern, min_support, min_confidence, metrics, domain, candidate_cap
+    )
+    return [pattern for pattern, _, _ in rules]
+
+
+def _oracle_rules(
+    relation: Relation,
+    lhs: Sequence[AttributeId],
+    rhs: Sequence[AttributeId],
+    rhs_pattern: ThresholdPattern,
+    min_support: RationalLike,
+    min_confidence: RationalLike,
+    metrics: MetricMap,
+    domain: LevelDomain,
+    candidate_cap: int = ORACLE_CANDIDATE_CAP,
+) -> list[tuple[ThresholdPattern, Fraction, Fraction]]:
+    """``oracle_discover``'s patterns with the measures its one pass counted."""
     lhs, rhs = tuple(lhs), tuple(rhs)
     eta_s = to_fraction(min_support, "min_support")
     eta_c = to_fraction(min_confidence, "min_confidence")
@@ -148,8 +166,9 @@ def oracle_discover(
         support = Fraction(both_hits, pair_total)
         confidence = Fraction(both_hits, lhs_hits) if lhs_hits else Fraction(0)
         if support >= eta_s and confidence >= eta_c:
-            accepted.append(candidate)
+            accepted.append((candidate, support, confidence))
 
     return [
-        strip_zero_levels(ThresholdPattern.over(lhs, c)) for c in sorted(accepted)
+        (strip_zero_levels(ThresholdPattern.over(lhs, c)), support, confidence)
+        for c, support, confidence in accepted
     ]

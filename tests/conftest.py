@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -20,7 +21,6 @@ from mdd import (
     StatDistribution,
     ThresholdPattern,
 )
-from mdd.distribution import array_fingerprint
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,6 +48,15 @@ def domain10() -> LevelDomain:
 @pytest.fixture
 def cosine_word() -> MetricKind:
     return MetricKind.cosine_word_tokens()
+
+
+def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomain) -> str:
+    """Fingerprint for distributions assembled directly from arrays."""
+    h = hashlib.sha256()
+    h.update(f"arrays|d={domain.d}|".encode())
+    h.update(np.ascontiguousarray(levels, dtype=np.int16).tobytes())
+    h.update(np.ascontiguousarray(counts, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def make_distribution(

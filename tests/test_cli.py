@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from mdd import (
     ThresholdPattern,
     run_request,
 )
+import mdd.cli as cli_module
 from mdd.cli import _result_text, main
 from mdd.discovery import _request_rules
 
@@ -284,12 +286,21 @@ class TestValidationAndExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["distribution", "discover"])
+    @pytest.mark.parametrize("command", ["distribution", "discover", "discover --dist", "verify"])
     def test_threads_below_one_rejected(self, tmp_path, command, capsys):
-        # --threads changes nothing, but must still be at least 1
+        # --threads changes nothing, but must still be at least 1, whatever
+        # the command and wherever the distribution comes from
+        cache = tmp_path / "c.dist"
         if command == "distribution":
             argv = ["distribution", "--input", CONTACTS, "--attrs", "SIN,Name",
-                    "--out", str(tmp_path / "c.dist")]
+                    "--out", str(cache)]
+        elif command == "discover --dist":
+            assert main(["distribution", "--input", CONTACTS, "--attrs", "Name,Street,SIN",
+                         "--out", str(cache)]) == 0
+            capsys.readouterr()
+            argv = ["discover", "--dist", str(cache), *DISCOVER_BASE[3:]]
+        elif command == "verify":
+            argv = ["verify", *DISCOVER_BASE[1:], "--algorithm", "ea"]
         else:
             argv = DISCOVER_BASE
         code = main([*argv, "--metric", "edit", "--threads", "0"])
@@ -625,7 +636,90 @@ class TestJsonRoundTrip:
             assert float(conf) == pytest.approx(md["confidence"], abs=1e-12)
 
 
+VERIFY_STREET = (
+    "verify", "--input", CONTACTS,
+    "--lhs", "Street", "--rhs", "City",
+    "--rhs-thresholds", "0.7",
+    "--min-support", "0.2", "--min-confidence", "0.5",
+    "--algorithm", "epsc",
+)
+
+
 class TestVerifyCommand:
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        original = cli_module.oracle_measures
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "oracle_measures", counted)
+        return calls
+
+    def engine_returns(self, monkeypatch, change):
+        """Make verify's engine return ``change(rules)`` instead of its rules."""
+        monkeypatch.setattr(
+            cli_module, "run_request", lambda *args, **kwargs: change(run_request(*args, **kwargs))
+        )
+
+    def test_agreement_measures_each_rule_in_one_oracle_pass(self, capsys, oracle_calls):
+        code, out = run_cli(*VERIFY_STREET, capsys=capsys)
+        assert (code, out) == (0, "AGREEMENT: 3 rule(s), measures identical\n")
+        # the oracle's one pass already counted every accepted rule's measures
+        assert len(oracle_calls) <= 1
+
+    def test_a_rule_the_engine_dropped_is_a_disagreement(self, monkeypatch, capsys, oracle_calls):
+        self.engine_returns(monkeypatch, lambda rules: rules[1:])
+        code, out = run_cli(*VERIFY_STREET, capsys=capsys)
+        assert code == 1
+        assert out == (
+            "DISAGREEMENT\n"
+            "  pattern: {Street>=6}\n"
+            "  oracle: support=0.333333333333 confidence=0.5\n"
+            "  engine: pattern not returned\n"
+        )
+        assert oracle_calls == []
+
+    def test_a_rule_only_the_engine_returned_is_measured_by_the_oracle(
+        self, monkeypatch, capsys, oracle_calls
+    ):
+        extra = []
+
+        def add_rule(rules):
+            extra.append(ThresholdPattern.over(rules[0].lhs_pattern.attributes, [1]))
+            return [replace(rules[0], lhs_pattern=extra[0]), *rules]
+
+        self.engine_returns(monkeypatch, add_rule)
+        code, out = run_cli(*VERIFY_STREET, capsys=capsys)
+        assert code == 1
+        assert out == (
+            "DISAGREEMENT\n"
+            "  pattern: {Street>=1}\n"
+            "  oracle: support=0.466666666667 confidence=0.466666666667\n"
+            "  engine: support=0.333333333333 confidence=0.5\n"
+        )
+        # the oracle's pass kept no measures for a pattern it rejected
+        assert oracle_calls == extra
+
+    def test_an_altered_measure_is_a_disagreement_on_measures(
+        self, monkeypatch, capsys, oracle_calls
+    ):
+        self.engine_returns(
+            monkeypatch,
+            lambda rules: [rules[0], replace(rules[1], support=Fraction(1, 2)), *rules[2:]],
+        )
+        code, out = run_cli(*VERIFY_STREET, capsys=capsys)
+        assert code == 1
+        assert out == (
+            "DISAGREEMENT on measures\n"
+            "  pattern: {Street>=7}\n"
+            "  oracle: support=0.266666666667 confidence=0.5\n"
+            "  engine: support=0.5 confidence=0.5\n"
+        )
+        assert oracle_calls == []
+
     def test_agreement(self, capsys):
         code, out = run_cli(
             "verify", "--input", CONTACTS,

@@ -35,6 +35,7 @@ import mdd.distribution as distribution_module
 from mdd.errors import SchemaMismatchError
 from mdd.model import sorted_rows
 from mdd.oracle import _pair_levels
+from mdd.simkit import discretize, profile, profile_similarity
 
 from conftest import make_distribution, random_distribution, random_relation, satisfied
 
@@ -296,8 +297,33 @@ def cosine_values(draw):
     return sorted(set(draw(st.lists(strings, min_size=1, max_size=30))))
 
 
+@st.composite
+def marked_cosine_values(draw):
+    """``cosine_values`` with values past the kernel's 2**53 guard mixed in:
+    a token repeated 9,742 times (sq = 9,742**2) or 60,000 times, where
+    int64 products would wrap."""
+    huge = st.builds(
+        lambda token, times, tail: " ".join([token] * times) + tail,
+        st.sampled_from(["a", "Ab", "\u00df"]),
+        st.sampled_from([9_742, 60_000]),
+        st.sampled_from(["", " a", " b b"]),
+    )
+    values = draw(cosine_values()) + draw(st.lists(huge, min_size=1, max_size=3))
+    return sorted(set(values))
+
+
 def scalar_rows(values, metric, domain) -> np.ndarray:
-    return distribution_module._fill_rows(values, metric, domain)
+    """Levels of every value against every later value: ``out[r, c]`` for
+    ``c > r``, zero elsewhere. ``values`` are sorted, so the metric sees each
+    pair as (smaller, larger). The per-pair reference for the numpy kernels."""
+    profiles = [profile(v, metric) for v in values]
+    out = np.zeros((len(values),) * 2, dtype=np.int16)
+    for r, left in enumerate(profiles):
+        out[r, r + 1 :] = [
+            discretize(profile_similarity(left, right, metric), domain)
+            for right in profiles[r + 1 :]
+        ]
+    return out
 
 
 class TestCosineRows:
@@ -317,8 +343,9 @@ class TestCosineRows:
         # small blocks split the rows and the posting-list pairs many ways
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distribution_module, "_BLOCK_PAIRS", block)
-            fast = distribution_module._cosine_rows(values, metric, domain)
+            fast, marked = distribution_module._cosine_rows(values, metric, domain)
         slow = scalar_rows(values, metric, domain)
+        assert not marked.any()
         assert fast.dtype == slow.dtype == np.int16
         assert fast.tobytes() == slow.tobytes()
 
@@ -329,14 +356,50 @@ class TestCosineRows:
         metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
         matrix = distribution_module._level_matrix(values, metric, domain)
         assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
-        assert distribution_module._cosine_rows(values, metric, domain) is None
+        fast, marked = distribution_module._cosine_rows(values, metric, domain)
+        assert marked.tolist() == [len(v) > 3 for v in values]
+        assert not fast[marked].any() and not fast[:, marked].any()
 
     def test_guard_starts_at_2_pow_53(self):
         metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
         # 94,906,265**2 < 2**53 <= 94,906,266**2. One token repeated c times
         # has sq = c**2: 9,741**2 = 94,887,081 and 9,742**2 = 94,906,564.
-        assert distribution_module._cosine_rows(["a " * 9_741, "b"], metric, domain) is not None
-        assert distribution_module._cosine_rows(["a " * 9_742, "b"], metric, domain) is None
+        _, marked = distribution_module._cosine_rows(["a " * 9_741, "b"], metric, domain)
+        assert marked.tolist() == [False, False]
+        _, marked = distribution_module._cosine_rows(["a " * 9_742, "b"], metric, domain)
+        assert marked.tolist() == [True, False]
+
+    @settings(max_examples=60, deadline=None)
+    @example(values=sorted(["a " * 9_742, "a", "!!", ""]), spec="cosine-word", d=2, block=1)
+    @given(
+        values=marked_cosine_values(),
+        spec=st.sampled_from(COSINE_SPECS),
+        d=st.sampled_from([2, 10, 101]),
+        block=st.sampled_from([1, 3, 64, 1 << 15]),
+    )
+    def test_marked_values_take_the_scalar_path_byte_for_byte(self, values, spec, d, block):
+        metric, domain = MetricKind.parse(spec), LevelDomain(d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distribution_module, "_BLOCK_PAIRS", block)
+            matrix = distribution_module._level_matrix(values, metric, domain)
+        assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
+
+    def test_one_marked_value_costs_one_scalar_row(self, monkeypatch):
+        # the scalar metric compares the marked value with the u - 1 others,
+        # not every pair of the column
+        values = sorted(["a " * 9_742, "a", "a b", "b c", "!!", "", "go go", "c"])
+        calls = []
+        original = distribution_module.profile_similarity
+
+        def counted(a, b, metric):
+            calls.append(1)
+            return original(a, b, metric)
+
+        monkeypatch.setattr(distribution_module, "profile_similarity", counted)
+        metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+        matrix = distribution_module._level_matrix(values, metric, domain)
+        assert len(calls) == len(values) - 1
+        assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
 
 
 # "\u0130" lowercases to two code points, "\u1e9e" to "\u00df"; "\x00" is
@@ -382,17 +445,18 @@ class TestEditRows:
         # small blocks split the rows, down to one a block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distribution_module, "_BLOCK_PAIRS", block)
-            fast = distribution_module._edit_rows(values, metric, domain)
+            fast = distribution_module._level_matrix(values, metric, domain)
         slow = scalar_rows(values, metric, domain)
         assert fast.dtype == slow.dtype == np.int16
-        assert fast.tobytes() == slow.tobytes()
+        assert np.triu(fast, 1).tobytes() == slow.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 10, 101])
     def test_empty_value_is_as_far_as_the_other_is_long(self, d):
         # distance len(text), similarity 0: level 0 against every value
         values = ["", "a", "ab", "x" * 64]
         metric, domain = MetricKind.parse("edit"), LevelDomain(d)
-        fast = distribution_module._edit_rows(values, metric, domain)
+        fast, marked = distribution_module._edit_rows(values, metric, domain)
+        assert not marked.any()
         assert fast[0].tolist() == [0, 0, 0, 0]
         assert fast.tobytes() == scalar_rows(values, metric, domain).tobytes()
 
@@ -401,8 +465,10 @@ class TestEditRows:
         # "\u0130" * 33 has 33 characters but 66 after .lower()
         values = sorted(["a" * 64, "a" * 65, "a" * 70 + "b", "\u0130" * 33, "i\u0307" * 32, "ab"])
         metric, domain = MetricKind.parse("edit"), LevelDomain(d)
-        fast = distribution_module._edit_rows(values, metric, domain)
-        assert fast.tobytes() == scalar_rows(values, metric, domain).tobytes()
+        fast = distribution_module._level_matrix(values, metric, domain)
+        assert np.triu(fast, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
+        _, marked = distribution_module._edit_rows(values, metric, domain)
+        assert marked.tolist() == [len(v.lower()) > 64 for v in values]
 
     def test_memory_is_the_matrix_and_a_few_blocks(self):
         # 2,000 values over 1,000 characters: a block is 16 rows, so its peq
@@ -416,7 +482,7 @@ class TestEditRows:
         metric, domain = MetricKind.parse("edit"), LevelDomain(10)
         tracemalloc.start()
         try:
-            matrix = distribution_module._edit_rows(values, metric, domain)
+            matrix, _ = distribution_module._edit_rows(values, metric, domain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
