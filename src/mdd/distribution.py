@@ -8,13 +8,14 @@ values, and one ``u x u`` level matrix per attribute holds the discretized
 similarity of every pair of distinct values, so the metric runs once per
 value pair however often the pair recurs. The pairs themselves are then
 counted a block of rows at a time: each pair's levels are looked up in the
-matrices and folded into one mixed-radix code, and the codes are counted in
-one dense table where there are few of them, or sorted and tallied per block
-where there are many. The records come out sorted by level vector. The
-matrices are computed in numpy in one process, many value pairs to an
-operation, and equal the per-pair metric's levels bit for bit. A value past
-its kernel's exact range is compared with the scalar metric, against every
-other value of its column, while the rest of the column stays in numpy.
+matrices and folded into one mixed-radix code, in the narrowest integer type
+that holds every code, and the codes are counted in one dense table where
+there are few of them, or sorted and tallied per block where there are many.
+The records come out sorted by level vector. The matrices are computed in
+numpy in one process, many value pairs to an operation, and equal the
+per-pair metric's levels bit for bit. A value past its kernel's exact range
+is compared with the scalar metric, against every other value of its column,
+while the rest of the column stays in numpy.
 """
 
 from __future__ import annotations
@@ -73,14 +74,15 @@ def relation_fingerprint(
     return h.hexdigest()
 
 
-# Pair codes are produced and counted about this many at a time: 256 KB of
-# int64 codes. This keeps the build's temporaries at a few MB whatever the
-# number of rows; larger blocks are no faster and only raise the process's
-# peak RSS. Up to this many distinct codes (d**m) the pairs are counted into
-# a dense int64 table, as large as a block; beyond it a table and each
-# block's bincount would grow with d**m, so each block is sorted in place
-# instead. The cosine and edit level matrices are computed over blocks of
-# about this many distinct-value pairs too.
+# Pair codes are produced and counted 256 KB at a time: this many int64
+# codes, or 2 or 4 times as many int32 or int16 ones. This keeps the build's
+# temporaries at a few MB whatever the number of rows; larger blocks are no
+# faster and only raise the process's peak RSS. Up to this many distinct
+# codes (d**m) the pairs are counted into a dense int64 table, as large as a
+# block; beyond it a table and each block's bincount would grow with d**m,
+# so each block is sorted in place instead. The cosine and edit level
+# matrices are computed over blocks of about this many distinct-value pairs
+# too.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -248,17 +250,22 @@ def _level_matrix(values: Sequence[str], metric: MetricKind, domain: LevelDomain
     the values a kernel marks get their row and column from the scalar
     metric, one value against every other, over profiles made once. The
     upper triangle is then copied onto the lower one a block of rows at a
-    time, so no ``u x u`` temporary is made."""
+    time, so no ``u x u`` temporary is made. A pair of two marked values is
+    scored once, from the earlier value's row."""
     kernel = _edit_rows if metric.kind == EDIT else _cosine_rows
     matrix, marked = kernel(values, metric, domain)
     profiles = [profile(v, metric) for v in values] if marked.any() else []
     for k in np.flatnonzero(marked):
         # profile_similarity is symmetric, bit for bit, in its two arguments
-        levels = [
-            discretize(profile_similarity(profiles[k], other, metric), domain)
-            for other in profiles[:k] + profiles[k + 1 :]
+        before = np.flatnonzero(~marked[:k])
+        matrix[before, k] = [
+            discretize(profile_similarity(profiles[k], profiles[j], metric), domain)
+            for j in before
         ]
-        matrix[:k, k], matrix[k, k + 1 :] = levels[:k], levels[k:]
+        matrix[k, k + 1 :] = [
+            discretize(profile_similarity(profiles[k], other, metric), domain)
+            for other in profiles[k + 1 :]
+        ]
     u = len(matrix)
     step = max(1, _BLOCK_PAIRS // u)
     for lo in range(0, u, step):
@@ -289,6 +296,10 @@ def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return keys, counts
 
 
+# Pair-code types, narrowest first; codes past int64 are Python integers.
+_KEY_TYPES = (np.int16, np.int32, np.int64)
+
+
 def _pair_histogram(
     codes: Sequence[np.ndarray], matrices: Sequence[np.ndarray], d: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -297,42 +308,50 @@ def _pair_histogram(
 
     Each pair's levels ``L_c[codes_c[i], codes_c[j]]`` are folded into one
     mixed-radix code with base ``d``, so ascending codes are ascending level
-    vectors. The codes are int64 where ``d**m`` fits and Python integers in
-    an object array where it does not.
+    vectors. The codes take the narrowest of int16, int32 and int64 that
+    holds ``d**m - 1``, and are Python integers in an object array past
+    int64. Levels lie in ``0..d-1``, so no weight ``d**(m-1-c)``, product or
+    partial sum exceeds ``d**m - 1``, and numpy's silent wrap-around cannot
+    occur.
 
     The upper triangle is walked ``w`` rows ``s..e`` at a time. A block's
     codes are ``sum_c d**(m-1-c) * L_c[codes_c[s:e]][:, codes_c[s:]]``, kept
     transposed as an ``(n - s) x w`` array, so the pairs are its rows past
     ``w``, one contiguous slice, and the strict lower triangle of its leading
-    ``w x w`` square. A block takes ``w = _BLOCK_PAIRS // max(u, n - s)``
-    rows, at least one, for the ``u`` values of the widest level matrix, so
-    it and each weighted ``u x w`` matrix slice hold at most
-    ``_BLOCK_PAIRS`` cells unless one row alone is longer. While
-    ``d**m <= _BLOCK_PAIRS`` the codes are counted into one dense table;
-    above that each block is sorted in place and tallied, and the tallies
-    are merged.
+    ``w x w`` square. A block holds ``k`` codes, 256 KB of them (``k =
+    _BLOCK_PAIRS`` int64 codes, twice as many int32, four times as many
+    int16), and takes ``w = k // max(u, n - s)`` rows, at least one, for the
+    ``u`` values of the widest level matrix, so it and each weighted ``u x
+    w`` matrix slice hold at most ``k`` codes unless one row alone is
+    longer. While ``d**m <= _BLOCK_PAIRS`` (int16 codes, at the default) the
+    codes are counted into one dense table; above that each block is sorted
+    in place and tallied, and the tallies are merged. The codes are decoded
+    into levels in int64, as ``d`` itself need not fit their type (``d =
+    2**15``, ``m = 1``).
     """
     n, m = len(codes[0]), len(codes)
     size = d**m
-    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
+    dtype = next((t for t in _KEY_TYPES if size - 1 <= np.iinfo(t).max), object)
+    block = _BLOCK_PAIRS * 8 // np.dtype(dtype).itemsize
     table = np.zeros(size, dtype=np.int64) if size <= _BLOCK_PAIRS else None
     widest = max(len(matrix) for matrix in matrices)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     pending = 0
-    limit = _BLOCK_PAIRS
+    limit = block
     s = 0
     while s < n - 1:
-        e = min(n - 1, s + max(1, _BLOCK_PAIRS // max(widest, n - s)))
+        e = min(n - 1, s + max(1, block // max(widest, n - s)))
         w = e - s
         keys = None
         for c, (col, matrix) in enumerate(zip(codes, matrices)):
             # L_c[:, codes_c[s:e]] is L_c[codes_c[s:e]] transposed: L_c is symmetric
-            weighted = matrix[:, col[s:e]].astype(dtype)
+            weighted = matrix[:, col[s:e]].astype(dtype, copy=False)
             weighted *= d ** (m - 1 - c)
+            # np.take gathers whole rows several times faster than weighted[col[s:]]
             if keys is None:
-                keys = weighted[col[s:]]
+                keys = weighted.take(col[s:], axis=0)
             else:
-                keys += weighted[col[s:]]
+                keys += weighted.take(col[s:], axis=0)
         for pairs in (keys[:w][np.tri(w, k=-1, dtype=bool)], keys[w:].reshape(-1)):
             if table is not None:
                 table += np.bincount(pairs, minlength=size)
@@ -344,13 +363,15 @@ def _pair_histogram(
         if pending > limit:
             parts = [_merge_counts(parts)]
             pending = len(parts[0][0])
-            limit = max(_BLOCK_PAIRS, 2 * pending)
+            limit = max(block, 2 * pending)
         s = e
     if table is not None:
         keys = np.flatnonzero(table)
         counts = table[keys]
     else:
         keys, counts = _merge_counts(parts)
+        if dtype is not object:
+            keys = keys.astype(np.int64, copy=False)
     levels = np.empty((len(keys), m), dtype=np.int16)
     for c in range(m - 1, -1, -1):
         levels[:, c] = keys % d

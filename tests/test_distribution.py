@@ -205,14 +205,41 @@ def pair_loop_histogram(codes, matrices) -> dict:
     return dict(counts)
 
 
+# (d, m) on each side of every pair-code type limit: d**m - 1 against
+# 2**15 - 1 (int16), 2**31 - 1 (int32) and 2**63 - 1 (int64).
+TYPE_LIMITS = [
+    (181, 2), (182, 2), (32768, 1),
+    (46340, 2), (46341, 2), (1290, 3), (1291, 3),
+    (2**21, 3), (2**21 + 1, 3),
+]
+
+
+def key_type(d: int, m: int) -> np.dtype:
+    """The pair-code type for ``d**m`` codes: the narrowest that holds
+    ``d**m - 1``."""
+    top = d**m - 1
+    if top < 2**15:
+        return np.dtype(np.int16)
+    if top < 2**31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64 if top < 2**63 else object)
+
+
 @st.composite
 def histogram_inputs(draw):
     """Row codes into small symmetric level matrices, diagonals included,
-    from 1 to 5 columns: d**m runs from 2 to 2**75."""
-    d = draw(st.sampled_from([2, 3, 10, 32768]))
-    m = draw(st.integers(1, 5))
+    from 1 to 5 columns: d**m runs from 2 to 2**75, and lands on each side
+    of every pair-code type limit. Levels stop at the int16 level storage's
+    2**15 - 1 and lean to the top level, where the widest codes are."""
+    d, m = draw(
+        st.one_of(
+            st.tuples(st.sampled_from([2, 3, 10, 32768]), st.integers(1, 5)),
+            st.sampled_from(TYPE_LIMITS),
+        )
+    )
     n = draw(st.integers(2, 40))
-    levels = st.integers(0, d - 1)
+    top = min(d, 1 << 15) - 1
+    levels = st.one_of(st.integers(0, top), st.just(top))
     codes, matrices = [], []
     for _ in range(m):
         u = draw(st.integers(1, 6))
@@ -257,21 +284,58 @@ class TestPairHistogram:
         [
             (2, 15, 1 << 15, True),  # d**m == the default _BLOCK_PAIRS
             (10, 3, 1000, True),  # d**m == _BLOCK_PAIRS
-            (10, 3, 999, False),  # d**m == _BLOCK_PAIRS + 1
+            (10, 3, 999, False),  # d**m == _BLOCK_PAIRS + 1: int16 codes, tallied
+            # d itself is past int16: the codes are decoded in int64
+            (32768, 1, 1 << 14, False),
+            (181, 2, 1 << 15, True),  # 32,761 codes: int16, dense
+            (182, 2, 1 << 15, False),  # 33,124 codes: int32
+            (1290, 3, 1 << 15, False),  # 2**31 - 794,648 codes: int32
+            (1291, 3, 1 << 15, False),  # 2**31 + 4,201,523 codes: int64
+            (2**21, 3, 1 << 15, False),  # 2**63 codes: int64
+            (2**21 + 1, 3, 1 << 15, False),  # past 2**63: Python-int codes
             (32768, 5, 1 << 15, False),  # 2**75: Python-int codes
         ],
     )
     def test_dense_table_up_to_the_block_size(self, monkeypatch, d, m, block, dense):
+        # Each matrix's diagonal holds the top level, so pairs equal in every
+        # column have the largest code, d**m - 1 when d fits the int16 levels.
         rng = np.random.default_rng(m)
-        matrices = [symmetric(rng.integers(0, d, (5, 5))) for _ in range(m)]
+        top = min(d, 1 << 15) - 1
+        matrices = [symmetric(rng.integers(0, top + 1, (5, 5))) for _ in range(m)]
+        for matrix in matrices:
+            np.fill_diagonal(matrix, top)
         codes = [rng.integers(0, 5, 60) for _ in range(m)]
         counts, tallied = self.histogram(monkeypatch, codes, matrices, d, block)
         assert counts == pair_loop_histogram(codes, matrices)
+        assert counts[(top,) * m] > 0
         if dense:
             assert tallied == []
         else:
-            wide = d**m > np.iinfo(np.int64).max
-            assert tallied and set(tallied) == {np.dtype(object if wide else np.int64)}
+            assert tallied and set(tallied) == {key_type(d, m)}
+
+    @pytest.mark.parametrize("m, bound", [(3, 1.5), (6, 2.25)])
+    def test_memory_is_a_few_blocks(self, m, bound):
+        # 2,000 rows, about 2M pairs, d**m = 10**3 (dense table) and 10**6
+        # (sorted blocks): a 256 KB block of codes and its temporaries, and
+        # the merge of the tallies, whatever the number of pairs. Measured:
+        # 1.24 MB and 1.88 MB; int64 codes took 0.85 MB and 2.40 MB. At 10**3
+        # the extra is np.bincount's intp copy of a block of int16 codes.
+        rel = random_relation(random.Random(1), n_rows=2000, n_attrs=m)
+        metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
+        codes, matrices = [], []
+        for a in rel.schema:
+            column = rel.column(a)
+            values = sorted(set(column))
+            codes.append(np.array([values.index(v) for v in column]))
+            matrices.append(distribution_module._level_matrix(values, metric, domain))
+        tracemalloc.start()
+        try:
+            _, counts = distribution_module._pair_histogram(codes, matrices, domain.d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 2000 * 1999 // 2
+        assert peak < bound * 2**20
 
 
 COSINE_SPECS = ["cosine-word", *(f"cosine-qgram:{q}" for q in range(1, 5))]
@@ -469,6 +533,25 @@ class TestEditRows:
         assert np.triu(fast, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
         _, marked = distribution_module._edit_rows(values, metric, domain)
         assert marked.tolist() == [len(v.lower()) > 64 for v in values]
+
+    def test_pairs_of_marked_values_are_scored_once(self, monkeypatch):
+        # 40 edit values, every one past the 64-character lanes: 780 pairs,
+        # each scored once rather than from both of its values' rows
+        rng = random.Random(3)
+        values = sorted({"".join(rng.choice("abc") for _ in range(70 + k)) for k in range(40)})
+        assert len(values) == 40
+        calls = []
+        original = distribution_module.profile_similarity
+
+        def counted(a, b, metric):
+            calls.append(1)
+            return original(a, b, metric)
+
+        monkeypatch.setattr(distribution_module, "profile_similarity", counted)
+        metric, domain = MetricKind.parse("edit"), LevelDomain(10)
+        matrix = distribution_module._level_matrix(values, metric, domain)
+        assert len(calls) == 40 * 39 // 2
+        assert np.triu(matrix, 1).tobytes() == scalar_rows(values, metric, domain).tobytes()
 
     def test_memory_is_the_matrix_and_a_few_blocks(self):
         # 2,000 values over 1,000 characters: a block is 16 rows, so its peq
