@@ -2,14 +2,16 @@
 over a prefix of the distribution.
 
 Each engine takes the records in any order and puts them in the order it
-needs. The approximate engines sort them by nonincreasing probability,
-evaluate each candidate over the first k records and bound the mass of the
-rest; the exact engines are the same scans with k = n. ea reads every record
-for every candidate; eps adds dominance pruning by support; epsc groups the
-records by the rhs pattern and also stops a candidate where its running
-confidence drops below the minimum. ap and aps are ea and eps over the first k
-records (k from compute_prefix_k); api and apsi add a per-candidate stop once
-the unseen mass is within the candidate's own bound. Every scan ends in one
+needs. The approximate engines read k from the sorted counts alone, hold only
+the first k records of the nonincreasing-probability order (only the records
+whose count is at least the k-th largest are ordered), evaluate each
+candidate over them and bound the mass of the rest; the exact engines are
+the same scans with k = n. ea reads every record for every candidate; eps
+adds dominance pruning by support; epsc groups the records by the rhs
+pattern and also stops a candidate where its running confidence drops below
+the minimum. ap and aps are ea and eps over the first k records (the k of
+compute_prefix_k); api and apsi add a per-candidate stop once the unseen
+mass is within the candidate's own bound. Every scan ends in one
 _Rules record, the accepted rules' grid cells and joint and lhs counts as
 arrays: the engines and run_request turn it into DiscoveredMd objects, and
 the CLI writes its document from the arrays.
@@ -59,9 +61,22 @@ cells, on the prefix packed eight records to a byte: the AND of a cell's
 range-encoded bit rows, level >= t per attribute (Chan and Ioannidis, SIGMOD
 1998), is the records it holds; half-byte mass tables give its joint and lhs
 mass at every byte's end; the test is monotone, so the stop lies in the first
-byte whose last record passes it. That is |cells| * k * m / 8 byte ANDs, with
-temporaries bounded by the block. apsi resolves a few hundred cells on a 10^5
-grid; api resolves every cell, so its cost grows with k * m * d^m.
+byte whose last record passes it. Temporaries are bounded by the block.
+
+Lower bounds. The joint mass J_i read so far never exceeds the candidate's
+joint total J over the prefix, and the thresholds do not increase, so no
+candidate stops before the first record whose threshold is at most J: one
+binary search gives that bound, and a candidate with J = 0 is bounded at
+k - 1. Each cell reads its bit rows only from its bound's byte on; the masses
+read before a byte are its joint and lhs totals over the prefix, from the
+upper-set cubes, minus the masses of that byte and the later ones. The cells
+go through the pass in bound order, each block reading from its first cell's
+byte, so a pass costs the sum over cells of (k - bound) * m / 8 byte ANDs
+instead of |cells| * k * m / 8. apsi's failures cube already holds the joint
+totals; the lhs totals take one more cube, m * d^m cell passes, which a run
+pays only where the (cell, byte) pairs the bounds skip would cost more. apsi
+resolves a few hundred cells on a 10^5 grid; api resolves every cell, most of
+them with small totals, whose bounds lie near the end of the prefix.
 
 Decision arithmetic is exact: support minimums and stops become integer count
 thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
@@ -80,7 +95,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distribution import group_by_rhs, pattern_mask, sort_by_probability_desc
+from .distribution import group_by_rhs, pattern_mask, probability_prefix
 from .errors import ContractViolationError, ValidationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
@@ -114,14 +129,13 @@ class _Run:
     x_cols: tuple[int, ...] = field(init=False)
     rhs_mask: np.ndarray = field(init=False)
     min_support_count: int = field(init=False)
-    # the scanned prefix and the mode the rules report: k = n when exact
+    # the scanned prefix, the mode the rules report and api's bound factor
+    # (see _StopRule): k = n and no factor when exact
     k: int = field(init=False)
     mode: EvaluationMode = field(init=False)
+    factor: Fraction | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if set(self.lattice.attributes) & set(self.rhs_pattern.attributes):
-            raise ValidationError("lhs and rhs attribute sets must be disjoint")
-        validate_thresholds(self.min_support, self.min_confidence)
         self.x_cols = tuple(self.dist.column_index(a) for a in self.lattice.attributes)
         self.rhs_mask = pattern_mask(self.dist, self.rhs_pattern)
         num, den = self.min_support.numerator, self.min_support.denominator
@@ -242,24 +256,29 @@ def _new_run(
     dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
-    min_support: RationalLike,
-    min_confidence: RationalLike,
+    min_support: Fraction,
+    min_confidence: Fraction,
     counters: EvalCounters | None,
-    epsilon: RationalLike | None = None,
+    epsilon: Fraction | None = None,
 ) -> _Run:
-    """One engine run. With ``epsilon`` it is approximate: it reads the
-    records sorted by nonincreasing probability, up to its prefix bound."""
+    """One engine run, over thresholds already checked. With ``epsilon`` it
+    is approximate: it holds only the first k records of the probability
+    order, k from the prefix bound, which the counts alone decide."""
+    run_dist, factor = dist, None
+    if epsilon is not None:
+        factor = _bound_factor(epsilon, min_confidence)
+        k, _ = _prefix_cut(np.sort(dist.counts), dist.pair_total, min_support * factor)
+        run_dist = probability_prefix(dist, k)
     run = _Run(
-        dist if epsilon is None else sort_by_probability_desc(dist),
+        run_dist,
         lattice,
         rhs_pattern,
-        to_fraction(min_support, "min_support"),
-        to_fraction(min_confidence, "min_confidence"),
+        min_support,
+        min_confidence,
         counters if counters is not None else EvalCounters(),
     )
     if epsilon is not None:
-        bound = compute_prefix_k(run.dist, epsilon, run.min_support, run.min_confidence)
-        run.k, run.mode = bound.prefix_k, EvaluationMode.approximate(bound.prefix_k, bound.epsilon)
+        run.k, run.mode, run.factor = k, EvaluationMode.approximate(k, epsilon), factor
     return run
 
 
@@ -411,6 +430,10 @@ def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
 # The stop pass takes this many (cell, record byte) pairs at a time, so its
 # temporaries never grow with |cells| * k.
 _STOP_BLOCK = 1 << 15
+# A (cell, record byte) pair of the stop pass costs about as much as this many
+# cells of one axis pass of an upper-set cube (see _stop_scan): on a 2-vCPU
+# host, about 15 ns a pair at m = 5 and 30 ns at m = 7, against 2.3 ns a cell.
+_PAIR_COST = 8
 # _HALF_BYTE_BITS[v, j]: bit j of the half byte v
 _HALF_BYTE_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
@@ -436,7 +459,9 @@ class _StopRule:
         # the lhs levels of the prefix, one contiguous row per attribute
         self.levels = np.full((len(run.x_cols), size), -1, dtype=run.dist.levels.dtype)
         self.levels[:, :k] = run.dist.levels[:k][:, run.x_cols].T
-        factor = _bound_factor(run.mode.epsilon, run.min_confidence)
+        # each record's flat grid cell, for the cubes
+        self.cells = _record_cells(run, 0, k)
+        factor = run.factor
         suffix = (run.dist.pair_total - np.cumsum(self.counts[:k])).astype(_exact_dtype(run, factor))
         thresholds = -((-suffix * factor.denominator) // factor.numerator)
         # while unseen mass is left, the joint mass read is below pair_total;
@@ -448,20 +473,29 @@ class _StopRule:
         # byte h whose bits v sets, at most pair_total
         self.tables = np.matmul(_HALF_BYTE_BITS, masses.reshape(-1, 4, 2)).reshape(-1, 2)
 
-    def failures(self, run: _Run) -> np.ndarray:
+    def failures(self, run: _Run) -> tuple[np.ndarray, np.ndarray]:
         """apsi's failures, the candidates that read the whole prefix and miss
-        the support minimum: an upper set, from the joint cube at k - 1
-        records, the last test before the end, and at all k."""
+        the support minimum, and the joint cube at all k records they come
+        from. They are an upper set, from the joint cube at k - 1 records, the
+        last test before the end, and at all k."""
         k, shape = run.k, _grid(run)
         rhs = run.rhs_mask[: k - 1]
-        joint = _upper_set_cube(shape, _record_cells(run, 0, k - 1)[rhs], self.counts[: k - 1][rhs])
+        joint = _upper_set_cube(shape, self.cells[: k - 1][rhs], self.counts[: k - 1][rhs])
         failed = joint < self.thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
         if run.rhs_mask[k - 1]:
             # the last record adds to every candidate it satisfies, its lower set
-            last = np.unravel_index(_record_cells(run, k - 1, k)[0], shape)
+            last = np.unravel_index(self.cells[k - 1], shape)
             joint[tuple(slice(level + 1) for level in last)] += self.counts[k - 1]
         failed &= joint < run.min_support_count
-        return failed
+        return failed, joint
+
+    def lower_bounds(self, run: _Run, joint: np.ndarray) -> np.ndarray:
+        """For each cell's joint total over the prefix, the first record it
+        can stop at: the joint mass read never exceeds the total, so the stop
+        test fails while the threshold is above it. The thresholds do not
+        increase, and thresholds[k - 1] = 0 bounds every cell."""
+        k = run.k
+        return k - np.searchsorted(self.thresholds[k - 1 :: -1], joint, side="right")
 
 
 def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -475,51 +509,96 @@ def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
     return held
 
 
-def _stops(run: _Run, rule: _StopRule, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+def _stops(
+    run: _Run, rule: _StopRule, cells: np.ndarray, first: int, totals: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Each cell's stop (the records it reads), and its joint and lhs mass
-    there. Bit j of byte b is record 8b + j; the rows are built for the
-    levels these cells use."""
+    there, reading the bit rows from record byte ``first`` on; no cell may
+    stop before it. Bit j of byte b is record 8b + j; the rows are built for
+    the levels these cells use. The masses read before a byte are the cell's
+    joint and lhs ``totals`` over the prefix, one row per cell, minus the
+    masses of that byte and the later ones: nothing before byte 0, where
+    ``totals`` is not read."""
     held = None
     for row, levels in zip(rule.levels, np.unravel_index(cells, _grid(run))):
         used = np.flatnonzero(np.bincount(levels)).astype(row.dtype)
-        packed = np.packbits(row >= used[:, None], axis=1, bitorder="little")
+        packed = np.packbits(row[8 * first :] >= used[:, None], axis=1, bitorder="little")
         bits = packed[np.searchsorted(used, levels)]
         held = bits if held is None else np.bitwise_and(held, bits, out=held)
     # byte b's low and high half bytes are rows 2b and 2b + 1 of the tables
-    offsets = np.arange(0, rule.tables.shape[0], 16).reshape(-1, 2)
+    offsets = np.arange(32 * first, rule.tables.shape[0], 16).reshape(-1, 2)
     masses = np.take(rule.tables, (held & 15) + offsets[:, 0], axis=0)
     masses += np.take(rule.tables, (held >> 4) + offsets[:, 1], axis=0)
     np.cumsum(masses, axis=1, out=masses)
-    byte = np.argmax(masses[..., 0] >= rule.thresholds[7::8], axis=1)
+    if first:
+        masses += (totals - masses[:, -1])[:, None]
+    byte = np.argmax(masses[..., 0] >= rule.thresholds[8 * first + 7 :: 8], axis=1)
     rows = np.arange(cells.size)
-    before = masses[rows, byte - 1]
-    before[byte == 0] = 0
-    record = 8 * byte[:, None] + np.arange(8)
+    # the running masses inside the stop byte, from the masses at its end
+    end = masses[rows, byte]
+    record = 8 * (first + byte[:, None]) + np.arange(8)
     bits = np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")
     joint = np.cumsum(bits * rule.joint_counts[record], axis=1)
-    joint += before[:, :1]
-    first = np.argmax(joint >= rule.thresholds[record], axis=1)
-    lhs = np.cumsum(bits * rule.counts[record], axis=1)[rows, first]
-    return record[rows, first] + 1, joint[rows, first], lhs + before[:, 1]
+    joint += (end[:, 0] - joint[:, -1])[:, None]
+    stop = np.argmax(joint >= rule.thresholds[record], axis=1)
+    lhs = np.cumsum(bits * rule.counts[record], axis=1)
+    return record[rows, stop] + 1, joint[rows, stop], lhs[rows, stop] + end[:, 1] - lhs[:, -1]
+
+
+def _blocks(first_bytes: np.ndarray, size: int) -> list[tuple[int, int, int]]:
+    """Cut cells, given in nondecreasing order of the record byte each may
+    start reading at, into blocks (lo, hi, first byte) that each read at most
+    _STOP_BLOCK (cell, record byte) pairs of a prefix of ``size`` bytes, or
+    one cell. A block reads from its first cell's byte on. A cell counts as
+    at least 8 pairs: its stop byte is resolved in int64 arrays of its 8
+    records."""
+    blocks, lo = [], 0
+    while lo < first_bytes.size:
+        first = int(first_bytes[lo])
+        hi = min(first_bytes.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
+        blocks.append((lo, hi, first))
+        lo = hi
+    return blocks
 
 
 def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
-    failures. The cells go through _stops a block at a time."""
+    failures.
+
+    No cell stops before its lower bound (_StopRule.lower_bounds), so the
+    cells go through _stops in lower-bound order, a block at a time, each
+    block reading from its first cell's bound on. That needs each cell's lhs
+    total too, from one more cube of m * d^m cell passes; where the pairs the
+    bounds skip cost less, every block reads from byte 0."""
     rule = _StopRule(run)
-    if prune:
-        cells = np.flatnonzero(_evaluated(~rule.failures(run)))
-    else:
-        cells = np.arange(run.lattice.candidate_count)
+    failed, joint_cube = rule.failures(run)
+    cells = np.flatnonzero(_evaluated(~failed)) if prune else np.arange(failed.size)
+    del failed
     run.counters.candidates_evaluated += cells.size
+    totals = np.zeros((cells.size, 2), dtype=np.int64)
+    totals[:, 0] = joint_cube.reshape(-1)[cells]
+    del joint_cube
+    bounds = rule.lower_bounds(run, totals[:, 0])
+    order = np.argsort(bounds, kind="stable")
+    cells, totals, bounds = cells[order], totals[order], bounds[order]
+    del order
+    size = rule.thresholds.size // 8
+    blocks = _blocks(bounds // 8, size)
+    del bounds
+    skipped = sum((hi - lo) * first for lo, hi, first in blocks)
+    if _PAIR_COST * skipped > len(run.x_cols) * run.lattice.candidate_count:
+        lhs_cube = _upper_set_cube(_grid(run), rule.cells, rule.counts[: run.k])
+        totals[:, 1] = lhs_cube.reshape(-1)[cells]
+        del lhs_cube
+    else:
+        blocks = _blocks(np.zeros(cells.size, dtype=np.int64), size)
     joint, lhs = np.empty((2, cells.size), dtype=np.int64)
-    block = max(1, _STOP_BLOCK * 8 // rule.thresholds.size)
-    for lo in range(0, cells.size, block):
-        part = slice(lo, lo + block)
-        stop, joint[part], lhs[part] = _stops(run, rule, cells[part])
+    for lo, hi, first in blocks:
+        stop, joint[lo:hi], lhs[lo:hi] = _stops(run, rule, cells[lo:hi], first, totals[lo:hi])
         run.counters.records_evaluated += int(stop.sum())
+    del totals
     keep = joint >= run.min_support_count
     keep &= _confident(run, joint, lhs)
     return run.finish(cells[keep], joint[keep], lhs[keep])
@@ -562,6 +641,18 @@ def _require_sorted(dist: StatDistribution) -> None:
         )
 
 
+def _prefix_cut(ascending: np.ndarray, pair_total: int, bound: Fraction) -> tuple[int, int]:
+    """The prefix bound from the record counts alone, given in ascending
+    order: the smallest k such that the records past the first k of the
+    probability order hold at most bound * pair_total, compared in exact
+    integers, and the count they hold. Those records are the n - k smallest,
+    and at least one record is read."""
+    limit = bound.numerator * pair_total // bound.denominator
+    smallest = np.cumsum(ascending)
+    skip = min(int(np.searchsorted(smallest, limit, side="right")), ascending.size - 1)
+    return ascending.size - skip, int(smallest[skip - 1]) if skip else 0
+
+
 def compute_prefix_k(
     dist_sorted: StatDistribution,
     epsilon: RationalLike,
@@ -579,18 +670,14 @@ def compute_prefix_k(
 
     bound = eta_s * _bound_factor(eps, eta_c)
     pair_total = dist_sorted.pair_total
-    # suffix_count(k) <= bound * pair_total, compared in exact integers
-    limit = bound.numerator * pair_total // bound.denominator
-    cum = np.cumsum(dist_sorted.counts)
-    suffix = int(cum[-1]) - cum
-    k0 = int(np.argmax(suffix <= limit))  # suffix is nonincreasing
+    k, suffix = _prefix_cut(dist_sorted.counts[::-1], pair_total, bound)
     return ApproxBound(
         epsilon=eps,
         min_support=eta_s,
         min_confidence=eta_c,
         bound=bound,
-        suffix_mass=Fraction(int(suffix[k0]), pair_total),
-        prefix_k=k0 + 1,
+        suffix_mass=Fraction(suffix, pair_total),
+        prefix_k=k,
     )
 
 
@@ -610,8 +697,8 @@ def ea(
 ) -> list[DiscoveredMd]:
     """Evaluate every candidate against every record. The baseline the pruned
     and approximate variants are measured against."""
-    return _rules(Algorithm.EA, dist, lattice, rhs_pattern, min_support, min_confidence,
-                  counters=counters).mds()
+    return _engine(Algorithm.EA, dist, lattice, rhs_pattern, min_support, min_confidence,
+                   counters=counters)
 
 
 def eps(
@@ -626,8 +713,8 @@ def eps(
     """ea plus dominance pruning: once a candidate's support falls short, every
     candidate it dominates is skipped. Support only shrinks going up the
     lattice, so the returned set is identical to ea's."""
-    return _rules(Algorithm.EPS, dist, lattice, rhs_pattern, min_support, min_confidence,
-                  counters=counters).mds()
+    return _engine(Algorithm.EPS, dist, lattice, rhs_pattern, min_support, min_confidence,
+                   counters=counters)
 
 
 def epsc(
@@ -650,8 +737,8 @@ def epsc(
     pivot) so the final support is known and dominated candidates can be
     pruned soundly.
     """
-    return _rules(Algorithm.EPSC, dist, lattice, rhs_pattern, min_support, min_confidence,
-                  counters=counters).mds()
+    return _engine(Algorithm.EPSC, dist, lattice, rhs_pattern, min_support, min_confidence,
+                   counters=counters)
 
 
 def ap(
@@ -667,9 +754,9 @@ def ap(
     """Evaluate candidates on the first k records only (k from
     compute_prefix_k); reported measures are the prefix approximations.
     ``dist_sorted`` may come in any order; this and the other approximate
-    engines sort it with sort_by_probability_desc."""
-    return _rules(Algorithm.AP, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
-                  epsilon, counters=counters).mds()
+    engines read its first k records in sort_by_probability_desc's order."""
+    return _engine(Algorithm.AP, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                   epsilon, counters=counters)
 
 
 def api(
@@ -685,8 +772,8 @@ def api(
     """ap with per-candidate early termination: a candidate's scan stops as
     soon as the unseen mass is within its own dynamically shrinking bound.
     Never scans past record k."""
-    return _rules(Algorithm.API, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
-                  epsilon, counters=counters).mds()
+    return _engine(Algorithm.API, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                   epsilon, counters=counters)
 
 
 def aps(
@@ -700,8 +787,8 @@ def aps(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """ap plus dominance pruning on the approximate support."""
-    return _rules(Algorithm.APS, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
-                  epsilon, counters=counters).mds()
+    return _engine(Algorithm.APS, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                   epsilon, counters=counters)
 
 
 def apsi(
@@ -716,8 +803,8 @@ def apsi(
 ) -> list[DiscoveredMd]:
     """api plus dominance pruning on the approximate support of candidates
     that scanned the whole prefix."""
-    return _rules(Algorithm.APSI, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
-                  epsilon, counters=counters).mds()
+    return _engine(Algorithm.APSI, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+                   epsilon, counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +812,7 @@ def apsi(
 # ---------------------------------------------------------------------------
 
 
-def _rules(
+def _engine(
     algorithm: Algorithm,
     dist: StatDistribution,
     lattice: CandidateLattice,
@@ -735,9 +822,34 @@ def _rules(
     epsilon: RationalLike | None = None,
     *,
     counters: EvalCounters | None = None,
+) -> list[DiscoveredMd]:
+    """A public engine's rules, after the checks a request makes on its
+    construction."""
+    min_support = to_fraction(min_support, "min_support")
+    min_confidence = to_fraction(min_confidence, "min_confidence")
+    if epsilon is not None:
+        epsilon = to_fraction(epsilon, "epsilon")
+    if set(lattice.attributes) & set(rhs_pattern.attributes):
+        raise ValidationError("lhs and rhs attribute sets must be disjoint")
+    validate_thresholds(min_support, min_confidence, epsilon)
+    return _rules(algorithm, dist, lattice, rhs_pattern, min_support, min_confidence, epsilon,
+                  counters=counters).mds()
+
+
+def _rules(
+    algorithm: Algorithm,
+    dist: StatDistribution,
+    lattice: CandidateLattice,
+    rhs_pattern: ThresholdPattern,
+    min_support: Fraction,
+    min_confidence: Fraction,
+    epsilon: Fraction | None = None,
+    *,
+    counters: EvalCounters | None = None,
 ) -> _Rules:
-    """Run one algorithm; its accepted rules as arrays. ``epsilon`` makes the
-    run approximate, as the approximate algorithms need."""
+    """Run one algorithm over checked thresholds; its accepted rules as
+    arrays. ``epsilon`` makes the run approximate, as the approximate
+    algorithms need."""
     if algorithm is Algorithm.EPSC:
         dist, _ = group_by_rhs(dist, rhs_pattern)
     run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
@@ -757,8 +869,7 @@ def _request_rules(
     candidate_budget: int | None = None,
     counters: EvalCounters | None = None,
 ) -> _Rules:
-    """run_request's rules as arrays."""
-    request.validate()
+    """run_request's rules as arrays. A request is checked when it is made."""
     lattice = CandidateLattice(
         request.lhs,
         dist.domain,
@@ -783,8 +894,7 @@ def run_request(
     candidate_budget: int | None = None,
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
-    """Validate the request and run the selected algorithm over a fresh
-    candidate lattice."""
+    """Run the request's algorithm over a fresh candidate lattice."""
     return _request_rules(
         dist, request, candidate_budget=candidate_budget, counters=counters
     ).mds()

@@ -452,10 +452,37 @@ def group_by_rhs(
 def sort_by_probability_desc(dist: StatDistribution) -> StatDistribution:
     """Records in nonincreasing count order; ties broken by ascending level
     vector for run-to-run determinism."""
-    keys = [dist.levels[:, c] for c in range(len(dist.attribute_set) - 1, -1, -1)]
-    keys.append(-dist.counts)
-    order = np.lexsort(keys)
-    return dist.replace_order(order)
+    return probability_prefix(dist, dist.n)
+
+
+def _in_probability_order(dist: StatDistribution) -> bool:
+    """Whether the counts are nonincreasing and the level vectors ascend
+    within each run of equal counts."""
+    step = np.diff(dist.counts)
+    if np.any(step > 0):
+        return False
+    later, earlier = dist.levels[1:], dist.levels[:-1]
+    # level vectors are unique, so neighbouring records differ in some column
+    first = np.argmax(later != earlier, axis=1)[:, None]
+    ascending = np.take_along_axis(later, first, 1) > np.take_along_axis(earlier, first, 1)
+    return bool(np.all(ascending[:, 0] | (step < 0)))
+
+
+def probability_prefix(dist: StatDistribution, k: int) -> StatDistribution:
+    """The first k records of sort_by_probability_desc(dist). Input already in
+    that order comes back as it is, or cut to its first k records. Otherwise
+    only the records whose count is at least the k-th largest are ordered:
+    every other record lies past them."""
+    if _in_probability_order(dist):
+        return dist if k == dist.n else dist.replace_order(slice(k))
+    held, levels, counts = None, dist.levels, dist.counts
+    if k < dist.n:
+        held = np.flatnonzero(counts >= np.partition(counts, dist.n - k)[dist.n - k])
+        levels, counts = levels[held], counts[held]
+    keys = [levels[:, c] for c in range(levels.shape[1] - 1, -1, -1)]
+    keys.append(-counts)
+    order = np.lexsort(keys)[:k]
+    return dist.replace_order(order if held is None else held[order])
 
 
 def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistribution:

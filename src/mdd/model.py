@@ -343,8 +343,11 @@ class StatDistribution:
     @classmethod
     def _derived(cls, *args, **kwargs) -> "StatDistribution":
         """Skip the checks for records derived from a valid distribution (a
-        permutation, or a merge of the equal rows of some of its columns), which
-        are valid by construction. Takes ownership of the fresh arrays."""
+        permutation, a merge of the equal rows of some of its columns, or the
+        first records of its probability order, which the approximate engines
+        hold and whose counts sum below pair_total), which are valid by
+        construction. Takes ownership of the fresh arrays, or of views into
+        the read-only arrays of the distribution they came from."""
         dist = cls.__new__(cls)
         dist._assign(*args, **kwargs)
         return dist
@@ -377,8 +380,9 @@ class StatDistribution:
                 f"attribute {attr.name} not in this distribution's attribute set"
             ) from None
 
-    def replace_order(self, order: np.ndarray) -> "StatDistribution":
-        """New distribution with the records permuted by ``order``."""
+    def replace_order(self, order: np.ndarray | slice) -> "StatDistribution":
+        """New distribution with the records permuted by ``order``, or cut
+        to the records it selects (see _derived)."""
         return StatDistribution._derived(
             self.attribute_set,
             self.domain,
@@ -546,7 +550,7 @@ class DiscoveryRequest:
         epsilon: RationalLike | None = None,
     ) -> "DiscoveryRequest":
         algo = algorithm if isinstance(algorithm, Algorithm) else Algorithm.parse(str(algorithm))
-        req = cls(
+        return cls(
             tuple(lhs),
             tuple(rhs),
             rhs_pattern,
@@ -555,8 +559,9 @@ class DiscoveryRequest:
             algo,
             None if epsilon is None else to_fraction(epsilon, "epsilon"),
         )
-        req.validate()
-        return req
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.lhs:

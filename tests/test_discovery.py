@@ -166,13 +166,16 @@ def simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon):
     return stops, k
 
 
-def simulate_api(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon, *, prune):
+def simulate_api(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon, *, prune, stops=None):
     """api's rules and counters (apsi's with ``prune``) from the simulated
-    stops: visit the candidates in dominance order, skip the upper set of a
-    recorded failure (a candidate that read the whole prefix and missed the
-    support minimum), and measure the rest with fold at their stop. Returns
-    the rules as (pattern, support, confidence) in lexicographic order."""
-    stops, k = simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon)
+    stops (``stops``, simulate_api_stops's result, when given): visit the
+    candidates in dominance order, skip the upper set of a recorded failure
+    (a candidate that read the whole prefix and missed the support minimum),
+    and measure the rest with fold at their stop. Returns the rules as
+    (pattern, support, confidence) in lexicographic order."""
+    if stops is None:
+        stops = simulate_api_stops(dist, x_attrs, rhs_pattern, eta_s, eta_c, epsilon)
+    stops, k = stops
     d = dist.domain.d
     pruned = set()
     evaluated, rules = [], []
@@ -877,12 +880,14 @@ def stop_cases(draw):
     return dist, X, rhs, eta_s, eta_c, epsilon
 
 
-def assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon):
+def assert_stops_match_simulator(dist, X, rhs, eta_s, eta_c, epsilon, stops=None):
     sdist = sort_by_probability_desc(dist)
     for engine, prune in ((api, False), (apsi, True)):
         counters = EvalCounters()
         mds = engine(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
-        rules, expected = simulate_api(sdist, X, rhs, eta_s, eta_c, epsilon, prune=prune)
+        rules, expected = simulate_api(
+            sdist, X, rhs, eta_s, eta_c, epsilon, prune=prune, stops=stops
+        )
         assert result_key(mds) == rules, engine.__name__
         assert counters == expected, engine.__name__
 
@@ -898,6 +903,61 @@ def dominance_block(request):
         yield request.param
 
 
+@st.composite
+def wide_stop_cases(draw):
+    """About 200 records over m lhs columns and one rhs column, so that the
+    prefix spans many record bytes and the cells' lower bounds spread over
+    it. With ``heavy`` one record carries almost all the mass and satisfies
+    the rhs pattern: the cells holding it have a lower bound of 0. The records
+    at the top level of the first attribute sit at rhs level 0, which no rhs
+    pattern drawn here accepts, so the cells at that level have a joint total
+    of 0 and a lower bound of k - 1."""
+    m = draw(st.integers(2, 3))
+    d = draw(st.integers(5, 6)) if m == 2 else 4
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space = list(itertools.product(range(d), repeat=m + 1))
+    records = {}
+    for v in rng.sample(space, min(len(space), draw(st.integers(150, 220)))):
+        records[v if v[0] < d - 1 else v[:m] + (0,)] = rng.randint(1, 100)
+    if draw(st.booleans()):
+        heavy = (rng.randrange(d - 1),) + tuple(rng.randrange(d) for _ in range(m - 1))
+        records[heavy + (d - 1,)] = 10**6
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    rhs = ThresholdPattern.over(Y, [draw(st.integers(1, d - 1))])
+    eta_s = draw(st.fractions(Fraction(1, 10000), Fraction(1, 1000), max_denominator=10000))
+    eta_c = draw(st.fractions(Fraction(1, 10), Fraction(1, 2), max_denominator=100))
+    share = draw(st.fractions(Fraction(1, 10), Fraction(99, 100), max_denominator=100))
+    epsilon = (1 - eta_c) * share
+    k = compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k
+    assert k > 64
+    return dist, X, rhs, eta_s, eta_c, epsilon
+
+
+_STOP_PASSES = {
+    "default": None,
+    "one-cell": 1,
+    # a few cells per block, reading from several first bytes
+    "mid": 96,
+}
+
+
+@pytest.fixture(
+    params=[(block, rule) for block in _STOP_PASSES for rule in ("bounds", "from-byte-0")],
+    ids="-".join,
+)
+def stop_pass(request):
+    """Run api/apsi with stop-pass blocks of the default size, of one cell or
+    of a few cells, and with the lower bounds taken wherever they skip a byte
+    (bounds) or never (from-byte-0): both sides of the cube rule."""
+    block, rule = request.param
+    with pytest.MonkeyPatch.context() as patch:
+        if _STOP_PASSES[block] is not None:
+            patch.setattr(discovery, "_STOP_BLOCK", _STOP_PASSES[block])
+        patch.setattr(discovery, "_PAIR_COST", 10**18 if rule == "bounds" else 0)
+        yield request.param
+
+
 class TestIndividualStops:
     @settings(
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -905,6 +965,59 @@ class TestIndividualStops:
     @given(case=stop_cases())
     def test_engines_equal_joint_rule_simulator(self, dominance_block, case):
         assert_stops_match_simulator(*case)
+
+    @settings(
+        max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=wide_stop_cases())
+    def test_lower_bounds_across_many_bytes(self, stop_pass, case):
+        dist, X, rhs, eta_s, eta_c, epsilon = case
+        sdist = sort_by_probability_desc(dist)
+        run = discovery._new_run(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, None, epsilon)
+        rule = discovery._StopRule(run)
+        _, joint = rule.failures(run)
+        bounds = rule.lower_bounds(run, joint.reshape(-1))
+        simulated = simulate_api_stops(sdist, X, rhs, eta_s, eta_c, epsilon)
+        stops, k = simulated
+        # no cell stops before its bound: the stop is past the bound's record
+        for cell, bound in zip(itertools.product(range(dist.domain.d), repeat=len(X)), bounds):
+            assert bound < stops[cell]
+        heavy = joint.reshape(-1) >= rule.thresholds[0]
+        assert bounds[heavy].tolist() == [0] * int(np.sum(heavy))
+        empty = joint.reshape(-1) == 0
+        assert bounds[empty].tolist() == [k - 1] * int(np.sum(empty))
+        assert_stops_match_simulator(*case, stops=simulated)
+
+    def test_cube_rule_takes_each_side(self):
+        # the lower bounds need one more cube, of m * d^m cell passes: apsi
+        # takes it for its 36 cells on a grid of 6^2 over 25 record bytes,
+        # but not for its one cell on a grid of 6^4 over 17 record bytes,
+        # where the bounds could skip at most 16 (cell, byte) pairs
+        calls = []
+        real = discovery._upper_set_cube
+
+        def spy(shape, cells, counts):
+            calls.append(shape)
+            return real(shape, cells, counts)
+
+        rng = random.Random(23)
+        cases = ((2, 6, 1, Fraction(1, 1000), 200, 36, 2), (4, 6, 5, Fraction(1, 2), 135, 1, 1))
+        for m, d, rhs_level, eta_s, k, cells, cubes in cases:
+            space = list(itertools.product(range(d), repeat=m + 1))
+            records = {v: rng.randint(50, 100) for v in rng.sample(space, 200)}
+            dist = make_distribution(records, d)
+            X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+            rhs = ThresholdPattern.over(Y, [rhs_level])
+            eta_c, epsilon = Fraction(1, 4), Fraction(1, 2)
+            sdist = sort_by_probability_desc(dist)
+            assert compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k == k
+            calls.clear()
+            counters = EvalCounters()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(discovery, "_upper_set_cube", spy)
+                apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
+            assert counters.candidates_evaluated == cells
+            assert len(calls) == cubes, (m, d)
 
     def test_stop_products_beyond_int64(self, dominance_block):
         # count * denominator exceeds 2^63 here, so the stop test must leave
@@ -1078,6 +1191,28 @@ class TestStopPassMemory:
         assert compute_prefix_k(sort_by_probability_desc(dist), epsilon, eta_s, eta_c).prefix_k == n
         peak = self._peak(Algorithm.API, dist, X, rhs, eta_s, eta_c, epsilon)
         assert peak <= 64 * d + 130 * n + 48 * discovery._STOP_BLOCK, peak
+
+    def test_api_with_lower_bounds_over_the_whole_prefix(self):
+        # m = 4, d = 10: 10^4 cells over k = 2,845 records whose counts fall
+        # as 1 / rank, so the cells' joint totals, and their lower bounds,
+        # spread from the first record byte to the last. Each cell keeps its
+        # totals and its place in lower-bound order besides its results.
+        rng = np.random.default_rng(29)
+        m, d, n = 4, 10, 3000
+        levels = np.minimum(rng.geometric(0.15, (n, m + 1)) - 1, d - 1)
+        rows = dict.fromkeys(map(tuple, levels.tolist()))
+        dist = make_distribution({row: 10**6 // (rank + 1) + 1 for rank, row in enumerate(rows)}, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [0])
+        eta_s, eta_c, epsilon = Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2)
+        sdist = sort_by_probability_desc(dist)
+        run = discovery._new_run(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, None, epsilon)
+        rule = discovery._StopRule(run)
+        bounds = rule.lower_bounds(run, rule.failures(run)[1].reshape(-1))
+        # the bounds fall in 323 of the 356 record bytes
+        assert np.unique(bounds // 8).size > 0.9 * (rule.thresholds.size // 8)
+        peak = self._peak(Algorithm.API, dist, X, rhs, eta_s, eta_c, epsilon)
+        assert peak <= 64 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1445,3 +1580,51 @@ class TestPlainInputs:
             # group; every other engine reads a set of records
             if algo != Algorithm.EPSC:
                 assert run_engine(algo, permuted, X, rhs, eta_s, eta_c, epsilon) == got, algo
+
+
+@st.composite
+def tied_cases(draw):
+    """A distribution whose counts come from {1, 2, 3}, so that many records
+    share the k-th largest count, thresholds and epsilon as in bound_cases,
+    and a permutation of its records."""
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 5))
+    vectors = st.tuples(*[st.integers(0, d - 1)] * (m + 1))
+    records = draw(st.dictionaries(vectors, st.integers(1, 3), min_size=1, max_size=40))
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    rhs = ThresholdPattern.over(Y, [draw(st.integers(0, d - 1))])
+    eta_s = draw(st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100))
+    eta_c = draw(st.fractions(Fraction(1, 100), Fraction(9, 10), max_denominator=100))
+    share = draw(st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100))
+    order = draw(st.permutations(range(dist.n)))
+    return dist, X, rhs, eta_s, eta_c, (1 - eta_c) * share, np.array(order)
+
+
+class TestProbabilityPrefix:
+    @settings(max_examples=100, deadline=None)
+    @given(case=tied_cases())
+    def test_held_prefix_and_engines_under_ties(self, case):
+        # an approximate run holds only the first k records of the
+        # probability order, whatever order its input comes in
+        dist, X, rhs, eta_s, eta_c, epsilon, order = case
+        sdist = sort_by_probability_desc(dist)
+        k = compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k
+        inputs = {
+            "sorted": sdist,
+            "reversed": sdist.replace_order(np.arange(dist.n)[::-1]),
+            "shuffled": dist.replace_order(order),
+        }
+        results = {}
+        for name, source in inputs.items():
+            lattice = fresh_lattice(dist, X)
+            run = discovery._new_run(source, lattice, rhs, eta_s, eta_c, None, epsilon)
+            assert run.k == run.dist.n == k, name
+            assert np.array_equal(run.dist.levels, sdist.levels[:k]), name
+            assert np.array_equal(run.dist.counts, sdist.counts[:k]), name
+            for engine in (ap, aps, api, apsi):
+                counters = EvalCounters()
+                mds = engine(source, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon,
+                             counters=counters)
+                got = [(md.lhs_pattern, md.support, md.confidence, md.mode) for md in mds], counters
+                assert results.setdefault(engine.__name__, got) == got, (engine.__name__, name)
