@@ -66,17 +66,19 @@ byte whose last record passes it. Temporaries are bounded by the block.
 Lower bounds. The joint mass J_i read so far never exceeds the candidate's
 joint total J over the prefix, and the thresholds do not increase, so no
 candidate stops before the first record whose threshold is at most J: one
-binary search gives that bound, and a candidate with J = 0 is bounded at
-k - 1. Each cell reads its bit rows only from its bound's byte on; the masses
-read before a byte are its joint and lhs totals over the prefix, from the
-upper-set cubes, minus the masses of that byte and the later ones. The cells
-go through the pass in bound order, each block reading from its first cell's
-byte, so a pass costs the sum over cells of (k - bound) * m / 8 byte ANDs
-instead of |cells| * k * m / 8. apsi's failures cube already holds the joint
-totals; the lhs totals take one more cube, m * d^m cell passes, which a run
-pays only where the (cell, byte) pairs the bounds skip would cost more. apsi
-resolves a few hundred cells on a 10^5 grid; api resolves every cell, most of
-them with small totals, whose bounds lie near the end of the prefix.
+binary search gives that bound. A candidate bounded at k - 1, as every one
+with J = 0 is, stops at the last record with its totals and reads nothing.
+Every other cell reads its bit rows only from its bound's byte on, and the
+masses read before a byte are its joint and lhs totals over the prefix, from
+the upper-set cubes, minus the masses of that byte and the later ones. The
+cells go through the pass in bound order, each block reading from its first
+cell's byte, so a pass costs about the sum over cells of (k - bound) * m / 8
+byte ANDs instead of |cells| * k * m / 8. apsi's failures cube already holds
+the joint totals; the lhs totals take one more cube, m * d^m cell passes,
+which a run pays only where the (cell, byte) pairs the bounds skip would
+cost more. apsi resolves a few hundred cells on a 10^5 grid; api resolves
+every cell, but most have a small joint total and so a bound at the last
+record.
 
 Decision arithmetic is exact: support minimums and stops become integer count
 thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
@@ -567,11 +569,13 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     resolved: the candidates with no immediate predecessor among the
     failures.
 
-    No cell stops before its lower bound (_StopRule.lower_bounds), so the
-    cells go through _stops in lower-bound order, a block at a time, each
-    block reading from its first cell's bound on. That needs each cell's lhs
-    total too, from one more cube of m * d^m cell passes; where the pairs the
-    bounds skip cost less, every block reads from byte 0."""
+    No cell stops before its lower bound (_StopRule.lower_bounds). The
+    bounds need each cell's lhs total too, from one more cube of m * d^m
+    cell passes. Where the (cell, byte) pairs they skip cost more than that,
+    the cells go through _stops in lower-bound order, a block at a time,
+    each block reading from its first cell's bound on, and a cell bounded at
+    the last record stops there, at its totals, without reading. Otherwise
+    every block reads from byte 0."""
     rule = _StopRule(run)
     failed, joint_cube = rule.failures(run)
     cells = np.flatnonzero(_evaluated(~failed)) if prune else np.arange(failed.size)
@@ -585,16 +589,20 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     cells, totals, bounds = cells[order], totals[order], bounds[order]
     del order
     size = rule.thresholds.size // 8
-    blocks = _blocks(bounds // 8, size)
+    # the cells bounded at the last record stop there, at their totals
+    last = int(np.searchsorted(bounds, run.k - 1))
+    blocks = _blocks(bounds[:last] // 8, size)
     del bounds
-    skipped = sum((hi - lo) * first for lo, hi, first in blocks)
+    skipped = sum((hi - lo) * first for lo, hi, first in blocks) + (cells.size - last) * size
+    joint, lhs = np.empty((2, cells.size), dtype=np.int64)
     if _PAIR_COST * skipped > len(run.x_cols) * run.lattice.candidate_count:
         lhs_cube = _upper_set_cube(_grid(run), rule.cells, rule.counts[: run.k])
         totals[:, 1] = lhs_cube.reshape(-1)[cells]
         del lhs_cube
+        joint[last:], lhs[last:] = totals[last:].T
+        run.counters.records_evaluated += run.k * (cells.size - last)
     else:
         blocks = _blocks(np.zeros(cells.size, dtype=np.int64), size)
-    joint, lhs = np.empty((2, cells.size), dtype=np.int64)
     for lo, hi, first in blocks:
         stop, joint[lo:hi], lhs[lo:hi] = _stops(run, rule, cells[lo:hi], first, totals[lo:hi])
         run.counters.records_evaluated += int(stop.sum())
