@@ -74,11 +74,9 @@ the upper-set cubes, minus the masses of that byte and the later ones. The
 cells go through the pass in bound order, each block reading from its first
 cell's byte, so a pass costs about the sum over cells of (k - bound) * m / 8
 byte ANDs instead of |cells| * k * m / 8. apsi's failures cube already holds
-the joint totals; the lhs totals take one more cube, m * d^m cell passes,
-which a run pays only where the (cell, byte) pairs the bounds skip would
-cost more. apsi resolves a few hundred cells on a 10^5 grid; api resolves
-every cell, but most have a small joint total and so a bound at the last
-record.
+the joint totals; the lhs totals take one more cube, m * d^m cell passes.
+apsi resolves a few hundred cells on a 10^5 grid; api resolves every cell,
+but most have a small joint total and so a bound at the last record.
 
 Decision arithmetic is exact: support minimums and stops become integer count
 thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
@@ -432,10 +430,6 @@ def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
 # The stop pass takes this many (cell, record byte) pairs at a time, so its
 # temporaries never grow with |cells| * k.
 _STOP_BLOCK = 1 << 15
-# A (cell, record byte) pair of the stop pass costs about as much as this many
-# cells of one axis pass of an upper-set cube (see _stop_scan): on a 2-vCPU
-# host, about 15 ns a pair at m = 5 and 30 ns at m = 7, against 2.3 ns a cell.
-_PAIR_COST = 8
 # _HALF_BYTE_BITS[v, j]: bit j of the half byte v
 _HALF_BYTE_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
@@ -497,7 +491,8 @@ class _StopRule:
         test fails while the threshold is above it. The thresholds do not
         increase, and thresholds[k - 1] = 0 bounds every cell."""
         k = run.k
-        return k - np.searchsorted(self.thresholds[k - 1 :: -1], joint, side="right")
+        bounds = np.searchsorted(self.thresholds[k - 1 :: -1], joint, side="right")
+        return np.subtract(k, bounds, out=bounds)
 
 
 def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -547,66 +542,64 @@ def _stops(
     return record[rows, stop] + 1, joint[rows, stop], lhs[rows, stop] + end[:, 1] - lhs[:, -1]
 
 
-def _blocks(first_bytes: np.ndarray, size: int) -> list[tuple[int, int, int]]:
-    """Cut cells, given in nondecreasing order of the record byte each may
-    start reading at, into blocks (lo, hi, first byte) that each read at most
-    _STOP_BLOCK (cell, record byte) pairs of a prefix of ``size`` bytes, or
-    one cell. A block reads from its first cell's byte on. A cell counts as
-    at least 8 pairs: its stop byte is resolved in int64 arrays of its 8
-    records."""
+def _blocks(bounds: np.ndarray, size: int) -> list[tuple[int, int, int]]:
+    """Cut cells, given in nondecreasing order of their lower bounds, into
+    blocks (lo, hi, first byte) that each read at most _STOP_BLOCK (cell,
+    record byte) pairs of a prefix of ``size`` bytes, or one cell. A block
+    reads from its first cell's bound's byte on. A cell counts as at least 8
+    pairs: its stop byte is resolved in int64 arrays of its 8 records."""
     blocks, lo = [], 0
-    while lo < first_bytes.size:
-        first = int(first_bytes[lo])
-        hi = min(first_bytes.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
+    while lo < bounds.size:
+        first = int(bounds[lo]) // 8
+        hi = min(bounds.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
         blocks.append((lo, hi, first))
         lo = hi
     return blocks
+
+
+def _read_stops(
+    run: _Run, rule: _StopRule, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray
+) -> None:
+    """Turn each cell's joint and lhs totals over the prefix, in ``joint``
+    and ``lhs``, into its masses at its stop, and count the records it
+    reads. A cell bounded at the last record stops there, at its totals,
+    without reading. The others go through _stops in lower-bound order, a
+    block at a time; only they are ordered."""
+    k = run.k
+    # a joint total below the threshold at record k - 2 bounds a cell at k - 1
+    reading = np.flatnonzero(joint >= rule.thresholds[k - 2]) if k > 1 else cells[:0]
+    run.counters.records_evaluated += k * (cells.size - reading.size)
+    bounds = rule.lower_bounds(run, joint[reading])
+    reading = reading[np.argsort(bounds, kind="stable")]
+    bounds.sort()
+    for lo, hi, first in _blocks(bounds, rule.thresholds.size // 8):
+        part = reading[lo:hi]
+        totals = np.column_stack((joint[part], lhs[part]))
+        stop, joint[part], lhs[part] = _stops(run, rule, cells[part], first, totals)
+        run.counters.records_evaluated += int(stop.sum())
 
 
 def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     """api's scan: each candidate reads the prefix up to its stop (see
     _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
     resolved: the candidates with no immediate predecessor among the
-    failures.
-
-    No cell stops before its lower bound (_StopRule.lower_bounds). The
-    bounds need each cell's lhs total too, from one more cube of m * d^m
-    cell passes. Where the (cell, byte) pairs they skip cost more than that,
-    the cells go through _stops in lower-bound order, a block at a time,
-    each block reading from its first cell's bound on, and a cell bounded at
-    the last record stops there, at its totals, without reading. Otherwise
-    every block reads from byte 0."""
+    failures. No cell stops before its lower bound (_StopRule.lower_bounds),
+    which its joint total over the prefix gives; each cell's masses live in
+    one joint and one lhs array from the cubes to the end (_read_stops)."""
     rule = _StopRule(run)
-    failed, joint_cube = rule.failures(run)
-    cells = np.flatnonzero(_evaluated(~failed)) if prune else np.arange(failed.size)
+    failed, joint = rule.failures(run)
+    joint = joint.reshape(-1)
+    if prune:
+        cells = np.flatnonzero(_evaluated(~failed))
+        joint = joint[cells]
+    else:
+        cells = np.arange(joint.size)
     del failed
     run.counters.candidates_evaluated += cells.size
-    totals = np.zeros((cells.size, 2), dtype=np.int64)
-    totals[:, 0] = joint_cube.reshape(-1)[cells]
-    del joint_cube
-    bounds = rule.lower_bounds(run, totals[:, 0])
-    order = np.argsort(bounds, kind="stable")
-    cells, totals, bounds = cells[order], totals[order], bounds[order]
-    del order
-    size = rule.thresholds.size // 8
-    # the cells bounded at the last record stop there, at their totals
-    last = int(np.searchsorted(bounds, run.k - 1))
-    blocks = _blocks(bounds[:last] // 8, size)
-    del bounds
-    skipped = sum((hi - lo) * first for lo, hi, first in blocks) + (cells.size - last) * size
-    joint, lhs = np.empty((2, cells.size), dtype=np.int64)
-    if _PAIR_COST * skipped > len(run.x_cols) * run.lattice.candidate_count:
-        lhs_cube = _upper_set_cube(_grid(run), rule.cells, rule.counts[: run.k])
-        totals[:, 1] = lhs_cube.reshape(-1)[cells]
-        del lhs_cube
-        joint[last:], lhs[last:] = totals[last:].T
-        run.counters.records_evaluated += run.k * (cells.size - last)
-    else:
-        blocks = _blocks(np.zeros(cells.size, dtype=np.int64), size)
-    for lo, hi, first in blocks:
-        stop, joint[lo:hi], lhs[lo:hi] = _stops(run, rule, cells[lo:hi], first, totals[lo:hi])
-        run.counters.records_evaluated += int(stop.sum())
-    del totals
+    lhs = _upper_set_cube(_grid(run), rule.cells, rule.counts[: run.k]).reshape(-1)
+    if prune:
+        lhs = lhs[cells]
+    _read_stops(run, rule, cells, joint, lhs)
     keep = joint >= run.min_support_count
     keep &= _confident(run, joint, lhs)
     return run.finish(cells[keep], joint[keep], lhs[keep])

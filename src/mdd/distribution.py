@@ -455,26 +455,10 @@ def sort_by_probability_desc(dist: StatDistribution) -> StatDistribution:
     return probability_prefix(dist, dist.n)
 
 
-def _in_probability_order(dist: StatDistribution) -> bool:
-    """Whether the counts are nonincreasing and the level vectors ascend
-    within each run of equal counts."""
-    step = np.diff(dist.counts)
-    if np.any(step > 0):
-        return False
-    later, earlier = dist.levels[1:], dist.levels[:-1]
-    # level vectors are unique, so neighbouring records differ in some column
-    first = np.argmax(later != earlier, axis=1)[:, None]
-    ascending = np.take_along_axis(later, first, 1) > np.take_along_axis(earlier, first, 1)
-    return bool(np.all(ascending[:, 0] | (step < 0)))
-
-
 def probability_prefix(dist: StatDistribution, k: int) -> StatDistribution:
-    """The first k records of sort_by_probability_desc(dist). Input already in
-    that order comes back as it is, or cut to its first k records. Otherwise
-    only the records whose count is at least the k-th largest are ordered:
-    every other record lies past them."""
-    if _in_probability_order(dist):
-        return dist if k == dist.n else dist.replace_order(slice(k))
+    """The first k records of sort_by_probability_desc(dist). Only the
+    records whose count is at least the k-th largest are ordered: every
+    other record lies past them."""
     held, levels, counts = None, dist.levels, dist.counts
     if k < dist.n:
         held = np.flatnonzero(counts >= np.partition(counts, dist.n - k)[dist.n - k])

@@ -346,8 +346,7 @@ class StatDistribution:
         permutation, a merge of the equal rows of some of its columns, or the
         first records of its probability order, which the approximate engines
         hold and whose counts sum below pair_total), which are valid by
-        construction. Takes ownership of the fresh arrays, or of views into
-        the read-only arrays of the distribution they came from."""
+        construction. Takes ownership of the fresh arrays."""
         dist = cls.__new__(cls)
         dist._assign(*args, **kwargs)
         return dist
@@ -380,9 +379,9 @@ class StatDistribution:
                 f"attribute {attr.name} not in this distribution's attribute set"
             ) from None
 
-    def replace_order(self, order: np.ndarray | slice) -> "StatDistribution":
-        """New distribution with the records permuted by ``order``, or cut
-        to the records it selects (see _derived)."""
+    def replace_order(self, order: np.ndarray) -> "StatDistribution":
+        """New distribution with the records at ``order``: a permutation, or
+        the first records of the probability order (see _derived)."""
         return StatDistribution._derived(
             self.attribute_set,
             self.domain,
@@ -550,17 +549,15 @@ class DiscoveryRequest:
         epsilon: RationalLike | None = None,
     ) -> "DiscoveryRequest":
         algo = algorithm if isinstance(algorithm, Algorithm) else Algorithm.parse(str(algorithm))
-        return cls(
-            tuple(lhs),
-            tuple(rhs),
-            rhs_pattern,
-            to_fraction(min_support, "min_support"),
-            to_fraction(min_confidence, "min_confidence"),
-            algo,
-            None if epsilon is None else to_fraction(epsilon, "epsilon"),
-        )
+        return cls(tuple(lhs), tuple(rhs), rhs_pattern, min_support, min_confidence, algo, epsilon)
 
     def __post_init__(self) -> None:
+        # a request made directly or by dataclasses.replace may carry floats,
+        # ints or strings; it holds their exact rationals
+        for name in ("min_support", "min_confidence", "epsilon"):
+            value = getattr(self, name)
+            if value is not None or name != "epsilon":
+                object.__setattr__(self, name, to_fraction(value, name))
         self.validate()
 
     def validate(self) -> None:

@@ -8,6 +8,7 @@ engine paths.
 """
 
 import bisect
+import dataclasses
 import gc
 import itertools
 import math
@@ -942,19 +943,13 @@ _STOP_PASSES = {
 }
 
 
-@pytest.fixture(
-    params=[(block, rule) for block in _STOP_PASSES for rule in ("bounds", "from-byte-0")],
-    ids="-".join,
-)
+@pytest.fixture(params=list(_STOP_PASSES))
 def stop_pass(request):
     """Run api/apsi with stop-pass blocks of the default size, of one cell or
-    of a few cells, and with the lower bounds taken wherever they skip a byte
-    (bounds) or never (from-byte-0): both sides of the cube rule."""
-    block, rule = request.param
+    of a few cells."""
     with pytest.MonkeyPatch.context() as patch:
-        if _STOP_PASSES[block] is not None:
-            patch.setattr(discovery, "_STOP_BLOCK", _STOP_PASSES[block])
-        patch.setattr(discovery, "_PAIR_COST", 10**18 if rule == "bounds" else 0)
+        if _STOP_PASSES[request.param] is not None:
+            patch.setattr(discovery, "_STOP_BLOCK", _STOP_PASSES[request.param])
         yield request.param
 
 
@@ -987,37 +982,6 @@ class TestIndividualStops:
         empty = joint.reshape(-1) == 0
         assert bounds[empty].tolist() == [k - 1] * int(np.sum(empty))
         assert_stops_match_simulator(*case, stops=simulated)
-
-    def test_cube_rule_takes_each_side(self):
-        # the lower bounds need one more cube, of m * d^m cell passes: apsi
-        # takes it for its 36 cells on a grid of 6^2 over 25 record bytes,
-        # but not for its one cell on a grid of 6^4 over 17 record bytes,
-        # where the bounds could skip at most 16 (cell, byte) pairs
-        calls = []
-        real = discovery._upper_set_cube
-
-        def spy(shape, cells, counts):
-            calls.append(shape)
-            return real(shape, cells, counts)
-
-        rng = random.Random(23)
-        cases = ((2, 6, 1, Fraction(1, 1000), 200, 36, 2), (4, 6, 5, Fraction(1, 2), 135, 1, 1))
-        for m, d, rhs_level, eta_s, k, cells, cubes in cases:
-            space = list(itertools.product(range(d), repeat=m + 1))
-            records = {v: rng.randint(50, 100) for v in rng.sample(space, 200)}
-            dist = make_distribution(records, d)
-            X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
-            rhs = ThresholdPattern.over(Y, [rhs_level])
-            eta_c, epsilon = Fraction(1, 4), Fraction(1, 2)
-            sdist = sort_by_probability_desc(dist)
-            assert compute_prefix_k(sdist, epsilon, eta_s, eta_c).prefix_k == k
-            calls.clear()
-            counters = EvalCounters()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(discovery, "_upper_set_cube", spy)
-                apsi(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon, counters=counters)
-            assert counters.candidates_evaluated == cells
-            assert len(calls) == cubes, (m, d)
 
     def test_stop_products_beyond_int64(self, dominance_block):
         # count * denominator exceeds 2^63 here, so the stop test must leave
@@ -1193,26 +1157,30 @@ class TestStopPassMemory:
         assert peak <= 64 * d + 130 * n + 48 * discovery._STOP_BLOCK, peak
 
     def test_api_with_lower_bounds_over_the_whole_prefix(self):
-        # m = 4, d = 10: 10^4 cells over k = 2,845 records whose counts fall
-        # as 1 / rank, so the cells' joint totals, and their lower bounds,
-        # spread from the first record byte to the last. Each cell keeps its
-        # totals and its place in lower-bound order besides its results.
+        # m = 6, d = 10: 10^6 cells over k = 2,421 records whose counts fall
+        # as 1 / rank, so the joint totals, and the lower bounds of the
+        # 41,666 cells that read records, spread from the first record byte
+        # to the last. The cell numbers and the joint and lhs cubes take 24
+        # bytes a cell; only the cells that read are ordered, so the stops'
+        # arrays never grow with the grid.
         rng = np.random.default_rng(29)
-        m, d, n = 4, 10, 3000
+        m, d, n = 6, 10, 3000
         levels = np.minimum(rng.geometric(0.15, (n, m + 1)) - 1, d - 1)
         rows = dict.fromkeys(map(tuple, levels.tolist()))
         dist = make_distribution({row: 10**6 // (rank + 1) + 1 for rank, row in enumerate(rows)}, d)
         X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
-        rhs = ThresholdPattern.over(Y, [0])
-        eta_s, eta_c, epsilon = Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2)
+        rhs = ThresholdPattern.over(Y, [3])
+        eta_s, eta_c, epsilon = Fraction(1, 20), Fraction(1, 4), Fraction(1, 2)
         sdist = sort_by_probability_desc(dist)
         run = discovery._new_run(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, None, epsilon)
         rule = discovery._StopRule(run)
         bounds = rule.lower_bounds(run, rule.failures(run)[1].reshape(-1))
-        # the bounds fall in 323 of the 356 record bytes
-        assert np.unique(bounds // 8).size > 0.9 * (rule.thresholds.size // 8)
+        reading = bounds[bounds < run.k - 1]
+        # 41,666 cells read records; their bounds fall in 253 of the 303 bytes
+        assert 0.02 * d**m < reading.size < 0.1 * d**m
+        assert np.unique(reading // 8).size > 0.8 * (rule.thresholds.size // 8)
         peak = self._peak(Algorithm.API, dist, X, rhs, eta_s, eta_c, epsilon)
-        assert peak <= 64 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
+        assert peak <= 32 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1296,6 +1264,26 @@ class TestRunRequest:
             request = DiscoveryRequest.build(X, Y, rhs, "0.02", "0.4", algo)
             results.append(result_key(run_request(dist, request)))
         assert results[0] == results[1] == results[2]
+
+    def test_replaced_float_thresholds_are_exact(self):
+        # a request changed by dataclasses.replace holds the same exact
+        # rationals as one built from the same floats
+        rng = random.Random(13)
+        dist, X, Y = random_distribution(rng, m_x=2, d=4)
+        rhs = ThresholdPattern.over(Y, [1])
+        for algo in Algorithm:
+            epsilon = 0.5 if algo.is_approximate else None
+            built = DiscoveryRequest.build(X, Y, rhs, 0.05, 0.3, algo, epsilon=epsilon)
+            start = DiscoveryRequest.build(X, Y, rhs, "1/2", "1/2", algo,
+                                           epsilon="1/4" if algo.is_approximate else None)
+            replaced = dataclasses.replace(
+                start, min_support=0.05, min_confidence=0.3, epsilon=epsilon
+            )
+            assert replaced == built
+            assert type(replaced.min_support) is Fraction
+            assert result_key(run_request(dist, replaced)) == result_key(run_request(dist, built))
+        with pytest.raises(ValidationError, match="min_support must be finite"):
+            dataclasses.replace(built, min_support=float("nan"))
 
     def test_rhs_attribute_outside_distribution_raises(self):
         # a zero threshold still names an attribute the records must carry

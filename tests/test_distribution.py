@@ -691,23 +691,6 @@ class TestSortByProbability:
         probs = [int(c) / ordered.pair_total for c in ordered.counts]
         assert probs == [0.768, 0.124, 0.065, 0.043]
 
-    def test_sorted_input_comes_back_as_it_is(self):
-        dist = make_distribution({(2, 0): 5, (0, 1): 5, (1, 1): 5, (0, 0): 2, (2, 2): 7}, d=3)
-        ordered = sort_by_probability_desc(dist)
-        assert ordered is not dist
-        assert sort_by_probability_desc(ordered) is ordered
-        prefix = distribution_module.probability_prefix(ordered, 3)
-        assert np.shares_memory(prefix.counts, ordered.counts)
-        assert np.array_equal(prefix.levels, ordered.levels[:3])
-
-    def test_tie_in_descending_level_order_is_sorted(self):
-        # counts already nonincreasing, but one tie's level vectors descend
-        dist = make_distribution({(0, 1): 5, (1, 0): 5, (2, 0): 3}, d=3)
-        unsorted = dist.replace_order(np.array([1, 0, 2]))
-        assert [tuple(map(int, r)) for r in unsorted.levels] == [(1, 0), (0, 1), (2, 0)]
-        ordered = sort_by_probability_desc(unsorted)
-        assert [tuple(map(int, r)) for r in ordered.levels] == [(0, 1), (1, 0), (2, 0)]
-
     @settings(max_examples=100, deadline=None)
     @given(
         records=st.dictionaries(
