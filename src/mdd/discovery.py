@@ -90,8 +90,10 @@ record by record.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -164,14 +166,16 @@ class _Run:
         )
 
 
-def _fraction(numerator: int, denominator: int) -> Fraction:
-    """Fraction(numerator, denominator) for coprime Python ints with a
-    positive denominator, without the gcd: its two slots written directly,
-    as CPython 3.12's Fraction._from_coprime_ints does."""
-    value = object.__new__(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
-    return value
+def _build(cls: type, n: int, **fields) -> list:
+    """n instances of the slotted class ``cls``, made by object.__new__
+    without the class's own ``__new__`` or ``__init__``: each slot is
+    written for every instance from its iterable of values through the
+    slot's member descriptor, in C loops. The values must be what the
+    constructor would have stored."""
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for name, values in fields.items():
+        deque(map(getattr(cls, name).__set__, objs, values), maxlen=0)
+    return objs
 
 
 @dataclass(frozen=True)
@@ -209,13 +213,27 @@ class _Rules:
         return tuple(reduced)
 
     def mds(self) -> list[DiscoveredMd]:
-        """The rules as DiscoveredMd objects, built eagerly from the arrays.
-        The measures come reduced from measures(), so each Fraction is made
-        without a second gcd. Rules share their (attribute, level) entries:
-        each attribute maps the levels present to one tuple each and level 0
-        to None, so a rule's entries are its row with the Nones filtered
-        out, in attribute-index order as the pattern keeps them."""
-        attrs = self.attributes
+        """The rules as DiscoveredMd objects (see _objects), made with the
+        cyclic collector paused: every object made here stays alive, so the
+        collector's passes over them would find nothing to free."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._objects()
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _objects(self) -> list[DiscoveredMd]:
+        """The rules built eagerly from the arrays by _build, so no Python
+        frame runs per rule; the engines build every pattern valid, so the
+        constructors' checks are skipped. The measures come reduced from
+        measures(), so each Fraction's two slots take its lowest terms
+        directly. Rules share their (attribute, level) entries: each
+        attribute maps the levels present to one tuple each and level 0 to
+        None, so a rule's entries are its row with the Nones filtered out,
+        in attribute-index order as the pattern keeps them."""
+        attrs, n = self.attributes, len(self.cells)
         levels = self.levels()
         columns = []
         for i in sorted(range(len(attrs)), key=lambda i: attrs[i].index):
@@ -224,32 +242,20 @@ class _Rules:
             entry[0] = None
             columns.append(map(entry.__getitem__, axis))
         (support_num, support_den), (confidence_num, confidence_den) = self.measures()
-        rhs_pattern, mode, counters = self.rhs_pattern, self.mode, self.counters
-        new_pattern, new_md = ThresholdPattern._trusted, DiscoveredMd._trusted
-        results = []
-        # Every object made here stays alive, so the cyclic collector's
-        # passes over the growing list would find nothing to free.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            # the engines build every pattern valid, so the checks are skipped
-            for row, sn, sd, cn, cd in zip(
-                zip(*columns), support_num, support_den, confidence_num, confidence_den
-            ):
-                results.append(
-                    new_md(
-                        new_pattern(tuple(filter(None, row))),
-                        rhs_pattern,
-                        _fraction(sn, sd),
-                        _fraction(cn, cd),
-                        mode,
-                        counters,
-                    )
-                )
-        finally:
-            if collecting:
-                gc.enable()
-        return results
+        return _build(
+            DiscoveredMd,
+            n,
+            lhs_pattern=_build(
+                ThresholdPattern,
+                n,
+                entries=map(tuple, map(filter, repeat(None), zip(*columns))),
+            ),
+            rhs_pattern=repeat(self.rhs_pattern),
+            support=_build(Fraction, n, _numerator=support_num, _denominator=support_den),
+            confidence=_build(Fraction, n, _numerator=confidence_num, _denominator=confidence_den),
+            mode=repeat(self.mode),
+            counters=repeat(self.counters),
+        )
 
 
 def _new_run(

@@ -477,7 +477,7 @@ def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistrib
         raise ValidationError("distribution needs a nonempty attribute set")
     cols = [dist.column_index(a) for a in attrs]
     sub = dist.levels[:, cols]
-    order, starts = sorted_rows(sub)
+    order, starts = sorted_rows(sub, dist.domain.d)
     uniq = sub[order[starts]]
     counts = np.add.reduceat(dist.counts[order], starts)
     specs = tuple(dist.metric_specs[c] for c in cols) if dist.metric_specs else ()

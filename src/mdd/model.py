@@ -182,7 +182,7 @@ class LevelDomain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdPattern:
     """Per-attribute minimum similarity levels.
 
@@ -209,14 +209,6 @@ class ThresholdPattern:
             "entries",
             tuple(sorted(((a, int(l)) for a, l in self.entries), key=lambda e: e[0].index)),
         )
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[AttributeId, int], ...]) -> "ThresholdPattern":
-        """Skip the checks for entries built valid: Python-int levels >= 0 on
-        distinct attributes, already sorted by attribute index."""
-        pattern = cls.__new__(cls)
-        object.__setattr__(pattern, "entries", entries)
-        return pattern
 
     @classmethod
     def of(cls, thresholds: Mapping[AttributeId, int]) -> "ThresholdPattern":
@@ -262,12 +254,21 @@ def strip_zero_levels(pattern: ThresholdPattern) -> ThresholdPattern:
 # ---------------------------------------------------------------------------
 
 
-def sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that sorts the rows of a 2-D array lexicographically,
-    first column first, and the positions in that order where each run of
-    equal rows starts."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+def sorted_rows(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable permutation that sorts the rows of a 2-D array of levels
+    in 0..d-1 lexicographically, first column first, and the positions in
+    that order where each run of equal rows starts."""
+    if d ** rows.shape[1] < 2**63:
+        # one int64 key per row, its levels read as base-d digits
+        keys = rows[:, 0].astype(np.int64)
+        for c in range(1, rows.shape[1]):
+            keys *= d
+            keys += rows[:, c]
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order, None]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
     starts = np.ones(order.size, dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
     return order, np.flatnonzero(starts)
@@ -332,7 +333,7 @@ class StatDistribution:
         # summed in 32-bit halves, so no int64 sum of many large counts wraps
         if (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum()) != pair_total:
             raise ValidationError("record counts must sum to pair_total")
-        if sorted_rows(levels)[1].size != levels.shape[0]:
+        if sorted_rows(levels, domain.d)[1].size != levels.shape[0]:
             raise ValidationError("level vectors must be unique across records")
         if metric_specs and len(metric_specs) != len(attribute_set):
             raise ValidationError("metric_specs must align with the attribute set")
@@ -482,7 +483,7 @@ class EvalCounters:
     candidates_total: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveredMd:
     """A validated rule: LHS pattern (zero levels removed), the fixed RHS
     pattern, and the measures under which it qualified."""
@@ -499,30 +500,6 @@ class DiscoveredMd:
     def __post_init__(self) -> None:
         if any(l == 0 for _, l in self.lhs_pattern.items()):
             raise ValidationError("lhs_pattern must not carry zero thresholds")
-
-    @classmethod
-    def _trusted(
-        cls,
-        lhs_pattern: ThresholdPattern,
-        rhs_pattern: ThresholdPattern,
-        support: Fraction,
-        confidence: Fraction,
-        mode: EvaluationMode,
-        counters: EvalCounters,
-    ) -> "DiscoveredMd":
-        """Skip the check for a rule whose lhs pattern was built without zero
-        levels."""
-        md = cls.__new__(cls)
-        # field by field, as the frozen __init__ does: touching md.__dict__
-        # would give every rule its own dict, about 200 bytes more per rule
-        setattr_ = object.__setattr__
-        setattr_(md, "lhs_pattern", lhs_pattern)
-        setattr_(md, "rhs_pattern", rhs_pattern)
-        setattr_(md, "support", support)
-        setattr_(md, "confidence", confidence)
-        setattr_(md, "mode", mode)
-        setattr_(md, "counters", counters)
-        return md
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ engine paths.
 """
 
 import bisect
+import copy
 import dataclasses
 import gc
 import itertools
@@ -1348,13 +1349,29 @@ class TestRunRequest:
 
 class TestMdsPausesTheCollector:
     """``_Rules.mds()`` builds its objects with the cyclic collector off and
-    leaves the collector as the caller had it."""
+    leaves the collector as the caller had it. A ``gc.callbacks`` hook
+    records every collection started; with the threshold at 1 a collection
+    falls due at almost every allocation, so any stretch that runs with the
+    collector on shows one."""
 
     @pytest.fixture(autouse=True)
     def keep_collector_state(self):
-        enabled = gc.isenabled()
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
         yield
+        gc.set_threshold(*threshold)
         (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def collections(self):
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        yield started
+        gc.callbacks.remove(hook)
 
     @pytest.fixture
     def rules(self):
@@ -1366,33 +1383,49 @@ class TestMdsPausesTheCollector:
         assert len(rules.cells) > 1
         return rules
 
-    def spy_on_rules(self, monkeypatch, fail_at=None):
-        """Record the collector's state at each rule built; raise at the
+    def spy_on_measures(self, monkeypatch, fail_at=None):
+        """Record the collector's state as each rule's support numerator is
+        read, while the rules' Fractions are filled; raise at the
         ``fail_at``-th rule."""
         seen = []
-        trusted = DiscoveredMd._trusted
+        measures = discovery._Rules.measures
 
-        def spy(*args):
-            seen.append(gc.isenabled())
-            if len(seen) == fail_at:
-                raise RuntimeError("rule construction failed")
-            return trusted(*args)
+        def spy(rules):
+            (numerators, denominators), confidence = measures(rules)
 
-        monkeypatch.setattr(DiscoveredMd, "_trusted", staticmethod(spy))
+            def read():
+                for value in numerators:
+                    seen.append(gc.isenabled())
+                    if len(seen) == fail_at:
+                        raise RuntimeError("rule construction failed")
+                    yield value
+
+            return (read(), denominators), confidence
+
+        monkeypatch.setattr(discovery._Rules, "measures", spy)
         return seen
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_off_inside_and_restored_after(self, rules, monkeypatch, enabled):
+    def test_collector_off_inside_and_restored_after(
+        self, rules, collections, monkeypatch, enabled
+    ):
+        seen = self.spy_on_measures(monkeypatch)
+        gc.set_threshold(1)
         (gc.enable if enabled else gc.disable)()
-        seen = self.spy_on_rules(monkeypatch)
+        before = len(collections)
         mds = rules.mds()
+        inside = len(collections) - before
+        assert gc.isenabled() is enabled
+        assert inside == 0
         assert len(mds) == len(seen) == len(rules.cells)
         assert not any(seen)
-        assert gc.isenabled() is enabled
+        # the hook does see the collections that fall due with the collector on
+        [[] for _ in range(100)]
+        assert (len(collections) > before) is enabled
 
     def test_collector_restored_when_a_rule_raises(self, rules, monkeypatch):
         gc.enable()
-        seen = self.spy_on_rules(monkeypatch, fail_at=2)
+        seen = self.spy_on_measures(monkeypatch, fail_at=2)
         with pytest.raises(RuntimeError, match="rule construction failed"):
             rules.mds()
         assert seen == [False, False]
@@ -1461,6 +1494,7 @@ class TestBulkRuleBuild:
                 rules.counters,
             )
             assert md == want and hash(md) == hash(want)
+            assert type(md) is DiscoveredMd and type(md.lhs_pattern) is ThresholdPattern
             assert hash(md.lhs_pattern) == hash(want.lhs_pattern)
             assert all(type(level) is int for _, level in md.lhs_pattern.entries)
             for measure, expected in ((md.support, want.support), (md.confidence, want.confidence)):
@@ -1471,7 +1505,7 @@ class TestBulkRuleBuild:
                 assert str(measure) == str(expected)
 
     def test_fraction_slots_are_the_two_terms(self):
-        # _fraction writes these slots; a Python that changes them must fail
+        # mds() writes these slots; a Python that changes them must fail
         # here rather than let the library return broken measures
         assert Fraction.__slots__ == ("_numerator", "_denominator")
 
@@ -1483,7 +1517,8 @@ class TestBulkRuleBuild:
     )
     def test_built_fractions_behave_as_constructed_ones(self, num, den, other):
         g = math.gcd(num, den)
-        built, public = discovery._fraction(num // g, den // g), Fraction(num, den)
+        (built,) = discovery._build(Fraction, 1, _numerator=[num // g], _denominator=[den // g])
+        public = Fraction(num, den)
         assert type(built) is Fraction
         assert (built.numerator, built.denominator) == (public.numerator, public.denominator)
         assert built == public and hash(built) == hash(public)
@@ -1494,9 +1529,10 @@ class TestBulkRuleBuild:
         assert type(restored) is Fraction and restored == public
 
     def test_kept_memory_per_rule(self):
-        # the rules share their (attribute, level) entries, and no rule gets a
-        # __dict__ of its own: about 500 bytes a rule here, against about 700
-        # with one entry tuple per rule and level
+        # the rules share their (attribute, level) entries, and the rules,
+        # their patterns and measures are slotted: about 415 bytes a rule
+        # here, against about 500 with a __dict__ per rule and pattern and
+        # about 700 with one entry tuple per rule and level as well
         rng = random.Random(5)
         m, d = 5, 5
         vectors = {
@@ -1517,7 +1553,100 @@ class TestBulkRuleBuild:
         finally:
             tracemalloc.stop()
         assert len(mds) == len(rules.cells)
-        assert kept / len(mds) < 560
+        assert kept / len(mds) < 460
+
+
+def pickled(protocol):
+    def copier(value):
+        return pickle.loads(pickle.dumps(value, protocol))
+
+    return copier
+
+
+COPIERS = {
+    **{f"pickle-{p}": pickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+class TestSlottedRules:
+    """ThresholdPattern and DiscoveredMd are frozen slotted dataclasses. The
+    rules the engines build without running a constructor copy, pickle and
+    replace as publicly built ones do."""
+
+    @pytest.fixture(scope="class")
+    def rules(self):
+        dist, X, Y = random_distribution(random.Random(17), m_x=3, d=4)
+        request = DiscoveryRequest.build(
+            X, Y, ThresholdPattern.over(Y, [1]), "0.02", "0.2", Algorithm.EPS
+        )
+        built = run_request(dist, request)
+        assert len(built) > 1 and any(not md.lhs_pattern.entries for md in built)
+        public = [
+            DiscoveredMd(
+                ThresholdPattern(tuple(reversed(md.lhs_pattern.entries))),
+                ThresholdPattern(md.rhs_pattern.entries),
+                Fraction(md.support.numerator, md.support.denominator),
+                Fraction(md.confidence.numerator, md.confidence.denominator),
+                md.mode,
+                md.counters,
+            )
+            for md in built
+        ]
+        assert public == built
+        return {"engine": built, "public": public}
+
+    @pytest.mark.parametrize("source", ["engine", "public"])
+    @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+    def test_round_trips(self, rules, source, copier):
+        for md in rules[source]:
+            again = copier(md)
+            assert type(again) is DiscoveredMd and again == md and hash(again) == hash(md)
+            for field_ in dataclasses.fields(DiscoveredMd):
+                value, was = getattr(again, field_.name), getattr(md, field_.name)
+                assert type(value) is type(was) and value == was
+            for pattern in (md.lhs_pattern, md.rhs_pattern):
+                again = copier(pattern)
+                assert type(again) is ThresholdPattern
+                assert again == pattern and hash(again) == hash(pattern)
+                assert again.entries == pattern.entries
+
+    @pytest.mark.parametrize("source", ["engine", "public"])
+    def test_replace_checks_and_sorts_again(self, rules, source):
+        md = max(rules[source], key=lambda md: len(md.lhs_pattern))
+        assert len(md.lhs_pattern) > 1
+        pattern = dataclasses.replace(
+            md.lhs_pattern, entries=tuple(reversed(md.lhs_pattern.entries))
+        )
+        assert pattern == md.lhs_pattern and pattern.entries == md.lhs_pattern.entries
+        replaced = dataclasses.replace(md, support=Fraction(1, 3))
+        assert replaced.support == Fraction(1, 3) and replaced.lhs_pattern is md.lhs_pattern
+        assert replaced != md
+        zero = ((md.lhs_pattern.entries[0][0], 0),)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(md, lhs_pattern=ThresholdPattern(zero))
+        with pytest.raises(ValidationError):
+            dataclasses.replace(md.lhs_pattern, entries=md.lhs_pattern.entries * 2)
+
+    @pytest.mark.parametrize("source", ["engine", "public"])
+    def test_frozen_without_a_dict(self, rules, source):
+        md = rules[source][0]
+        for value in (md, md.lhs_pattern):
+            assert not hasattr(value, "__dict__")
+            for field_ in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field_.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, field_.name)
+            # not a field: 3.11's frozen slotted __setattr__ raises TypeError
+            # from its super() call, as it has no slot to hold it anyway
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                value.extra = None
+            assert not hasattr(value, "extra")
+        assert ThresholdPattern.__slots__ == ("entries",)
+        assert DiscoveredMd.__slots__ == tuple(f.name for f in dataclasses.fields(DiscoveredMd))
 
 
 # ---------------------------------------------------------------------------

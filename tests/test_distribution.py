@@ -735,6 +735,31 @@ class TestProjection:
         assert by_level == {0: 7, 1: 5}
 
 
+def widest_key_base(m):
+    """The largest d with d^m < 2^63: the widest grid one int64 key holds."""
+    d = round(2 ** (63 / m))
+    while d**m >= 2**63:
+        d -= 1
+    while (d + 1) ** m < 2**63:
+        d += 1
+    return d
+
+
+@st.composite
+def key_limit_rows(draw):
+    """Unsorted int16 level rows with ties, on grids just below and at or
+    above d^m = 2^63 (m from 5, where d fits int16), or on a small grid."""
+    m = draw(st.integers(1, 9))
+    if m >= 5:
+        d = widest_key_base(m) + draw(st.integers(0, 1))
+    else:
+        d = draw(st.integers(2, 40))
+    level = st.sampled_from([0, d - 1]) | st.integers(0, d - 1)
+    distinct = draw(st.lists(st.tuples(*[level] * m), min_size=1, max_size=12, unique=True))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    return np.array(picks, dtype=np.int16).reshape(len(picks), m), d
+
+
 class TestSortedRows:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -744,11 +769,22 @@ class TestSortedRows:
     )
     def test_groups_equal_rows_as_np_unique_does(self, rows):
         rows = np.array(rows, dtype=np.int16)
-        order, starts = sorted_rows(rows)
+        order, starts = sorted_rows(rows, 4)
         uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
         assert np.array_equal(rows[order[starts]], uniq)
         sizes = np.diff(np.append(starts, rows.shape[0]))
         assert np.array_equal(sizes, np.bincount(inverse.reshape(-1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=key_limit_rows())
+    def test_order_and_runs_equal_lexsort_at_the_key_limit(self, case):
+        rows, d = case
+        order, starts = sorted_rows(rows, d)
+        want = np.lexsort(rows.T[::-1])
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+        ordered = rows[want].tolist()
+        runs = [i for i in range(len(ordered)) if i == 0 or ordered[i] != ordered[i - 1]]
+        assert starts.tolist() == runs
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), keep=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
