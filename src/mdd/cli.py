@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discovery import _request_rules, _Rules, run_request
+from .discovery import _rules, _Rules, run_request
 from .errors import (
     CandidateBudgetError,
     DistributionIOError,
@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatchError,
     ValidationError,
 )
-from .lattice import DEFAULT_CANDIDATE_BUDGET
+from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
     AttributeId,
@@ -343,9 +343,8 @@ def _result_text(request: DiscoveryRequest, dist: StatDistribution, rules: _Rule
 
 def cmd_discover(args) -> int:
     dist, request = _load_inputs(args)
-    rules = _request_rules(
-        dist, request, candidate_budget=args.candidate_budget, counters=EvalCounters()
-    )
+    lattice = CandidateLattice(request.lhs, dist.domain, args.candidate_budget)
+    rules = _rules(dist, request, lattice, EvalCounters())
     _emit(_result_text(request, dist, rules), args.out)
     return EXIT_OK
 

@@ -11,10 +11,12 @@ adds dominance pruning by support; epsc groups the records by the rhs
 pattern and also stops a candidate where its running confidence drops below
 the minimum. ap and aps are ea and eps over the first k records (the k of
 compute_prefix_k); api and apsi add a per-candidate stop once the unseen
-mass is within the candidate's own bound. Every scan ends in one
-_Rules record, the accepted rules' grid cells and joint and lhs counts as
-arrays: the engines and run_request turn it into DiscoveredMd objects, and
-the CLI writes its document from the arrays.
+mass is within the candidate's own bound. Every run enters through _rules
+with a DiscoveryRequest, which checked its arguments when it was made: the
+public engines build one from theirs, run_request and the CLI pass their
+own. Every scan ends in one _Rules record, the accepted rules' grid cells
+and joint and lhs counts as arrays: the engines and run_request turn it into
+DiscoveredMd objects, and the CLI writes its document from the arrays.
 
 A scan without a per-candidate stop rule (ea, eps, ap, aps, and epsc's base
 pass) is one pass over an upper-set count cube: two int64 histograms of the
@@ -98,7 +100,7 @@ from itertools import repeat
 import numpy as np
 
 from .distribution import group_by_rhs, pattern_mask, probability_prefix
-from .errors import ContractViolationError, ValidationError
+from .errors import ContractViolationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
@@ -122,28 +124,40 @@ from .model import (
 
 @dataclass
 class _Run:
+    """One engine run of a checked request over its lattice. epsc reads the
+    records grouped by the rhs pattern. An approximate run holds only the
+    first k records of the probability order, k from the prefix bound, which
+    the counts alone decide, and carries api's bound factor (see _StopRule);
+    an exact run reads all k = n records and has no factor."""
+
     dist: StatDistribution
+    request: DiscoveryRequest
     lattice: CandidateLattice
-    rhs_pattern: ThresholdPattern
-    min_support: Fraction
-    min_confidence: Fraction
     counters: EvalCounters
     x_cols: tuple[int, ...] = field(init=False)
     rhs_mask: np.ndarray = field(init=False)
     min_support_count: int = field(init=False)
-    # the scanned prefix, the mode the rules report and api's bound factor
-    # (see _StopRule): k = n and no factor when exact
     k: int = field(init=False)
     mode: EvaluationMode = field(init=False)
     factor: Fraction | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        self.x_cols = tuple(self.dist.column_index(a) for a in self.lattice.attributes)
-        self.rhs_mask = pattern_mask(self.dist, self.rhs_pattern)
-        num, den = self.min_support.numerator, self.min_support.denominator
-        self.min_support_count = -((-num * self.dist.pair_total) // den)
+        request, dist = self.request, self.dist
+        if request.algorithm is Algorithm.EPSC:
+            dist, _ = group_by_rhs(dist, request.rhs_pattern)
+        self.k, self.mode = dist.n, EvaluationMode.exact()
+        if request.algorithm.is_approximate:
+            self.factor = _bound_factor(request.epsilon, request.min_confidence)
+            bound = request.min_support * self.factor
+            self.k, _ = _prefix_cut(np.sort(dist.counts), dist.pair_total, bound)
+            self.mode = EvaluationMode.approximate(self.k, request.epsilon)
+            dist = probability_prefix(dist, self.k)
+        self.dist = dist
+        self.x_cols = tuple(dist.column_index(a) for a in self.lattice.attributes)
+        self.rhs_mask = pattern_mask(dist, request.rhs_pattern)
+        num, den = request.min_support.numerator, request.min_support.denominator
+        self.min_support_count = -((-num * dist.pair_total) // den)
         self.counters.candidates_total = self.lattice.candidate_count
-        self.k, self.mode = self.dist.n, EvaluationMode.exact()
 
     def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> _Rules:
         """The accepted rules from their flat grid cells and joint and lhs
@@ -159,7 +173,7 @@ class _Run:
             cells[order],
             joint[order],
             lhs[order],
-            self.rhs_pattern,
+            self.request.rhs_pattern,
             self.dist.pair_total,
             self.mode,
             self.counters,
@@ -258,36 +272,6 @@ class _Rules:
         )
 
 
-def _new_run(
-    dist: StatDistribution,
-    lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: Fraction,
-    min_confidence: Fraction,
-    counters: EvalCounters | None,
-    epsilon: Fraction | None = None,
-) -> _Run:
-    """One engine run, over thresholds already checked. With ``epsilon`` it
-    is approximate: it holds only the first k records of the probability
-    order, k from the prefix bound, which the counts alone decide."""
-    run_dist, factor = dist, None
-    if epsilon is not None:
-        factor = _bound_factor(epsilon, min_confidence)
-        k, _ = _prefix_cut(np.sort(dist.counts), dist.pair_total, min_support * factor)
-        run_dist = probability_prefix(dist, k)
-    run = _Run(
-        run_dist,
-        lattice,
-        rhs_pattern,
-        min_support,
-        min_confidence,
-        counters if counters is not None else EvalCounters(),
-    )
-    if epsilon is not None:
-        run.k, run.mode, run.factor = k, EvaluationMode.approximate(k, epsilon), factor
-    return run
-
-
 # ---------------------------------------------------------------------------
 # The prefix scans
 # ---------------------------------------------------------------------------
@@ -365,8 +349,9 @@ def _exact_dtype(run: _Run, ratio: Fraction) -> type:
 def _confident(run: _Run, joint: np.ndarray, lhs: np.ndarray) -> np.ndarray:
     """Where joint / lhs >= min_confidence, tested as joint * den >= num * lhs
     in exact integers (true where lhs = 0)."""
-    num, den = run.min_confidence.numerator, run.min_confidence.denominator
-    exact = _exact_dtype(run, run.min_confidence)
+    eta = run.request.min_confidence
+    num, den = eta.numerator, eta.denominator
+    exact = _exact_dtype(run, eta)
     confident = np.empty(joint.shape, dtype=bool)
     flat_joint, flat_lhs = joint.reshape(-1), lhs.reshape(-1)
     flat_confident = confident.reshape(-1)
@@ -422,7 +407,7 @@ def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
     below the minimum. Over the grouped order the rhs-satisfying records come
     first and keep it at 1, and past them the joint mass is final, so that is
     the first record where the running lhs mass exceeds joint / eta_c."""
-    eta = run.min_confidence
+    eta = run.request.min_confidence
     records = (run.dist.levels[:, col] for col in run.x_cols)
     held = _holds(records, np.unravel_index([cell], _grid(run)))[0]
     cum_lhs = np.cumsum(np.where(held, run.dist.counts, 0))
@@ -830,67 +815,33 @@ def _engine(
     *,
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
-    """A public engine's rules, after the checks a request makes on its
-    construction."""
-    min_support = to_fraction(min_support, "min_support")
-    min_confidence = to_fraction(min_confidence, "min_confidence")
-    if epsilon is not None:
-        epsilon = to_fraction(epsilon, "epsilon")
-    if set(lattice.attributes) & set(rhs_pattern.attributes):
-        raise ValidationError("lhs and rhs attribute sets must be disjoint")
-    validate_thresholds(min_support, min_confidence, epsilon)
-    return _rules(algorithm, dist, lattice, rhs_pattern, min_support, min_confidence, epsilon,
-                  counters=counters).mds()
+    """A public engine's rules, from the request its arguments make: the
+    request's checks are the engine's."""
+    request = DiscoveryRequest.build(
+        lattice.attributes, rhs_pattern.attributes, rhs_pattern,
+        min_support, min_confidence, algorithm, epsilon,
+    )
+    return _rules(dist, request, lattice, counters).mds()
 
 
 def _rules(
-    algorithm: Algorithm,
     dist: StatDistribution,
+    request: DiscoveryRequest,
     lattice: CandidateLattice,
-    rhs_pattern: ThresholdPattern,
-    min_support: Fraction,
-    min_confidence: Fraction,
-    epsilon: Fraction | None = None,
-    *,
-    counters: EvalCounters | None = None,
+    counters: EvalCounters | None,
 ) -> _Rules:
-    """Run one algorithm over checked thresholds; its accepted rules as
-    arrays. ``epsilon`` makes the run approximate, as the approximate
-    algorithms need."""
-    if algorithm is Algorithm.EPSC:
-        dist, _ = group_by_rhs(dist, rhs_pattern)
-    run = _new_run(dist, lattice, rhs_pattern, min_support, min_confidence, counters, epsilon)
+    """The one entry point of every engine call, from the public engines,
+    run_request and the CLI: the request's algorithm over the lattice of its
+    lhs attributes, its accepted rules as arrays. A request is checked when
+    it is made."""
+    run = _Run(dist, request, lattice, EvalCounters() if counters is None else counters)
+    algorithm = request.algorithm
     if algorithm in (Algorithm.API, Algorithm.APSI):
         return _stop_scan(run, prune=algorithm is Algorithm.APSI)
     return _cube_scan(
         run,
         prune=algorithm not in (Algorithm.EA, Algorithm.AP),
         confidence_stop=algorithm is Algorithm.EPSC,
-    )
-
-
-def _request_rules(
-    dist: StatDistribution,
-    request: DiscoveryRequest,
-    *,
-    candidate_budget: int | None = None,
-    counters: EvalCounters | None = None,
-) -> _Rules:
-    """run_request's rules as arrays. A request is checked when it is made."""
-    lattice = CandidateLattice(
-        request.lhs,
-        dist.domain,
-        DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget,
-    )
-    return _rules(
-        request.algorithm,
-        dist,
-        lattice,
-        request.rhs_pattern,
-        request.min_support,
-        request.min_confidence,
-        request.epsilon if request.algorithm.is_approximate else None,
-        counters=counters,
     )
 
 
@@ -902,6 +853,6 @@ def run_request(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """Run the request's algorithm over a fresh candidate lattice."""
-    return _request_rules(
-        dist, request, candidate_budget=candidate_budget, counters=counters
-    ).mds()
+    budget = DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
+    lattice = CandidateLattice(request.lhs, dist.domain, budget)
+    return _rules(dist, request, lattice, counters).mds()

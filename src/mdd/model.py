@@ -71,9 +71,9 @@ def _parse_fraction(text: str, name: str) -> Fraction:
 def validate_thresholds(
     min_support: Fraction, min_confidence: Fraction, epsilon: Fraction | None = None
 ) -> None:
-    """Range checks shared by requests and engines. Confidence is undefined
-    with zero support mass, and the approximation bound divides by
-    min_support, so zero is rejected outright."""
+    """Range checks shared by requests and compute_prefix_k. Confidence is
+    undefined with zero support mass, and the approximation bound divides
+    by min_support, so zero is rejected outright."""
     if not 0 < min_support <= 1:
         raise ValidationError("min_support must lie in (0, 1]")
     if not 0 < min_confidence <= 1:
@@ -504,7 +504,10 @@ class DiscoveredMd:
 
 @dataclass(frozen=True)
 class DiscoveryRequest:
-    """Inputs of one discovery run over a fixed lhs -> rhs attribute split."""
+    """Inputs of one discovery run over a fixed lhs -> rhs attribute split,
+    checked when the request is made. Every engine call is checked here:
+    the public engines build a request from their arguments, so they raise
+    the ValidationError a request would."""
 
     lhs: tuple[AttributeId, ...]
     rhs: tuple[AttributeId, ...]

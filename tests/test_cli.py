@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mdd import (
     Algorithm,
     AttributeId,
+    CandidateLattice,
     DiscoveryRequest,
     EvalCounters,
     StatDistribution,
@@ -25,7 +26,7 @@ from mdd import (
 )
 import mdd.cli as cli_module
 from mdd.cli import _result_text, main
-from mdd.discovery import _request_rules
+from mdd.discovery import _rules
 
 from conftest import make_distribution, random_distribution, reference_document
 
@@ -157,7 +158,8 @@ def writer_and_reference(dist, lhs, rhs_levels, algorithm, eta_s, eta_c, epsilon
         lhs, rhs, ThresholdPattern.over(rhs, rhs_levels), eta_s, eta_c, algorithm,
         epsilon if Algorithm.parse(algorithm).is_approximate else None,
     )
-    got = _result_text(request, dist, _request_rules(dist, request, counters=EvalCounters()))
+    lattice = CandidateLattice(request.lhs, dist.domain)
+    got = _result_text(request, dist, _rules(dist, request, lattice, EvalCounters()))
     counters = EvalCounters()
     mds = run_request(dist, request, counters=counters)
     return got, reference_document(request, dist, mds, counters)

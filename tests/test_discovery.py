@@ -58,6 +58,15 @@ def fresh_lattice(dist, x_attrs):
     return CandidateLattice(tuple(x_attrs), dist.domain)
 
 
+def api_run(dist, x_attrs, rhs, eta_s, eta_c, epsilon):
+    """The setup of one api run over ``dist``: its held prefix, k and
+    bound factor."""
+    request = DiscoveryRequest.build(
+        x_attrs, rhs.attributes, rhs, eta_s, eta_c, Algorithm.API, epsilon
+    )
+    return discovery._Run(dist, request, fresh_lattice(dist, x_attrs), EvalCounters())
+
+
 def result_key(mds):
     return [(m.lhs_pattern, m.support, m.confidence) for m in mds]
 
@@ -969,7 +978,7 @@ class TestIndividualStops:
     def test_lower_bounds_across_many_bytes(self, stop_pass, case):
         dist, X, rhs, eta_s, eta_c, epsilon = case
         sdist = sort_by_probability_desc(dist)
-        run = discovery._new_run(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, None, epsilon)
+        run = api_run(sdist, X, rhs, eta_s, eta_c, epsilon)
         rule = discovery._StopRule(run)
         _, joint = rule.failures(run)
         bounds = rule.lower_bounds(run, joint.reshape(-1))
@@ -1110,9 +1119,10 @@ class TestStopPassMemory:
         """The traced peak of one scan, up to its rule arrays: the rule
         objects would add about 500 bytes a rule."""
         sdist, lattice = sort_by_probability_desc(dist), fresh_lattice(dist, X)
+        request = DiscoveryRequest.build(X, rhs.attributes, rhs, eta_s, eta_c, algorithm, epsilon)
         tracemalloc.start()
         try:
-            discovery._rules(algorithm, sdist, lattice, rhs, eta_s, eta_c, epsilon)
+            discovery._rules(sdist, request, lattice, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1173,7 +1183,7 @@ class TestStopPassMemory:
         rhs = ThresholdPattern.over(Y, [3])
         eta_s, eta_c, epsilon = Fraction(1, 20), Fraction(1, 4), Fraction(1, 2)
         sdist = sort_by_probability_desc(dist)
-        run = discovery._new_run(sdist, fresh_lattice(dist, X), rhs, eta_s, eta_c, None, epsilon)
+        run = api_run(sdist, X, rhs, eta_s, eta_c, epsilon)
         rule = discovery._StopRule(run)
         bounds = rule.lower_bounds(run, rule.failures(run)[1].reshape(-1))
         reading = bounds[bounds < run.k - 1]
@@ -1347,6 +1357,55 @@ class TestRunRequest:
             run_request(dist, request, candidate_budget=10)
 
 
+# Bad engine arguments, each a change to a valid call with min_support 1/20,
+# min_confidence 3/10, epsilon 1/2, a lattice over X and the rhs pattern
+# Y >= 1; the epsilon rows apply to the approximate engines only.
+BAD_ARGUMENTS = {
+    "support-0": {"min_support": 0},
+    "support-3/2": {"min_support": Fraction(3, 2)},
+    "support-nan": {"min_support": float("nan")},
+    "support-bool": {"min_support": True},
+    "confidence-0": {"min_confidence": 0},
+    "epsilon-0": {"epsilon": 0},
+    "epsilon-1-confidence": {"epsilon": Fraction(7, 10)},
+    "epsilon-above-1-confidence": {"epsilon": "0.9"},
+    "epsilon-none": {"epsilon": None},
+    "lattice-overlaps-rhs": {"overlap": True},
+    "empty-rhs": {"rhs_levels": ()},
+}
+
+
+class TestEngineArguments:
+    @pytest.mark.parametrize(
+        "engine, bad",
+        [
+            pytest.param(engine, bad, id=f"{engine.__name__}-{name}")
+            for engine in (ea, eps, epsc, ap, api, aps, apsi)
+            for name, bad in BAD_ARGUMENTS.items()
+            if engine.__name__.startswith("a") or "epsilon" not in bad
+        ],
+    )
+    def test_engines_reject_what_requests_reject(self, engine, bad):
+        dist, X, Y = random_distribution(random.Random(21), m_x=2, d=3)
+        args = {
+            "min_support": "1/20", "min_confidence": "3/10", "epsilon": "1/2",
+            "overlap": False, "rhs_levels": (1,), **bad,
+        }
+        lattice = fresh_lattice(dist, X + Y if args["overlap"] else X)
+        rhs = ThresholdPattern.over(Y[: len(args["rhs_levels"])], args["rhs_levels"])
+        thresholds = [args["min_support"], args["min_confidence"]]
+        algorithm = Algorithm.parse(engine.__name__)
+        epsilon = args["epsilon"] if algorithm.is_approximate else None
+        with pytest.raises(ValidationError) as expected:
+            DiscoveryRequest.build(
+                lattice.attributes, rhs.attributes, rhs, *thresholds, algorithm, epsilon
+            )
+        extra = [epsilon] if algorithm.is_approximate else []
+        with pytest.raises(ValidationError) as got:
+            engine(dist, lattice, rhs, *thresholds, *extra)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
 class TestMdsPausesTheCollector:
     """``_Rules.mds()`` builds its objects with the cyclic collector off and
     leaves the collector as the caller had it. A ``gc.callbacks`` hook
@@ -1379,7 +1438,7 @@ class TestMdsPausesTheCollector:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), "0.02", "0.2", Algorithm.EPS
         )
-        rules = discovery._request_rules(dist, request)
+        rules = discovery._rules(dist, request, fresh_lattice(dist, X), None)
         assert len(rules.cells) > 1
         return rules
 
@@ -1544,7 +1603,7 @@ class TestBulkRuleBuild:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), Fraction(1, 10**6), Fraction(1, 100), Algorithm.EPS
         )
-        rules = discovery._request_rules(dist, request)
+        rules = discovery._rules(dist, request, fresh_lattice(dist, X), None)
         assert len(rules.cells) > 2000
         tracemalloc.start()
         try:
@@ -1734,8 +1793,7 @@ class TestProbabilityPrefix:
         }
         results = {}
         for name, source in inputs.items():
-            lattice = fresh_lattice(dist, X)
-            run = discovery._new_run(source, lattice, rhs, eta_s, eta_c, None, epsilon)
+            run = api_run(source, X, rhs, eta_s, eta_c, epsilon)
             assert run.k == run.dist.n == k, name
             assert np.array_equal(run.dist.levels, sdist.levels[:k]), name
             assert np.array_equal(run.dist.counts, sdist.counts[:k]), name
