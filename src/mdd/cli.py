@@ -6,7 +6,8 @@ Commands:
     mdd verify         cross-check an algorithm against the brute-force oracle
 
 Exit codes: 0 success (an empty, "infeasible" result is still success),
-2 validation error, 3 I/O error, 4 candidate budget exceeded.
+2 validation error, 3 I/O error, 4 candidate budget exceeded or out of
+memory.
 """
 
 from __future__ import annotations
@@ -494,6 +495,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CandidateBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:  # a raised budget can let the count cubes outgrow memory
+        budget = getattr(args, "candidate_budget", None)
+        hint = (f": the search takes 16 bytes for each of the d^m candidates, up to "
+                f"--candidate-budget {budget}; lower --levels, the lhs attributes or the budget")
+        print("error: out of memory" + ("" if budget is None else hint), file=sys.stderr)
         return EXIT_BUDGET
     except DistributionIOError as exc:
         print(f"error: {exc}", file=sys.stderr)

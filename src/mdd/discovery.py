@@ -18,15 +18,14 @@ own. Every scan ends in one _Rules record, the accepted rules' grid cells
 and joint and lhs counts as arrays: the engines and run_request turn it into
 DiscoveredMd objects, and the CLI writes its document from the arrays.
 
-A scan without a per-candidate stop rule (ea, eps, ap, aps, and epsc's base
-pass) is one pass over an upper-set count cube: two int64 histograms of the
-prefix over the lhs level grid, each turned by a reversed cumulative sum along
-every axis into the joint and lhs count of every candidate, in
-O(k + m * d^m) time and 16 bytes per candidate (the superset sum behind the
-data cube; Gray et al., ICDE 1996). The pruned engines' work counters follow
-in closed form: a candidate is evaluated iff each immediate predecessor meets
-the support minimum. epsc's confidence drop is found per candidate, for the
-rejected candidates that meet support.
+A scan without a per-candidate stop (ea, eps, ap, aps, and epsc's base pass)
+is one pass over an upper-set count cube: two int64 histograms of the prefix
+over the lhs level grid, each turned by a reversed cumulative sum along every
+axis into the joint and lhs count of every candidate, in O(k + m * d^m) time
+and 16 bytes per candidate (the superset sum behind the data cube; Gray et
+al., ICDE 1996). The pruned engines' work counters follow in closed form: a
+candidate is evaluated iff each immediate predecessor meets the support
+minimum.
 
 api's stop. A candidate stops after the first record i < k - 1 where the
 unseen mass R is within its bound on the joint mass read so far,
@@ -55,30 +54,36 @@ computed from the joint cubes at k - 1 and k records, and apsi evaluates the
 same closed form as eps: the candidates with no failure among their immediate
 predecessors.
 
-In counts, with f = f_num / f_den, the stop test at record i is the integer
-comparison J_i >= t_i, where t_i = ceil(R_i * f_den / f_num) is computed once
-per record (in Python ints where the product could overflow int64) and
-t_{k-1} = 0 ends every scan. The stops are found in one pass over blocks of
-cells, on the prefix packed eight records to a byte: the AND of a cell's
-range-encoded bit rows, level >= t per attribute (Chan and Ioannidis, SIGMOD
-1998), is the records it holds; half-byte mass tables give its joint and lhs
-mass at every byte's end; the test is monotone, so the stop lies in the first
-byte whose last record passes it. Temporaries are bounded by the block.
+epsc's drop. Over the records grouped by the rhs pattern, the rhs-satisfying
+ones come first and keep a candidate's running confidence at 1, and past
+them, from the pivot on, its joint mass J is final. So a candidate rejected
+on confidence that meets support stops at the first record where its running
+lhs mass reaches its limit J * eta_den // eta_num + 1; one that misses
+support reads all n records, so that its upper set is pruned soundly.
 
-Lower bounds. The joint mass J_i read so far never exceeds the candidate's
-joint total J over the prefix, and the thresholds do not increase, so no
-candidate stops before the first record whose threshold is at most J: one
-binary search gives that bound. A candidate bounded at k - 1, as every one
-with J = 0 is, stops at the last record with its totals and reads nothing.
-Every other cell reads its bit rows only from its bound's byte on, and the
-masses read before a byte are its joint and lhs totals over the prefix, from
-the upper-set cubes, minus the masses of that byte and the later ones. The
-cells go through the pass in bound order, each block reading from its first
-cell's byte, so a pass costs about the sum over cells of (k - bound) * m / 8
-byte ANDs instead of |cells| * k * m / 8. apsi's failures cube already holds
-the joint totals; the lhs totals take one more cube, m * d^m cell passes.
-apsi resolves a few hundred cells on a 10^5 grid; api resolves every cell,
-but most have a small joint total and so a bound at the last record.
+The stop pass finds both kinds of stop, the first record i where a cell's
+running mass in one column reaches thresholds[i] plus the cell's limit: for
+api and apsi the joint mass against t_i = ceil(R_i * f_den / f_num), for
+f = f_num / f_den, computed once per record (in Python ints where the
+product could overflow int64) with t_{k-1} = 0 ending every scan; for epsc
+the lhs mass against its limit. It runs over blocks of cells, on the records
+packed eight to a byte: the AND of a cell's range-encoded bit rows, level >=
+t per attribute (Chan and Ioannidis, SIGMOD 1998), is the records it holds;
+half-byte mass tables give its joint and lhs mass at every byte's end; the
+test is monotone, so the stop lies in the first byte whose last record
+passes it. Temporaries are bounded by the block.
+
+Lower bounds. A cell's totals over the prefix, from the cubes, bound its
+stop from below. api's joint mass read never exceeds the joint total J and
+the thresholds do not increase, so no stop comes before the first record
+whose threshold is at most J; a cell bounded so at k - 1, as every one with
+J = 0 is, stops there with its totals and reads nothing. epsc's lhs mass read
+by record r is at most J plus the mass of all records from the pivot to r.
+A cell reads its bit rows only from its bound's byte on, and the masses read
+before a byte are its totals minus those of that byte and the later ones.
+The cells go in bound order, each block from its first cell's byte, so a
+pass costs about the sum over cells of (k - bound) * m / 8 byte ANDs instead
+of |cells| * k * m / 8.
 
 Decision arithmetic is exact: support minimums and stops become integer count
 thresholds (count >= ceil(min_support * pair_total), J_i >= t_i), and
@@ -286,11 +291,11 @@ def _grid(run: _Run) -> tuple[int, ...]:
     return (run.lattice.domain.d,) * len(run.x_cols)
 
 
-def _record_cells(run: _Run, lo: int, hi: int) -> np.ndarray:
-    """The flat grid cell of each of the records lo..hi-1, at its lhs levels."""
+def _record_cells(run: _Run) -> np.ndarray:
+    """The flat grid cell of each of the run's k records, at its lhs levels."""
     d = run.lattice.domain.d
     # a level above the lattice's top satisfies every threshold the top does
-    levels = np.minimum(run.dist.levels[lo:hi][:, run.x_cols], d - 1)
+    levels = np.minimum(run.dist.levels[:, run.x_cols], d - 1)
     return np.ravel_multi_index(levels.T, _grid(run))
 
 
@@ -312,16 +317,6 @@ def _upper_set_cube(shape: tuple[int, ...], cells: np.ndarray, counts: np.ndarra
     upward = np.flip(cube, -1)
     np.cumsum(upward, axis=-1, out=upward)
     return cube
-
-
-def _upper_set_counts(run: _Run, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The joint and lhs count of every candidate over the first k records:
-    two int64 cubes of shape (d,)*m indexed by the candidate's levels."""
-    shape = _grid(run)
-    cells = _record_cells(run, 0, k)
-    counts = run.dist.counts[:k]
-    rhs = run.rhs_mask[:k]
-    return _upper_set_cube(shape, cells[rhs], counts[rhs]), _upper_set_cube(shape, cells, counts)
 
 
 def _evaluated(meets: np.ndarray) -> np.ndarray:
@@ -363,12 +358,7 @@ def _confident(run: _Run, joint: np.ndarray, lhs: np.ndarray) -> np.ndarray:
     return confident
 
 
-def _cube_scan(
-    run: _Run,
-    *,
-    prune: bool,
-    confidence_stop: bool = False,
-) -> _Rules:
+def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rules:
     """Evaluate every candidate over the first k records at once, from the
     upper-set count cubes, with the counters the sequential scan would
     report: every evaluated candidate reads the whole prefix, and with
@@ -378,9 +368,10 @@ def _cube_scan(
     pattern. It prunes iff a candidate misses support, as eps does, so it
     evaluates the same set. It rejects the evaluated candidates whose
     confidence is below the minimum; the ones that also meet support stop
-    reading at the confidence drop, so only those are scanned one by one."""
-    k = run.k
-    joint, lhs = _upper_set_counts(run, k)
+    reading at the drop (_confidence_drops)."""
+    k, records, counts, rhs = run.k, _record_cells(run), run.dist.counts, run.rhs_mask
+    joint = _upper_set_cube(_grid(run), records[rhs], counts[rhs])
+    lhs = _upper_set_cube(_grid(run), records, counts)
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
     count = joint.size if evaluated is None else int(np.count_nonzero(evaluated))
@@ -393,192 +384,180 @@ def _cube_scan(
         run.counters.candidates_pruned_confidence += int(np.count_nonzero(rejected))
         # the ones that meet support stop at the drop; the rest read all k
         rejected &= meets
-        for cell in np.flatnonzero(rejected).tolist():
-            run.counters.records_evaluated -= k - _confidence_drop(run, cell, int(joint.flat[cell]))
+        cells = np.flatnonzero(rejected)
+        read = _confidence_drops(run, cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
+        run.counters.records_evaluated -= k * cells.size - read
     # every candidate that meets support is evaluated: its predecessors do too
     confident &= meets
     cells = np.flatnonzero(confident)
     return run.finish(cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
 
 
-def _confidence_drop(run: _Run, cell: int, joint: int) -> int:
-    """epsc's stop for a candidate it rejects while meeting support: the
-    records read up to the first one where the running confidence drops
-    below the minimum. Over the grouped order the rhs-satisfying records come
-    first and keep it at 1, and past them the joint mass is final, so that is
-    the first record where the running lhs mass exceeds joint / eta_c."""
+def _confidence_drops(run: _Run, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> int:
+    """The records that the cells, rejected by epsc while they meet support,
+    read up to their drops, from their joint and lhs totals: each cell's
+    limit is joint * eta_den // eta_num + 1, at most its lhs total, and its
+    lower bound the first record r past the pivot where the joint total and
+    the mass of the records pivot..r reach it."""
     eta = run.request.min_confidence
-    records = (run.dist.levels[:, col] for col in run.x_cols)
-    held = _holds(records, np.unravel_index([cell], _grid(run)))[0]
-    cum_lhs = np.cumsum(np.where(held, run.dist.counts, 0))
-    return int(np.searchsorted(cum_lhs, joint * eta.denominator // eta.numerator + 1)) + 1
+    limits = joint.astype(_exact_dtype(run, eta)) * eta.denominator // eta.numerator + 1
+    limits = limits.astype(np.int64)
+    pivot = int(np.count_nonzero(run.rhs_mask))
+    bounds = pivot + np.searchsorted(np.cumsum(run.dist.counts[pivot:]), limits - joint)
+    order = np.argsort(bounds, kind="stable")
+    bounds.sort()
+    # thresholds of 0 for every record, as a read-only view that takes no memory
+    thresholds = np.broadcast_to(np.int64(0), (-(-run.k // 8) * 8,))
+    return _stop_pass(run, 1, thresholds, cells, joint, lhs, order, bounds, limits)
 
 
 # ---------------------------------------------------------------------------
-# The individual stops of api and apsi
+# The stop pass: the individual stops of api and apsi, epsc's drops
 # ---------------------------------------------------------------------------
 
 # The stop pass takes this many (cell, record byte) pairs at a time, so its
 # temporaries never grow with |cells| * k.
 _STOP_BLOCK = 1 << 15
-# _HALF_BYTE_BITS[v, j]: bit j of the half byte v
-_HALF_BYTE_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+
+
+def _thresholds(run: _Run) -> np.ndarray:
+    """api's stop thresholds over the run's first k records, sorted, with the
+    bound factor num / den: the unseen mass after record i is within the
+    bound on the joint mass J_i read so far, suffix[i] * den <= num * J_i,
+    iff J_i >= thresholds[i] = ceil(suffix[i] * den / num), exact; the last
+    record's is 0, and so is the padding to whole bytes of records."""
+    k, pair_total, factor = run.k, run.dist.pair_total, run.factor
+    suffix = (pair_total - np.cumsum(run.dist.counts[:k])).astype(_exact_dtype(run, factor))
+    thresholds = -((-suffix * factor.denominator) // factor.numerator)
+    # while unseen mass is left, the joint mass read is below pair_total;
+    # with none left the threshold is 0. So a cap at pair_total changes no
+    # decision and brings every threshold into int64.
+    padded = np.zeros(-(-k // 8) * 8, dtype=np.int64)
+    padded[: k - 1] = np.minimum(thresholds[: k - 1], pair_total)
+    return padded
+
+
+def _failures(run: _Run, records: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """apsi's failures, the candidates that read the whole prefix and miss
+    the support minimum, and the joint cube at all k records they come from,
+    given each record's grid cell. They are an upper set, from the joint cube
+    at k - 1 records, the last test before the end, and at all k."""
+    k, shape, counts = run.k, _grid(run), run.dist.counts
+    rhs = run.rhs_mask[: k - 1]
+    joint = _upper_set_cube(shape, records[: k - 1][rhs], counts[: k - 1][rhs])
+    failed = joint < thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
+    if run.rhs_mask[k - 1]:
+        # the last record adds to every candidate it satisfies, its lower set
+        last = np.unravel_index(records[k - 1], shape)
+        joint[tuple(slice(level + 1) for level in last)] += counts[k - 1]
+    failed &= joint < run.min_support_count
+    return failed, joint
+
+
+def _lower_bounds(thresholds: np.ndarray, k: int, joint: np.ndarray) -> np.ndarray:
+    """For each cell's joint total over the prefix, the first record where
+    api's threshold is at most it: no stop comes earlier."""
+    bounds = np.searchsorted(thresholds[k - 1 :: -1], joint, side="right")
+    return np.subtract(k, bounds, out=bounds)
 
 
 class _StopRule:
-    """api's stop over the run's first k records, sorted. A candidate stops
-    after the first record i < k - 1 where the unseen mass is within its bound
-    on the joint mass J_i read so far, suffix[i] * den <= num * J_i for the
-    bound factor num / den, and otherwise reads all k records. In integers
-    that is J_i >= thresholds[i] = ceil(suffix[i] * den / num), computed once
-    per record and exact, with thresholds[k - 1] = 0 ending every scan. The
-    arrays are padded to whole bytes of records with level -1, count 0 and
-    threshold 0, which no cell holds."""
+    """The stop pass's records from record byte ``start`` of the run's first
+    k records on, and its test: a cell stops after the first record i where
+    its running mass in ``column`` (0 joint, 1 lhs) reaches thresholds[i]
+    plus the cell's own limit. The arrays are padded to whole bytes of
+    records with level -1, count 0 and threshold 0, which no cell holds."""
 
-    def __init__(self, run: _Run) -> None:
-        k = run.k
-        size = -(-k // 8) * 8
-        # each record's joint and lhs count
-        masses = np.zeros((size, 2), dtype=np.int64)
-        masses[:k, 1] = run.dist.counts[:k]
-        np.multiply(masses[:k, 1], run.rhs_mask[:k], out=masses[:k, 0])
-        self.joint_counts, self.counts = masses.T
-        # the lhs levels of the prefix, one contiguous row per attribute
+    def __init__(self, run: _Run, column: int, thresholds: np.ndarray, start: int) -> None:
+        k, lo, size = run.k, 8 * start, thresholds.size - 8 * start
+        self.start, self.column, self.thresholds = start, column, thresholds[lo:]
+        # each record's joint and lhs count, in int32 while pair_total, which
+        # bounds every mass of the pass, fits
+        dtype = np.int32 if run.dist.pair_total < 2**31 else np.int64
+        self.masses = np.zeros((size, 2), dtype=dtype)
+        np.copyto(self.masses[: k - lo, 1], run.dist.counts[lo:k])
+        np.multiply(self.masses[: k - lo, 1], run.rhs_mask[lo:k], out=self.masses[: k - lo, 0])
+        # the lhs levels, one contiguous row per attribute
         self.levels = np.full((len(run.x_cols), size), -1, dtype=run.dist.levels.dtype)
-        self.levels[:, :k] = run.dist.levels[:k][:, run.x_cols].T
-        # each record's flat grid cell, for the cubes
-        self.cells = _record_cells(run, 0, k)
-        factor = run.factor
-        suffix = (run.dist.pair_total - np.cumsum(self.counts[:k])).astype(_exact_dtype(run, factor))
-        thresholds = -((-suffix * factor.denominator) // factor.numerator)
-        # while unseen mass is left, the joint mass read is below pair_total;
-        # with none left the threshold is 0. So a cap at pair_total changes no
-        # decision and brings every threshold into int64.
-        self.thresholds = np.zeros(size, dtype=np.int64)
-        self.thresholds[: k - 1] = np.minimum(thresholds[: k - 1], run.dist.pair_total)
-        # tables[16 * h + v]: the joint and lhs mass of the records of half
-        # byte h whose bits v sets, at most pair_total
-        self.tables = np.matmul(_HALF_BYTE_BITS, masses.reshape(-1, 4, 2)).reshape(-1, 2)
-
-    def failures(self, run: _Run) -> tuple[np.ndarray, np.ndarray]:
-        """apsi's failures, the candidates that read the whole prefix and miss
-        the support minimum, and the joint cube at all k records they come
-        from. They are an upper set, from the joint cube at k - 1 records, the
-        last test before the end, and at all k."""
-        k, shape = run.k, _grid(run)
-        rhs = run.rhs_mask[: k - 1]
-        joint = _upper_set_cube(shape, self.cells[: k - 1][rhs], self.counts[: k - 1][rhs])
-        failed = joint < self.thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
-        if run.rhs_mask[k - 1]:
-            # the last record adds to every candidate it satisfies, its lower set
-            last = np.unravel_index(self.cells[k - 1], shape)
-            joint[tuple(slice(level + 1) for level in last)] += self.counts[k - 1]
-        failed &= joint < run.min_support_count
-        return failed, joint
-
-    def lower_bounds(self, run: _Run, joint: np.ndarray) -> np.ndarray:
-        """For each cell's joint total over the prefix, the first record it
-        can stop at: the joint mass read never exceeds the total, so the stop
-        test fails while the threshold is above it. The thresholds do not
-        increase, and thresholds[k - 1] = 0 bounds every cell."""
-        k = run.k
-        bounds = np.searchsorted(self.thresholds[k - 1 :: -1], joint, side="right")
-        return np.subtract(k, bounds, out=bounds)
-
-
-def _holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
-    """held[c, r]: record r meets every threshold of cell c. ``records``
-    gives one array of record levels per attribute, of shape (r,) or
-    (|cells|, r), and ``cells`` one array of cell levels per attribute."""
-    held = None
-    for levels, thresholds in zip(records, cells):
-        hit = levels >= thresholds[:, None]
-        held = hit if held is None else np.logical_and(held, hit, out=held)
-    return held
+        self.levels[:, : k - lo] = run.dist.levels[lo:k][:, run.x_cols].T
+        # tables[v, h]: the joint and lhs mass of the records of half byte h
+        # whose bits v sets, at most pair_total; bit j adds record j's
+        # masses, quads[j], one contiguous row over all half bytes
+        quads = np.ascontiguousarray(self.masses.reshape(-1, 4, 2).transpose(1, 0, 2))
+        self.tables = np.empty((16, size // 4, 2), dtype=dtype)
+        self.tables[0] = 0
+        for j in range(4):
+            np.add(self.tables[: 1 << j], quads[j], out=self.tables[1 << j : 2 << j])
 
 
 def _stops(
-    run: _Run, rule: _StopRule, cells: np.ndarray, first: int, totals: np.ndarray
+    run: _Run, rule: _StopRule, cells: np.ndarray, first: int, totals: np.ndarray, limits
 ) -> tuple[np.ndarray, ...]:
-    """Each cell's stop (the records it reads), and its joint and lhs mass
-    there, reading the bit rows from record byte ``first`` on; no cell may
-    stop before it. Bit j of byte b is record 8b + j; the rows are built for
-    the levels these cells use. The masses read before a byte are the cell's
-    joint and lhs ``totals`` over the prefix, one row per cell, minus the
-    masses of that byte and the later ones: nothing before byte 0, where
-    ``totals`` is not read."""
+    """Each cell's stop (the records it reads), and its joint and its lhs
+    mass there, from its ``totals`` (one row per cell) and ``limits`` (0 or a
+    column), reading the bit rows from record byte ``first`` on: at or past
+    the rule's start, and no cell stops before it. Bit j of byte b is record
+    8b + j; the rows are built for the levels these cells use."""
+    first -= rule.start
     held = None
     for row, levels in zip(rule.levels, np.unravel_index(cells, _grid(run))):
         used = np.flatnonzero(np.bincount(levels)).astype(row.dtype)
         packed = np.packbits(row[8 * first :] >= used[:, None], axis=1, bitorder="little")
         bits = packed[np.searchsorted(used, levels)]
         held = bits if held is None else np.bitwise_and(held, bits, out=held)
-    # byte b's low and high half bytes are rows 2b and 2b + 1 of the tables
-    offsets = np.arange(32 * first, rule.tables.shape[0], 16).reshape(-1, 2)
-    masses = np.take(rule.tables, (held & 15) + offsets[:, 0], axis=0)
-    masses += np.take(rule.tables, (held >> 4) + offsets[:, 1], axis=0)
+    # byte b's low and high half bytes are half bytes 2b and 2b + 1
+    tables, halves = rule.tables.reshape(-1, 2), np.intp(rule.tables.shape[1])
+    low = np.arange(2 * first, halves, 2)
+    masses = np.take(tables, (held & 15) * halves + low, axis=0)
+    masses += np.take(tables, (held >> 4) * halves + (low + 1), axis=0)
     np.cumsum(masses, axis=1, out=masses)
-    if first:
-        masses += (totals - masses[:, -1])[:, None]
-    byte = np.argmax(masses[..., 0] >= rule.thresholds[8 * first + 7 :: 8], axis=1)
+    masses += (totals - masses[:, -1])[:, None]
+    column = rule.column
+    byte = np.argmax(masses[..., column] >= rule.thresholds[8 * first + 7 :: 8] + limits, axis=1)
     rows = np.arange(cells.size)
     # the running masses inside the stop byte, from the masses at its end
     end = masses[rows, byte]
     record = 8 * (first + byte[:, None]) + np.arange(8)
-    bits = np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")
-    joint = np.cumsum(bits * rule.joint_counts[record], axis=1)
-    joint += (end[:, 0] - joint[:, -1])[:, None]
-    stop = np.argmax(joint >= rule.thresholds[record], axis=1)
-    lhs = np.cumsum(bits * rule.counts[record], axis=1)
-    return record[rows, stop] + 1, joint[rows, stop], lhs[rows, stop] + end[:, 1] - lhs[:, -1]
+    running = rule.masses[record]
+    running *= np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")[..., None]
+    np.cumsum(running, axis=1, out=running)
+    running += (end - running[:, -1])[:, None]
+    stop = np.argmax(running[..., column] >= rule.thresholds[record] + limits, axis=1)
+    return record[rows, stop] + 8 * rule.start + 1, *running[rows, stop].T
 
 
-def _blocks(bounds: np.ndarray, size: int) -> list[tuple[int, int, int]]:
-    """Cut cells, given in nondecreasing order of their lower bounds, into
-    blocks (lo, hi, first byte) that each read at most _STOP_BLOCK (cell,
-    record byte) pairs of a prefix of ``size`` bytes, or one cell. A block
-    reads from its first cell's bound's byte on. A cell counts as at least 8
-    pairs: its stop byte is resolved in int64 arrays of its 8 records."""
-    blocks, lo = [], 0
-    while lo < bounds.size:
+def _stop_pass(
+    run: _Run, column: int, thresholds: np.ndarray, cells: np.ndarray, joint: np.ndarray,
+    lhs: np.ndarray, reading: np.ndarray, bounds: np.ndarray, limits: np.ndarray | None = None,
+) -> int:
+    """The records read by the cells at the indices ``reading``, given in
+    nondecreasing order of the lower bounds ``bounds`` of their stops (see
+    _StopRule), whose joint and lhs totals turn into their masses at their
+    stops in place; ``limits`` gives their limits, 0 without it. Each block
+    of cells reads at most _STOP_BLOCK (cell, record byte) pairs, or one
+    cell, a cell counting as at least the 8 records of its stop byte."""
+    read, lo, size = 0, 0, thresholds.size // 8
+    while lo < reading.size:
         first = int(bounds[lo]) // 8
-        hi = min(bounds.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
-        blocks.append((lo, hi, first))
-        lo = hi
-    return blocks
-
-
-def _read_stops(
-    run: _Run, rule: _StopRule, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray
-) -> None:
-    """Turn each cell's joint and lhs totals over the prefix, in ``joint``
-    and ``lhs``, into its masses at its stop, and count the records it
-    reads. A cell bounded at the last record stops there, at its totals,
-    without reading. The others go through _stops in lower-bound order, a
-    block at a time; only they are ordered."""
-    k = run.k
-    # a joint total below the threshold at record k - 2 bounds a cell at k - 1
-    reading = np.flatnonzero(joint >= rule.thresholds[k - 2]) if k > 1 else cells[:0]
-    run.counters.records_evaluated += k * (cells.size - reading.size)
-    bounds = rule.lower_bounds(run, joint[reading])
-    reading = reading[np.argsort(bounds, kind="stable")]
-    bounds.sort()
-    for lo, hi, first in _blocks(bounds, rule.thresholds.size // 8):
+        if not lo:
+            rule = _StopRule(run, column, thresholds, first)
+        hi = min(reading.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
         part = reading[lo:hi]
+        limit = 0 if limits is None else limits[part, None]
         totals = np.column_stack((joint[part], lhs[part]))
-        stop, joint[part], lhs[part] = _stops(run, rule, cells[part], first, totals)
-        run.counters.records_evaluated += int(stop.sum())
+        stop, joint[part], lhs[part] = _stops(run, rule, cells[part], first, totals, limit)
+        read += int(stop.sum())
+        lo = hi
+    return read
 
 
 def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
-    """api's scan: each candidate reads the prefix up to its stop (see
-    _StopRule). With ``prune`` (apsi) only the closed-form evaluated set is
-    resolved: the candidates with no immediate predecessor among the
-    failures. No cell stops before its lower bound (_StopRule.lower_bounds),
-    which its joint total over the prefix gives; each cell's masses live in
-    one joint and one lhs array from the cubes to the end (_read_stops)."""
-    rule = _StopRule(run)
-    failed, joint = rule.failures(run)
+    """api's scan: each candidate reads the prefix up to its stop. With
+    ``prune`` (apsi) only the closed-form evaluated set is resolved: the
+    candidates with no immediate predecessor among the failures. Each cell's
+    masses live in one joint and one lhs array from the cubes to the end."""
+    k, thresholds, records = run.k, _thresholds(run), _record_cells(run)
+    failed, joint = _failures(run, records, thresholds)
     joint = joint.reshape(-1)
     if prune:
         cells = np.flatnonzero(_evaluated(~failed))
@@ -587,10 +566,18 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
         cells = np.arange(joint.size)
     del failed
     run.counters.candidates_evaluated += cells.size
-    lhs = _upper_set_cube(_grid(run), rule.cells, rule.counts[: run.k]).reshape(-1)
+    lhs = _upper_set_cube(_grid(run), records, run.dist.counts[:k]).reshape(-1)
     if prune:
         lhs = lhs[cells]
-    _read_stops(run, rule, cells, joint, lhs)
+    # a joint total below the threshold at record k - 2 bounds a cell at
+    # k - 1: it stops there, at its totals, without reading
+    reading = np.flatnonzero(joint >= thresholds[k - 2]) if k > 1 else cells[:0]
+    run.counters.records_evaluated += k * (cells.size - reading.size)
+    bounds = _lower_bounds(thresholds, k, joint[reading])
+    reading = reading[np.argsort(bounds, kind="stable")]
+    bounds.sort()
+    read = _stop_pass(run, 0, thresholds, cells, joint, lhs, reading, bounds)
+    run.counters.records_evaluated += read
     keep = joint >= run.min_support_count
     keep &= _confident(run, joint, lhs)
     return run.finish(cells[keep], joint[keep], lhs[keep])

@@ -47,6 +47,8 @@ class CandidateLattice:
         candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
     ) -> None:
         attributes = tuple(attributes)
+        if candidate_budget < 1:
+            raise ValidationError(f"candidate budget must be at least 1 (got {candidate_budget})")
         if not attributes:
             raise ValidationError("candidate lattice needs at least one attribute")
         if len(set(attributes)) != len(attributes):

@@ -551,8 +551,10 @@ class DiscoveryRequest:
             raise ValidationError("lhs and rhs attribute sets must be disjoint")
         if set(self.rhs_pattern.attributes) != set(self.rhs):
             raise SchemaMismatchError("rhs_pattern must cover exactly the rhs attributes")
-        validate_thresholds(self.min_support, self.min_confidence, self.epsilon)
-        if self.algorithm.is_approximate and self.epsilon is None:
+        if self.algorithm.is_approximate != (self.epsilon is not None):
             raise ValidationError(
                 f"algorithm {self.algorithm.value} requires an epsilon error bound"
+                if self.algorithm.is_approximate
+                else f"algorithm {self.algorithm.value} is exact and takes no epsilon"
             )
+        validate_thresholds(self.min_support, self.min_confidence, self.epsilon)

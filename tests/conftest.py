@@ -159,6 +159,18 @@ def satisfied(dist: StatDistribution, i: int, pattern: ThresholdPattern) -> bool
     )
 
 
+def holds(records, cells: tuple[np.ndarray, ...]) -> np.ndarray:
+    """held[c, r]: record r meets every threshold of cell c, compared level by
+    level. ``records`` gives one array of record levels per attribute, of
+    shape (r,) or (|cells|, r), and ``cells`` one array of cell levels per
+    attribute."""
+    held = None
+    for levels, thresholds in zip(records, cells):
+        hit = levels >= thresholds[:, None]
+        held = hit if held is None else np.logical_and(held, hit, out=held)
+    return held
+
+
 def fold(
     dist: StatDistribution,
     lhs_pattern: ThresholdPattern,

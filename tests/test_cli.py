@@ -328,6 +328,53 @@ class TestValidationAndExitCodes:
         )
         assert code == 4
 
+    def test_epsilon_rejected_for_exact_algorithms(self, capsys):
+        # 0.3 lies in range for min_confidence 0.2, but ea would ignore it
+        code = main([*DISCOVER_BASE[:11], "--min-confidence", "0.2",
+                     "--algorithm", "ea", "--epsilon", "0.3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "error: algorithm ea is exact and takes no epsilon"
+        ]
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_rejected(self, budget, capsys):
+        code = main([*DISCOVER_BASE, "--candidate-budget", budget])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            f"error: candidate budget must be at least 1 (got {budget})"
+        ]
+
+    def test_out_of_memory_is_one_line_and_exit_4(self):
+        # d^m = 2000^4 fits a raised budget, but one count cube would take
+        # 116 TiB. The child's address space is capped at 3 GB, so the
+        # allocation fails there and cannot press on the host's memory.
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        # one BLAS thread, so numpy's import reserves little address space
+        # however many cores the host has
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdd", "discover", "--input", CONTACTS,
+             "--lhs", "Name,Street,City,ZIP", "--rhs", "SIN", "--rhs-levels", "1999",
+             "--min-support", "0.05", "--min-confidence", "0.9", "--levels", "2000",
+             "--candidate-budget", str(10**14)],
+            capture_output=True, text=True, env=env, preexec_fn=cap,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("error: out of memory") and "d^m" in lines[0]
+        assert str(10**14) in lines[0]
+
     def test_both_threshold_flags_rejected(self, capsys):
         code, _ = run_cli(
             "discover", "--input", CONTACTS,

@@ -51,7 +51,14 @@ from mdd import (
 import mdd.discovery as discovery
 from mdd.model import Algorithm, DiscoveryRequest, EvaluationMode
 
-from conftest import fold, make_distribution, random_distribution, random_relation, satisfied
+from conftest import (
+    fold,
+    holds,
+    make_distribution,
+    random_distribution,
+    random_relation,
+    satisfied,
+)
 
 
 def fresh_lattice(dist, x_attrs):
@@ -65,6 +72,15 @@ def api_run(dist, x_attrs, rhs, eta_s, eta_c, epsilon):
         x_attrs, rhs.attributes, rhs, eta_s, eta_c, Algorithm.API, epsilon
     )
     return discovery._Run(dist, request, fresh_lattice(dist, x_attrs), EvalCounters())
+
+
+def api_bounds(run):
+    """api's stop thresholds for ``run``, every cell's joint total over the
+    prefix and the lower bound of its stop."""
+    thresholds = discovery._thresholds(run)
+    _, joint = discovery._failures(run, discovery._record_cells(run), thresholds)
+    joint = joint.reshape(-1)
+    return thresholds, joint, discovery._lower_bounds(thresholds, run.k, joint)
 
 
 def result_key(mds):
@@ -978,18 +994,15 @@ class TestIndividualStops:
     def test_lower_bounds_across_many_bytes(self, stop_pass, case):
         dist, X, rhs, eta_s, eta_c, epsilon = case
         sdist = sort_by_probability_desc(dist)
-        run = api_run(sdist, X, rhs, eta_s, eta_c, epsilon)
-        rule = discovery._StopRule(run)
-        _, joint = rule.failures(run)
-        bounds = rule.lower_bounds(run, joint.reshape(-1))
+        thresholds, joint, bounds = api_bounds(api_run(sdist, X, rhs, eta_s, eta_c, epsilon))
         simulated = simulate_api_stops(sdist, X, rhs, eta_s, eta_c, epsilon)
         stops, k = simulated
         # no cell stops before its bound: the stop is past the bound's record
         for cell, bound in zip(itertools.product(range(dist.domain.d), repeat=len(X)), bounds):
             assert bound < stops[cell]
-        heavy = joint.reshape(-1) >= rule.thresholds[0]
+        heavy = joint >= thresholds[0]
         assert bounds[heavy].tolist() == [0] * int(np.sum(heavy))
-        empty = joint.reshape(-1) == 0
+        empty = joint == 0
         assert bounds[empty].tolist() == [k - 1] * int(np.sum(empty))
         assert_stops_match_simulator(*case, stops=simulated)
 
@@ -1111,6 +1124,151 @@ class TestIndividualStops:
             ), engine.__name__
 
 
+def reference_epsc_counters(grouped, X, rhs, eta_s, eta_c):
+    """epsc's counters record by record over the grouped records: every
+    candidate's joint and lhs counts from holds; the evaluated set, the
+    candidates whose every immediate predecessor meets support; and the
+    records read, all n but for a rejected candidate that meets support,
+    which stops at its confidence drop: the first record where the running
+    lhs count, a cumulative sum, exceeds joint / eta_c."""
+    d, m, n = grouped.domain.d, len(X), grouped.n
+    grid = list(itertools.product(range(d), repeat=m))
+    records = [grouped.levels[:, grouped.column_index(a)] for a in X]
+    held = holds(records, np.array(grid).T)
+    rhs_ok = np.array([satisfied(grouped, i, rhs) for i in range(n)], dtype=bool)
+    counts = grouped.counts
+    lhs = (held * counts).sum(axis=1)
+    joint = (held * (counts * rhs_ok)).sum(axis=1)
+    meets = {cell: Fraction(int(j), grouped.pair_total) >= eta_s for cell, j in zip(grid, joint)}
+    counters = EvalCounters(candidates_total=len(grid))
+    for i, cell in enumerate(grid):
+        below = [cell[:a] + (cell[a] - 1,) + cell[a + 1 :] for a in range(m) if cell[a]]
+        if not all(meets[b] for b in below):
+            counters.candidates_pruned_support += 1
+            continue
+        counters.candidates_evaluated += 1
+        counters.records_evaluated += n
+        if lhs[i] and Fraction(int(joint[i]), int(lhs[i])) < eta_c:
+            counters.candidates_pruned_confidence += 1
+            if meets[cell]:
+                cum_lhs = np.cumsum(np.where(held[i], counts, 0))
+                limit = int(joint[i]) * eta_c.denominator // eta_c.numerator + 1
+                counters.records_evaluated -= n - int(np.searchsorted(cum_lhs, limit)) - 1
+    return counters
+
+
+@st.composite
+def drop_cases(draw):
+    """Up to about 90 records with distinct lhs levels over m attributes,
+    the first ``pivot`` of them at rhs level 1 and the rest at 0, so the rhs
+    pattern (level 1) holds on exactly ``pivot`` records: none, all, or 8q + r
+    for every position r of the pivot in its record byte. A confidence
+    minimum near 1 and a low support minimum make many candidates drop."""
+    m, d = draw(st.sampled_from([(2, 8), (3, 4), (3, 5), (4, 3)]))
+    where = draw(st.sampled_from(["none", "all", *range(8)]))
+    if where in ("none", "all"):
+        n = draw(st.integers(1, min(d**m, 90)))
+        pivot = 0 if where == "none" else n
+    else:
+        pivot = 8 * draw(st.integers(0, 5)) + where
+        n = pivot + draw(st.integers(1, min(d**m - pivot, 40)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lhs_levels = rng.sample(list(itertools.product(range(d), repeat=m)), n)
+    heavy = st.integers(1, 60) if draw(st.booleans()) else st.sampled_from([1, 2, 500])
+    # scaled past 2^31 pairs, the stop pass holds its masses in int64
+    scale = draw(st.sampled_from([1, 2**28]))
+    records = {v + (int(i < pivot),): scale * draw(heavy) for i, v in enumerate(lhs_levels)}
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    eta_s = draw(st.fractions(Fraction(1, 1000), Fraction(1, 10), max_denominator=1000))
+    eta_c = draw(st.fractions(Fraction(1, 2), Fraction(99, 100), max_denominator=100))
+    grouped, at = group_by_rhs(dist, ThresholdPattern.over(Y, [1]))
+    assert at == pivot
+    return grouped, X, ThresholdPattern.over(Y, [1]), eta_s, eta_c
+
+
+@pytest.fixture(params=[8, 64, 1 << 15])
+def drop_block(request):
+    """Run epsc's drops through stop-pass blocks of 8 (one cell each), 64 (a
+    few cells) or 2^15 (the default) cell and record-byte pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "_STOP_BLOCK", request.param)
+        yield request.param
+
+
+class TestConfidenceDrops:
+    """epsc's confidence drops come from the stop pass, with the lhs mass
+    tested against a per-cell limit; its counters are held to the record by
+    record reference."""
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=drop_cases())
+    def test_counters_equal_the_record_by_record_reference(self, drop_block, case):
+        grouped, X, rhs, eta_s, eta_c = case
+        counters, eps_counters = EvalCounters(), EvalCounters()
+        mds = epsc(grouped, fresh_lattice(grouped, X), rhs, eta_s, eta_c, counters=counters)
+        rules = eps(grouped, fresh_lattice(grouped, X), rhs, eta_s, eta_c, counters=eps_counters)
+        assert result_key(mds) == result_key(rules)
+        assert counters == reference_epsc_counters(grouped, X, rhs, eta_s, eta_c)
+
+    @pytest.mark.parametrize("pair_total", [2**31 - 1, 2**31])
+    def test_masses_at_pair_total_on_each_side_of_the_int32_limit(self, pair_total):
+        # the stop pass holds its masses in int32 below 2^31 pairs and in
+        # int64 from there on. Here the all-zero candidate stops at the last
+        # record with the whole pair total as its lhs mass: under epsc its
+        # limit, floor(joint * 3 / 2) + 1, is the pair total; under api its
+        # joint mass before the last record, 3c / 2, is below the last
+        # threshold, 2c
+        joint = -(-2 * (pair_total - 1) // 3)
+        rest = pair_total - joint
+        records = {(1, 2, 1): joint // 2, (2, 1, 1): joint - joint // 2,
+                   (0, 3, 0): rest // 2, (3, 0, 0): rest - rest // 2}
+        dist = make_distribution(records, 4)
+        X, Y = dist.attribute_set[:2], dist.attribute_set[2:]
+        rhs = ThresholdPattern.over(Y, [1])
+        grouped, _ = group_by_rhs(dist, rhs)
+        counters = EvalCounters()
+        epsc(grouped, fresh_lattice(dist, X), rhs, Fraction(1, 1000), Fraction(2, 3),
+             counters=counters)
+        assert counters.candidates_pruned_confidence
+        assert counters == reference_epsc_counters(
+            grouped, X, rhs, Fraction(1, 1000), Fraction(2, 3)
+        )
+        c = 2**21
+        records = {(0, 0, 1): 3 * c // 2, (1, 1, 1): c,
+                   (2, 2, 0): (pair_total - 5 * c // 2) // 2,
+                   (3, 3, 0): pair_total - 5 * c // 2 - (pair_total - 5 * c // 2) // 2}
+        dist = make_distribution(records, 4)
+        assert dist.pair_total == pair_total
+        X, Y = dist.attribute_set[:2], dist.attribute_set[2:]
+        rhs = ThresholdPattern.over(Y, [1])
+        stops = simulate_api_stops(sort_by_probability_desc(dist), X, rhs,
+                                   Fraction(1, 1000), Fraction(1, 4), Fraction(1, 2))
+        assert stops[0][(0, 0)] == stops[1] == dist.n
+        assert_stops_match_simulator(dist, X, rhs, Fraction(1, 1000), Fraction(1, 4),
+                                     Fraction(1, 2), stops=stops)
+
+    def test_drops_in_every_record_byte(self, drop_block):
+        # 200 records over m = 3, d = 6, counts falling with the rank: the
+        # drops of the many rejected candidates spread over the bytes past
+        # the pivot, which sits inside a byte
+        rng = random.Random(23)
+        lhs_levels = rng.sample(list(itertools.product(range(6), repeat=3)), 200)
+        records = {v + (int(i < 61),): 1000 // (i + 1) + 1 for i, v in enumerate(lhs_levels)}
+        dist = make_distribution(records, 6)
+        X, Y = dist.attribute_set[:3], dist.attribute_set[3:]
+        rhs = ThresholdPattern.over(Y, [1])
+        grouped, pivot = group_by_rhs(dist, rhs)
+        assert pivot == 61
+        eta_s, eta_c = Fraction(1, 500), Fraction(9, 10)
+        counters = EvalCounters()
+        epsc(grouped, fresh_lattice(dist, X), rhs, eta_s, eta_c, counters=counters)
+        assert counters.candidates_pruned_confidence > 50
+        assert counters == reference_epsc_counters(grouped, X, rhs, eta_s, eta_c)
+
+
 class TestStopPassMemory:
     """The stop pass builds its bit rows and masses a block of cells at a
     time, so its temporaries are bounded by the block, not by |cells| * k."""
@@ -1152,6 +1310,32 @@ class TestStopPassMemory:
         # about 40 bytes per (cell, record byte) pair of one block
         assert peak <= 12 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
 
+    def test_epsc_drops_on_a_seeded_grid(self):
+        # m = 5, d = 10: 10^5 candidates over 2,711 records grouped by the
+        # rhs pattern, 1,827 of them first; 14,762 candidates are rejected on
+        # confidence, and those that meet support are resolved past the pivot
+        rng = np.random.default_rng(31)
+        m, d, n = 5, 10, 3000
+        levels = np.minimum(rng.geometric(0.35, (n, m + 1)) - 1, d - 1)
+        vectors = {tuple(row): int(c) for row, c in zip(levels.tolist(), rng.integers(50, 100, n))}
+        dist = make_distribution(vectors, d)
+        X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c = Fraction(1, 1000), Fraction(99, 100)
+        counters, eps_counters = EvalCounters(), EvalCounters()
+        epsc(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, counters=counters)
+        eps(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, counters=eps_counters)
+        rejected = counters.candidates_pruned_confidence
+        assert rejected * (dist.n - group_by_rhs(dist, rhs)[1]) // 8 > 40 * discovery._STOP_BLOCK
+        assert counters.records_evaluated < 0.9 * eps_counters.records_evaluated
+        peak = self._peak(Algorithm.EPSC, dist, X, rhs, eta_s, eta_c, None)
+        # the two int64 cubes and four one-byte masks, about 130 bytes a
+        # record (the grouped copy, the half-byte tables, the masses and
+        # levels), about 64 bytes per rejected cell (its number, totals,
+        # limit, bound and place in bound order) and about 48 bytes per
+        # (cell, record byte) pair of one block
+        assert peak <= 20 * d**m + 130 * dist.n + 64 * rejected + 48 * discovery._STOP_BLOCK, peak
+
     def test_bit_rows_per_block_over_the_largest_domain(self):
         # m = 1, d = 32,768 over k = 1,024 records: the rows of every level
         # at once would take a 32 MB comparison; a block's rows take a few
@@ -1184,12 +1368,11 @@ class TestStopPassMemory:
         eta_s, eta_c, epsilon = Fraction(1, 20), Fraction(1, 4), Fraction(1, 2)
         sdist = sort_by_probability_desc(dist)
         run = api_run(sdist, X, rhs, eta_s, eta_c, epsilon)
-        rule = discovery._StopRule(run)
-        bounds = rule.lower_bounds(run, rule.failures(run)[1].reshape(-1))
+        thresholds, _, bounds = api_bounds(run)
         reading = bounds[bounds < run.k - 1]
         # 41,666 cells read records; their bounds fall in 253 of the 303 bytes
         assert 0.02 * d**m < reading.size < 0.1 * d**m
-        assert np.unique(reading // 8).size > 0.8 * (rule.thresholds.size // 8)
+        assert np.unique(reading // 8).size > 0.8 * (thresholds.size // 8)
         peak = self._peak(Algorithm.API, dist, X, rhs, eta_s, eta_c, epsilon)
         assert peak <= 32 * d**m + 130 * dist.n + 48 * discovery._STOP_BLOCK, peak
 

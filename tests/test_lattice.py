@@ -12,8 +12,11 @@ from mdd import (
     CandidateBudgetError,
     CandidateLattice,
     LevelDomain,
+    ValidationError,
 )
-from mdd.discovery import _evaluated, _holds
+from mdd.discovery import _evaluated
+
+from conftest import holds
 
 X2 = (AttributeId(0, "A"), AttributeId(1, "B"))
 X1 = X2[:1]
@@ -39,7 +42,7 @@ def _closed_form(d, m, failed):
     """The candidates the engines evaluate when ``failed`` miss support, and
     with them their whole upper sets."""
     cells = np.array(list(itertools.product(range(d), repeat=m))).T
-    misses = _holds(cells, np.array(failed).reshape(-1, m).T).any(axis=0)
+    misses = holds(cells, np.array(failed).reshape(-1, m).T).any(axis=0)
     evaluated = _evaluated(~misses.reshape((d,) * m))
     return {tuple(map(int, c)) for c in zip(*np.nonzero(evaluated))}
 
@@ -58,7 +61,7 @@ class TestDominates:
     with it."""
 
     def _prunes(self, failed, other):
-        held = _holds(np.array(other)[:, None], np.array(failed)[:, None])
+        held = holds(np.array(other)[:, None], np.array(failed)[:, None])
         return bool(held[0, 0])
 
     def test_componentwise(self):
@@ -154,3 +157,9 @@ class TestBudget:
 
     def test_budget_boundary_ok(self):
         CandidateLattice(X2, LevelDomain(10), candidate_budget=100)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # even a one-candidate lattice (d^m >= 1) needs a budget of 1
+        with pytest.raises(ValidationError, match="at least 1"):
+            CandidateLattice(X1, LevelDomain(2), candidate_budget=budget)

@@ -234,6 +234,13 @@ class TestDiscoveryRequest:
         with pytest.raises(ValidationError):
             self._request(algorithm="ap")
 
+    @pytest.mark.parametrize("algorithm", ["ea", "eps", "epsc"])
+    def test_epsilon_rejected_for_exact(self, algorithm):
+        # an exact run would ignore the bound, so a request carrying one is
+        # refused rather than echoed beside an exact mode
+        with pytest.raises(ValidationError, match="exact and takes no epsilon"):
+            self._request(algorithm=algorithm, epsilon="0.3")
+
     def test_epsilon_range(self):
         # 0 < eps < 1 - min_confidence
         self._request(algorithm="ap", epsilon="0.3")
