@@ -345,7 +345,13 @@ def _result_text(request: DiscoveryRequest, dist: StatDistribution, rules: _Rule
 def cmd_discover(args) -> int:
     dist, request = _load_inputs(args)
     lattice = CandidateLattice(request.lhs, dist.domain, args.candidate_budget)
-    rules = _rules(dist, request, lattice, EvalCounters())
+    try:
+        rules = _rules(dist, request, lattice, EvalCounters())
+    except MemoryError:  # a raised budget can let the search outgrow memory
+        raise CandidateBudgetError(
+            f"out of memory for the d^m = {lattice.candidate_count} candidates that --candidate-budget "
+            f"{args.candidate_budget} allows; lower --levels, the lhs attributes or the budget"
+        ) from None
     _emit(_result_text(request, dist, rules), args.out)
     return EXIT_OK
 
@@ -496,11 +502,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CandidateBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError:  # a raised budget can let the count cubes outgrow memory
-        budget = getattr(args, "candidate_budget", None)
-        hint = (f": the search takes 16 bytes for each of the d^m candidates, up to "
-                f"--candidate-budget {budget}; lower --levels, the lhs attributes or the budget")
-        print("error: out of memory" + ("" if budget is None else hint), file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except DistributionIOError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -385,8 +385,9 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
         # the ones that meet support stop at the drop; the rest read all k
         rejected &= meets
         cells = np.flatnonzero(rejected)
-        read = _confidence_drops(run, cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
-        run.counters.records_evaluated -= k * cells.size - read
+        if cells.size:  # with no drop, nothing is built
+            read = _confidence_drops(run, cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
+            run.counters.records_evaluated -= k * cells.size - read
     # every candidate that meets support is evaluated: its predecessors do too
     confident &= meets
     cells = np.flatnonzero(confident)
@@ -404,11 +405,9 @@ def _confidence_drops(run: _Run, cells: np.ndarray, joint: np.ndarray, lhs: np.n
     limits = limits.astype(np.int64)
     pivot = int(np.count_nonzero(run.rhs_mask))
     bounds = pivot + np.searchsorted(np.cumsum(run.dist.counts[pivot:]), limits - joint)
-    order = np.argsort(bounds, kind="stable")
-    bounds.sort()
     # thresholds of 0 for every record, as a read-only view that takes no memory
     thresholds = np.broadcast_to(np.int64(0), (-(-run.k // 8) * 8,))
-    return _stop_pass(run, 1, thresholds, cells, joint, lhs, order, bounds, limits)
+    return _stop_pass(run, 1, thresholds, cells, joint, lhs, np.arange(cells.size), bounds, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +470,8 @@ class _StopRule:
     def __init__(self, run: _Run, column: int, thresholds: np.ndarray, start: int) -> None:
         k, lo, size = run.k, 8 * start, thresholds.size - 8 * start
         self.start, self.column, self.thresholds = start, column, thresholds[lo:]
-        # each record's joint and lhs count, in int32 while pair_total, which
-        # bounds every mass of the pass, fits
-        dtype = np.int32 if run.dist.pair_total < 2**31 else np.int64
+        # each record's joint and lhs count; every mass is at most pair_total
+        dtype = np.int32 if run.dist.pair_total < 2**31 else np.int64  # int32 halves the tables
         self.masses = np.zeros((size, 2), dtype=dtype)
         np.copyto(self.masses[: k - lo, 1], run.dist.counts[lo:k])
         np.multiply(self.masses[: k - lo, 1], run.rhs_mask[lo:k], out=self.masses[: k - lo, 0])
@@ -484,8 +482,7 @@ class _StopRule:
         # whose bits v sets, at most pair_total; bit j adds record j's
         # masses, quads[j], one contiguous row over all half bytes
         quads = np.ascontiguousarray(self.masses.reshape(-1, 4, 2).transpose(1, 0, 2))
-        self.tables = np.empty((16, size // 4, 2), dtype=dtype)
-        self.tables[0] = 0
+        self.tables = np.zeros((16, size // 4, 2), dtype=dtype)
         for j in range(4):
             np.add(self.tables[: 1 << j], quads[j], out=self.tables[1 << j : 2 << j])
 
@@ -512,8 +509,7 @@ def _stops(
     masses += np.take(tables, (held >> 4) * halves + (low + 1), axis=0)
     np.cumsum(masses, axis=1, out=masses)
     masses += (totals - masses[:, -1])[:, None]
-    column = rule.column
-    byte = np.argmax(masses[..., column] >= rule.thresholds[8 * first + 7 :: 8] + limits, axis=1)
+    byte = np.argmax(masses[..., rule.column] >= rule.thresholds[8 * first + 7 :: 8] + limits, axis=1)
     rows = np.arange(cells.size)
     # the running masses inside the stop byte, from the masses at its end
     end = masses[rows, byte]
@@ -522,7 +518,7 @@ def _stops(
     running *= np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")[..., None]
     np.cumsum(running, axis=1, out=running)
     running += (end - running[:, -1])[:, None]
-    stop = np.argmax(running[..., column] >= rule.thresholds[record] + limits, axis=1)
+    stop = np.argmax(running[..., rule.column] >= rule.thresholds[record] + limits, axis=1)
     return record[rows, stop] + 8 * rule.start + 1, *running[rows, stop].T
 
 
@@ -530,17 +526,21 @@ def _stop_pass(
     run: _Run, column: int, thresholds: np.ndarray, cells: np.ndarray, joint: np.ndarray,
     lhs: np.ndarray, reading: np.ndarray, bounds: np.ndarray, limits: np.ndarray | None = None,
 ) -> int:
-    """The records read by the cells at the indices ``reading``, given in
-    nondecreasing order of the lower bounds ``bounds`` of their stops (see
-    _StopRule), whose joint and lhs totals turn into their masses at their
-    stops in place; ``limits`` gives their limits, 0 without it. Each block
-    of cells reads at most _STOP_BLOCK (cell, record byte) pairs, or one
-    cell, a cell counting as at least the 8 records of its stop byte."""
+    """The records read by the cells at the indices ``reading``, whose
+    joint and lhs totals turn into their masses at their stops in place;
+    ``bounds`` bounds their stops from below and is sorted in place, and
+    ``limits`` gives their limits, 0 without it. The cells go in order of
+    their bounds (see _StopRule), and each block of cells reads at most
+    _STOP_BLOCK (cell, record byte) pairs, or one cell, a cell counting as
+    at least the 8 records of its stop byte."""
+    if not reading.size:
+        return 0
+    reading = reading[np.argsort(bounds, kind="stable")]
+    bounds.sort()
     read, lo, size = 0, 0, thresholds.size // 8
+    rule = _StopRule(run, column, thresholds, int(bounds[0]) // 8)
     while lo < reading.size:
         first = int(bounds[lo]) // 8
-        if not lo:
-            rule = _StopRule(run, column, thresholds, first)
         hi = min(reading.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
         part = reading[lo:hi]
         limit = 0 if limits is None else limits[part, None]
@@ -574,8 +574,6 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     reading = np.flatnonzero(joint >= thresholds[k - 2]) if k > 1 else cells[:0]
     run.counters.records_evaluated += k * (cells.size - reading.size)
     bounds = _lower_bounds(thresholds, k, joint[reading])
-    reading = reading[np.argsort(bounds, kind="stable")]
-    bounds.sort()
     read = _stop_pass(run, 0, thresholds, cells, joint, lhs, reading, bounds)
     run.counters.records_evaluated += read
     keep = joint >= run.min_support_count

@@ -373,7 +373,18 @@ class TestValidationAndExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
         assert lines[0].startswith("error: out of memory") and "d^m" in lines[0]
-        assert str(10**14) in lines[0]
+        assert f"d^m = {2000**4} " in lines[0] and str(10**14) in lines[0]
+
+    def test_out_of_memory_outside_the_search_names_no_budget(self, monkeypatch, capsys):
+        # a MemoryError while the input is read is not the candidates' doing
+        def no_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "_read_csv", no_memory)
+        code = main(DISCOVER_BASE)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.splitlines() == ["error: out of memory"]
 
     def test_both_threshold_flags_rejected(self, capsys):
         code, _ = run_cli(
