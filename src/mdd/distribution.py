@@ -508,7 +508,10 @@ def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistrib
 # Attribute names and metric specs are percent-encoded so commas and spaces in
 # names cannot break the header. A uniform metric is written once; otherwise
 # one spec per attribute, comma separated. The trailing checksum line guards
-# the payload against truncation or edits.
+# the payload against truncation or edits: it hashes the file's bytes before
+# that line. save_distribution writes every row as ASCII digits and commas
+# ending in "\n", and the loader parses rows in that form straight from the
+# bytes; rows in any other form int() accepts are read one line at a time.
 
 
 def _header_line(dist: StatDistribution) -> str:
@@ -541,17 +544,50 @@ def save_distribution(dist: StatDistribution, path) -> None:
         raise DistributionIOError(f"cannot write distribution cache {path}: {exc}") from exc
 
 
-def _parse_payload(path, rows: list[str], width: int) -> np.ndarray:
-    """The payload rows as an int64 array of ``width`` columns. One numpy
-    conversion parses every cell, calling int() on each as the line loop
-    does; where it or a row's width fails, the line loop runs instead, to
-    name the line at fault."""
-    try:
-        if {row.count(",") for row in rows} != {width - 1}:
-            raise ValueError("no rows, or a row of another width")
-        return np.array(",".join(rows).split(","), dtype=np.int64).reshape(len(rows), width)
-    except (ValueError, OverflowError):
-        return _parse_rows(path, rows, width)
+def _parse_payload(path, payload: bytes, width: int) -> np.ndarray:
+    """The payload, the lines between the header and the checksum line each
+    with its newline, as an int64 array of ``width`` columns.
+
+    The form ``save_distribution`` writes is read from the bytes in one
+    pass: only ASCII digits, ``,`` and ``\\n``, every row ``width`` cells
+    and a ``\\n``, no cell empty or longer than 18 digits, so every value
+    fits int64. Each cell's last digit is the byte before the separator that
+    ends it, which is all of a one-digit cell (every level below 10); the
+    longer cells add their other digits one position at a time. Any other
+    payload goes to the line loop, which accepts every cell int() does and
+    names the line at fault."""
+    # buf is the payload behind two NULs, so prior[1:][i] and prior[i] are the
+    # bytes one and two before buf[i], read without an index array of their own
+    prior = np.frombuffer(b"\0\0" + payload, dtype=np.uint8)
+    buf = prior[2:]
+    # "," and "\n" sort below the digits, so the bytes below "0" end the cells
+    ends = np.flatnonzero(buf < ord("0"))
+    if len(ends) and len(ends) % width == 0 and ends[-1] == len(buf) - 1:
+        seps = buf[ends]
+        newline = seps == ord("\n")
+        last = prior[1:][ends]  # a cell's last digit, or a separator or NUL if it is empty
+        if (
+            buf.max() <= ord("9")
+            and (newline | (seps == ord(","))).all()
+            and newline[width - 1 :: width].all()
+            and np.count_nonzero(newline) * width == len(ends)
+            and (last >= ord("0")).all()
+        ):
+            cells = np.flatnonzero(prior[ends] >= ord("0"))  # two digits or more
+            lengths = ends[cells] - np.where(cells > 0, ends[cells - 1], -1) - 1
+            longest = int(lengths.max(initial=1))
+            if longest <= 18:
+                values = last.astype(np.int64)
+                values -= ord("0")
+                for k in range(1, longest):
+                    keep = lengths > k
+                    cells, lengths = cells[keep], lengths[keep]
+                    digits = buf[ends[cells] - 1 - k].astype(np.int64)
+                    digits -= ord("0")
+                    digits *= 10**k
+                    values[cells] += digits
+                return values.reshape(-1, width)
+    return _parse_rows(path, payload.decode("utf-8").split("\n")[:-1], width)
 
 
 def _parse_rows(path, rows: list[str], width: int) -> np.ndarray:
@@ -580,22 +616,30 @@ def _parse_rows(path, rows: list[str], width: int) -> np.ndarray:
 
 
 def load_distribution(path) -> StatDistribution:
+    """Read a cache file written by ``save_distribution``, raising
+    DistributionIOError on any file that is not one. The file is read once,
+    as bytes, and must decode as UTF-8. Its checksum covers the bytes before
+    the ``#checksum=`` line, and the payload between the header and that line
+    goes to ``_parse_payload``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DistributionIOError(f"cannot read distribution cache {path}: {exc}") from exc
+    try:
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DistributionIOError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
-
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not raw:
         raise DistributionIOError(f"{path}: empty distribution cache")
 
-    header = lines[0]
-    parts = header.split(" ")
+    # The lines are the file split at "\n", less one final "\n": the header
+    # is the first line, the checksum the last, and the payload every line
+    # between, with its newline. "\n" is one byte in UTF-8 and in no other
+    # character, so every line is whole UTF-8.
+    content = raw[:-1] if raw.endswith(b"\n") else raw
+    head = content.partition(b"\n")[0]
+    parts = head.decode("utf-8").split(" ")
     if len(parts) < 2 or parts[0] != _FORMAT_TAG:
         raise DistributionIOError(f"{path}: not a distribution cache (bad magic)")
     if parts[1] != _FORMAT_VERSION:
@@ -612,11 +656,12 @@ def load_distribution(path) -> StatDistribution:
         if required not in fields:
             raise DistributionIOError(f"{path}: header missing {required}=")
 
-    if not lines[-1].startswith("#checksum="):
+    last_start = content.rfind(b"\n") + 1
+    last = content[last_start:].decode("utf-8")
+    if not last.startswith("#checksum="):
         raise DistributionIOError(f"{path}: missing trailing checksum line")
-    stated = lines[-1][len("#checksum="):]
-    body = "\n".join(lines[:-1]) + "\n"
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    stated = last[len("#checksum="):]
+    actual = hashlib.sha256(memoryview(raw)[:last_start]).hexdigest()
     if stated != actual:
         raise DistributionIOError(f"{path}: checksum mismatch (file corrupted?)")
 
@@ -653,7 +698,7 @@ def load_distribution(path) -> StatDistribution:
     else:
         raise DistributionIOError(f"{path}: metric= list does not align with attrs=")
 
-    data = _parse_payload(path, lines[1:-1], len(attrs) + 1)
+    data = _parse_payload(path, content[len(head) + 1 : last_start], len(attrs) + 1)
     try:
         return StatDistribution(
             attrs,

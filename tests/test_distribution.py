@@ -1,6 +1,8 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
+import contextlib
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -32,6 +34,7 @@ from mdd import (
     sort_by_probability_desc,
 )
 import mdd.distribution as distribution_module
+from mdd.cli import main
 from mdd.errors import SchemaMismatchError
 from mdd.model import sorted_rows
 from mdd.oracle import _pair_levels
@@ -799,11 +802,14 @@ class TestSortedRows:
 
 
 # Cells Python's int() accepts (a sign, surrounding spaces, an underscore, an
-# Arabic-Indic digit) and rejects (a decimal point, an empty cell), and one
-# beyond int64.
+# Arabic-Indic digit, a carriage return) and rejects (a decimal point, an
+# empty cell, a NUL). Around the byte parser's limits: leading zeros, a
+# negative zero, 18 digits (the longest it reads), 19 digits just inside and
+# just past int64, and one beyond.
 PAYLOAD_CELLS = [
-    "0", "1", "12", "-3", "+5", " 5", "1_0", "\u0665", "5.0", "", "99999999999999999999",
-    "5\x00", "\x00",
+    "0", "1", "12", "007", "-0", "-3", "+5", " 5", "1_0", "\u0665", "5\r", "5.0", "",
+    "123456789012345678", "9223372036854775807", "9223372036854775808",
+    "99999999999999999999", "5\x00", "\x00",
 ]
 
 
@@ -819,11 +825,69 @@ def payloads(draw):
     return width, [",".join(row) for row in rows]
 
 
-def parse_outcome(parse, width, rows):
+def parse_outcome(parse, *args):
     try:
-        return parse("c.dist", rows, width).tolist()
+        return parse("c.dist", *args).tolist()
     except DistributionIOError as exc:
         return str(exc)
+
+
+def line_loop_outcome(path, rows: list[str], width: int):
+    """What the cache's line loop makes of these payload rows, written out
+    again here: the records, or the message of the first fault."""
+    parsed = []
+    for lineno, line in enumerate(rows, start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"{path}:{lineno}: expected {width} comma-separated integers"
+        try:
+            parsed.append([int(c) for c in cells])
+        except ValueError:
+            return f"{path}:{lineno}: non-integer cell"
+    if not parsed:
+        return f"{path}: no records"
+    for lineno, row in enumerate(parsed, start=2):
+        if not all(-(2**63) <= c < 2**63 for c in row):
+            return f"{path}:{lineno}: cell outside the int64 range"
+    return parsed
+
+
+def expected_load(path, original: StatDistribution):
+    """What loading the edited cache at ``path`` must give: its levels and
+    counts, or the message of the first fault. The header is the original
+    one, unedited, and the checksum fits the bytes before its line."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    lines.pop()  # the file ends in a newline
+    if not lines[-1].startswith("#checksum="):
+        return f"{path}: missing trailing checksum line"
+    parsed = line_loop_outcome(path, lines[1:-1], len(original.attribute_set) + 1)
+    if isinstance(parsed, str):
+        return parsed
+    data = np.array(parsed, dtype=np.int64)
+    try:
+        dist = StatDistribution(
+            original.attribute_set, original.domain, data[:, :-1], data[:, -1],
+            original.pair_total, original.fingerprint, metric_specs=original.metric_specs,
+        )
+    except ValidationError as exc:
+        return f"{path}: invalid distribution payload: {exc}"
+    return dist.levels.tolist(), dist.counts.tolist()
+
+
+# The bytes a payload edit writes: the digits, the separators, what int()
+# also accepts around a cell, a NUL, and a two-byte UTF-8 digit.
+EDIT_BYTES = [
+    *(str(k).encode() for k in range(10)),
+    b",", b"\n", b"\r", b" ", b"+", b"-", b"_", b"\x00", "\u0665".encode(),
+]
+
+
+@st.composite
+def payload_edits(draw):
+    """One replace, insert or delete: its kind, position and new bytes."""
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    new = b"" if kind == "delete" else draw(st.sampled_from(EDIT_BYTES))
+    return kind, draw(st.integers(0, 10**6)), new
 
 
 class TestCacheFile:
@@ -832,13 +896,80 @@ class TestCacheFile:
     # a row one cell short next to one a cell long: the cell count matches
     @example(case=(2, ["1,2", "3", "4,5,6", "7,8"]))
     @example(case=(3, ["+5, 5,1_0", "\u0665,0,1"]))
-    # a trailing NUL: int() rejects it, and so must the one conversion
+    # a trailing NUL: int() rejects it, and so must the byte parser
     @example(case=(2, ["5\x00,1", "2,3"]))
-    def test_one_conversion_parse_equals_the_line_loop(self, case):
+    # the longest cell the byte parser reads, int64's largest value, and one past it
+    @example(case=(2, ["123456789012345678,007", "9223372036854775807,1"]))
+    @example(case=(2, ["1,2", "9223372036854775808,1"]))
+    @example(case=(1, ["5\r"]))
+    def test_byte_parse_equals_the_line_loop(self, case):
         width, rows = case
-        assert parse_outcome(distribution_module._parse_payload, width, rows) == parse_outcome(
-            distribution_module._parse_rows, width, rows
+        payload = "".join(f"{row}\n" for row in rows).encode()
+        assert parse_outcome(distribution_module._parse_payload, payload, width) == parse_outcome(
+            distribution_module._parse_rows, rows, width
         )
+
+    @pytest.mark.parametrize(
+        "records, d, names",
+        [
+            ({(11, 0, 3): 5, (0, 10, 1): 7, (10, 11, 11): 1}, 12, None),  # two-digit levels
+            ({(0, 1): 2**40, (1, 1): 3, (1, 0): 10**17}, 3, None),
+            ({(0, 1): 2, (1, 1): 3}, 3, ["a,b c", " x, y "]),
+        ],
+    )
+    def test_saved_caches_take_the_byte_path(self, tmp_path, monkeypatch, records, d, names):
+        def line_loop(*args):
+            raise AssertionError("a saved cache went to the line loop")
+
+        monkeypatch.setattr(distribution_module, "_parse_rows", line_loop)
+        dist = make_distribution(records, d=d, names=names)
+        path = tmp_path / "saved.dist"
+        save_distribution(dist, path)
+        loaded = load_distribution(path)
+        assert loaded == dist
+        assert loaded.levels.dtype == dist.levels.dtype and loaded.counts.dtype == dist.counts.dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        edit=payload_edits(),
+        algorithm=st.sampled_from(["eps", "epsc", "apsi"]),
+    )
+    def test_one_byte_edit_loads_as_the_line_loop_reads_it(
+        self, tmp_path_factory, seed, edit, algorithm
+    ):
+        dist, _, _ = random_distribution(random.Random(seed), m_x=2, d=4, max_samples=30)
+        path = tmp_path_factory.mktemp("edit") / "e.dist"
+        save_distribution(dist, path)
+        header, _, rest = path.read_bytes().partition(b"\n")
+        payload = bytearray(rest[: rest.rindex(b"#checksum=")])
+        kind, at, new = edit
+        at %= len(payload) + (kind == "insert")
+        payload[at : at + (kind != "insert")] = new
+        body = header + b"\n" + bytes(payload)
+        path.write_bytes(body + b"#checksum=%s\n" % hashlib.sha256(body).hexdigest().encode())
+
+        expected = expected_load(path, dist)
+        try:
+            loaded = load_distribution(path)
+        except DistributionIOError as exc:
+            assert str(exc) == expected
+        else:
+            assert (loaded.levels.tolist(), loaded.counts.tolist()) == expected
+
+        argv = ["discover", "--dist", str(path), "--lhs", "A0,A1", "--rhs", "A2",
+                "--rhs-levels", "1", "--min-support", "1/10", "--min-confidence", "1/2",
+                "--algorithm", algorithm, "--out", str(path.with_suffix(".json"))]
+        if algorithm == "apsi":
+            argv += ["--epsilon", "1/10"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        # exit 3 with the loader's one line, or 0 with nothing: never a traceback
+        if isinstance(expected, str):
+            assert (code, stderr.getvalue()) == (3, f"error: {expected}\n")
+        else:
+            assert (code, stderr.getvalue()) == (0, "")
 
     def test_save_writes_the_fixed_cache_text(self, tmp_path):
         dist = make_distribution(
