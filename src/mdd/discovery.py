@@ -1,22 +1,23 @@
 """The discovery algorithms: every candidate of the lattice counted at once
 over a prefix of the distribution.
 
-Each engine takes the records in any order and puts them in the order it
-needs. The approximate engines read k from the sorted counts alone, hold only
-the first k records of the nonincreasing-probability order (only the records
-whose count is at least the k-th largest are ordered), evaluate each
-candidate over them and bound the mass of the rest; the exact engines are
-the same scans with k = n. ea reads every record for every candidate; eps
-adds dominance pruning by support; epsc groups the records by the rhs
-pattern and also stops a candidate where its running confidence drops below
-the minimum. ap and aps are ea and eps over the first k records (the k of
-compute_prefix_k); api and apsi add a per-candidate stop once the unseen
-mass is within the candidate's own bound. Every run enters through _rules
-with a DiscoveryRequest, which checked its arguments when it was made: the
-public engines build one from theirs, run_request and the CLI pass their
-own. Every scan ends in one _Rules record, the accepted rules' grid cells
-and joint and lhs counts as arrays: the engines and run_request turn it into
-DiscoveredMd objects, and the CLI writes its document from the arrays.
+Each engine takes the records in any order and reads them in place. The
+approximate engines read k from the sorted counts alone, index the first k
+records of the nonincreasing-probability order (only the records whose count
+is at least the k-th largest are ordered), evaluate each candidate over them
+and bound the mass of the rest; the exact engines are the same scans with
+k = n over the records as given. ea reads every record for every candidate;
+eps adds dominance pruning by support; epsc counts as a scan of the records
+grouped by the rhs pattern that also stops a candidate where its running
+confidence drops below the minimum. ap and aps are ea and eps over the first
+k records (the k of compute_prefix_k); api and apsi add a per-candidate stop
+once the unseen mass is within the candidate's own bound. Every run enters
+through _rules with a DiscoveryRequest, which checked its arguments when it
+was made: the public engines build one from theirs, run_request and the CLI
+pass their own. Every scan ends in one _Rules record, the accepted rules'
+grid cells and joint and lhs counts as arrays: the engines and run_request
+turn it into DiscoveredMd objects, and the CLI writes its document from the
+arrays.
 
 A scan without a per-candidate stop (ea, eps, ap, aps, and epsc's base pass)
 is one pass over an upper-set count cube: two int64 histograms of the prefix
@@ -54,31 +55,36 @@ computed from the joint cubes at k - 1 and k records, and apsi evaluates the
 same closed form as eps: the candidates with no failure among their immediate
 predecessors.
 
-epsc's drop. Over the records grouped by the rhs pattern, the rhs-satisfying
-ones come first and keep a candidate's running confidence at 1, and past
-them, from the pivot on, its joint mass J is final. So a candidate rejected
-on confidence that meets support stops at the first record where its running
-lhs mass reaches its limit J * eta_den // eta_num + 1; one that misses
-support reads all n records, so that its upper set is pruned soundly.
+epsc's drop. epsc counts as the sequential scan over the records grouped by
+the rhs pattern, the rhs-satisfying ones first, each group in its given
+order; only its drops depend on that order, so no grouped copy is made. The
+rhs-satisfying records keep a candidate's running confidence at 1, and past
+them its joint mass J is final. So a candidate rejected on confidence that
+meets support reads them all, then the others as given up to the first where
+its running lhs mass reaches its limit J * eta_den // eta_num + 1; one that
+misses support reads all n records, so that its upper set is pruned soundly.
 
-The stop pass finds both kinds of stop, the first record i where a cell's
-running mass in one column reaches thresholds[i] plus the cell's limit: for
-api and apsi the joint mass against t_i = ceil(R_i * f_den / f_num), for
+The stop pass finds both kinds of stop over the run's records it is given,
+the first record i where a cell's running mass in one column reaches
+thresholds[i] plus the cell's limit: for api and apsi over the k prefix
+records, the joint mass against t_i = ceil(R_i * f_den / f_num), for
 f = f_num / f_den, computed once per record (in Python ints where the
 product could overflow int64) with t_{k-1} = 0 ending every scan; for epsc
-the lhs mass against its limit. It runs over blocks of cells, on the records
-packed eight to a byte: the AND of a cell's range-encoded bit rows, level >=
-t per attribute (Chan and Ioannidis, SIGMOD 1998), is the records it holds;
-half-byte mass tables give its joint and lhs mass at every byte's end; the
-test is monotone, so the stop lies in the first byte whose last record
-passes it. Temporaries are bounded by the block.
+over the records that miss the rhs pattern, the lhs mass against its limit.
+It runs over blocks of cells, on the records packed eight to a byte: the AND
+of a cell's range-encoded bit rows, level >= t per attribute (Chan and
+Ioannidis, SIGMOD 1998), is the records it holds; half-byte mass tables give
+its joint and lhs mass at every byte's end; the test is monotone, so the
+stop lies in the first byte whose last record passes it. Temporaries are
+bounded by the block.
 
 Lower bounds. A cell's totals over the prefix, from the cubes, bound its
 stop from below. api's joint mass read never exceeds the joint total J and
 the thresholds do not increase, so no stop comes before the first record
 whose threshold is at most J; a cell bounded so at k - 1, as every one with
 J = 0 is, stops there with its totals and reads nothing. epsc's lhs mass read
-by record r is at most J plus the mass of all records from the pivot to r.
+by the r-th record that misses the rhs pattern is at most J plus the mass of
+those records up to r.
 A cell reads its bit rows only from its bound's byte on, and the masses read
 before a byte are its totals minus those of that byte and the later ones.
 The cells go in bound order, each block from its first cell's byte, so a
@@ -98,13 +104,13 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
-from .distribution import group_by_rhs, pattern_mask, probability_prefix
+from .distribution import pattern_mask, probability_order
 from .errors import ContractViolationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
@@ -129,57 +135,62 @@ from .model import (
 
 @dataclass
 class _Run:
-    """One engine run of a checked request over its lattice. epsc reads the
-    records grouped by the rhs pattern. An approximate run holds only the
-    first k records of the probability order, k from the prefix bound, which
-    the counts alone decide, and carries api's bound factor (see _StopRule);
-    an exact run reads all k = n records and has no factor."""
+    """One engine run of a checked request over its lattice, holding the
+    records its scans read, in the order they read them: each record's flat
+    grid cell at its lhs levels, its count and whether it satisfies the rhs
+    pattern. An exact run reads all k = n records as given; epsc's drop pass
+    reads those that miss the rhs pattern (see _confidence_drops). An
+    approximate run holds only the first k records of the probability order,
+    k from the prefix bound, which the counts alone decide, and carries api's
+    bound factor (see _stop_pass); an exact run has no factor."""
 
-    dist: StatDistribution
+    dist: InitVar[StatDistribution]
     request: DiscoveryRequest
     lattice: CandidateLattice
     counters: EvalCounters
-    x_cols: tuple[int, ...] = field(init=False)
-    rhs_mask: np.ndarray = field(init=False)
+    cells: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
+    rhs: np.ndarray = field(init=False)
+    pair_total: int = field(init=False)
     min_support_count: int = field(init=False)
     k: int = field(init=False)
     mode: EvaluationMode = field(init=False)
     factor: Fraction | None = field(init=False, default=None)
 
-    def __post_init__(self) -> None:
-        request, dist = self.request, self.dist
-        if request.algorithm is Algorithm.EPSC:
-            dist, _ = group_by_rhs(dist, request.rhs_pattern)
-        self.k, self.mode = dist.n, EvaluationMode.exact()
+    def __post_init__(self, dist: StatDistribution) -> None:
+        request, rows = self.request, slice(None)
+        self.counts, self.rhs = dist.counts, pattern_mask(dist, request.rhs_pattern)
+        self.k, self.mode, self.pair_total = dist.n, EvaluationMode.exact(), dist.pair_total
         if request.algorithm.is_approximate:
             self.factor = _bound_factor(request.epsilon, request.min_confidence)
             bound = request.min_support * self.factor
             self.k, _ = _prefix_cut(np.sort(dist.counts), dist.pair_total, bound)
             self.mode = EvaluationMode.approximate(self.k, request.epsilon)
-            dist = probability_prefix(dist, self.k)
-        self.dist = dist
-        self.x_cols = tuple(dist.column_index(a) for a in self.lattice.attributes)
-        self.rhs_mask = pattern_mask(dist, request.rhs_pattern)
+            rows = probability_order(dist, self.k)
+            self.counts, self.rhs = self.counts[rows], self.rhs[rows]
+        levels = dist.levels[rows][:, [dist.column_index(a) for a in self.lattice.attributes]]
+        # a level above the lattice's top satisfies every threshold the top does
+        np.minimum(levels, self.lattice.domain.d - 1, out=levels)
+        self.cells = np.ravel_multi_index(levels.T, _grid(self))
         num, den = request.min_support.numerator, request.min_support.denominator
-        self.min_support_count = -((-num * dist.pair_total) // den)
+        self.min_support_count = -((-num * self.pair_total) // den)
         self.counters.candidates_total = self.lattice.candidate_count
 
     def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> _Rules:
-        """The accepted rules from their flat grid cells and joint and lhs
-        counts, in level-tuple order: ascending C-order cells are ascending
+        """The accepted rules from their flat grid cells, in ascending order,
+        and their joint and lhs counts: ascending C-order cells are ascending
         level tuples."""
         self.counters.candidates_pruned_support = (
             self.counters.candidates_total - self.counters.candidates_evaluated
         )
-        order = np.argsort(cells)
         return _Rules(
             self.lattice.attributes,
             self.lattice.domain,
-            cells[order],
-            joint[order],
-            lhs[order],
+            cells,
+            joint,
+            lhs,
             self.request.rhs_pattern,
-            self.dist.pair_total,
+            self.pair_total,
             self.mode,
             self.counters,
         )
@@ -288,15 +299,7 @@ _BLOCK = 1 << 16
 
 def _grid(run: _Run) -> tuple[int, ...]:
     """The shape of the candidate grid, (d,)*m, indexed by levels."""
-    return (run.lattice.domain.d,) * len(run.x_cols)
-
-
-def _record_cells(run: _Run) -> np.ndarray:
-    """The flat grid cell of each of the run's k records, at its lhs levels."""
-    d = run.lattice.domain.d
-    # a level above the lattice's top satisfies every threshold the top does
-    levels = np.minimum(run.dist.levels[:, run.x_cols], d - 1)
-    return np.ravel_multi_index(levels.T, _grid(run))
+    return (run.lattice.domain.d,) * len(run.lattice.attributes)
 
 
 def _upper_set_cube(shape: tuple[int, ...], cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -338,7 +341,7 @@ def _evaluated(meets: np.ndarray) -> np.ndarray:
 def _exact_dtype(run: _Run, ratio: Fraction) -> type:
     """The dtype in which counts times ``ratio``'s numerator or denominator
     stay exact: int64 while they fit, else Python ints."""
-    return object if run.dist.pair_total * max(ratio.numerator, ratio.denominator) >= 2**63 else np.int64
+    return object if run.pair_total * max(ratio.numerator, ratio.denominator) >= 2**63 else np.int64
 
 
 def _confident(run: _Run, joint: np.ndarray, lhs: np.ndarray) -> np.ndarray:
@@ -364,14 +367,13 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
     report: every evaluated candidate reads the whole prefix, and with
     ``prune`` only the closed-form evaluated set counts.
 
-    ``confidence_stop`` makes this epsc, over the records grouped by the rhs
-    pattern. It prunes iff a candidate misses support, as eps does, so it
-    evaluates the same set. It rejects the evaluated candidates whose
-    confidence is below the minimum; the ones that also meet support stop
-    reading at the drop (_confidence_drops)."""
-    k, records, counts, rhs = run.k, _record_cells(run), run.dist.counts, run.rhs_mask
-    joint = _upper_set_cube(_grid(run), records[rhs], counts[rhs])
-    lhs = _upper_set_cube(_grid(run), records, counts)
+    ``confidence_stop`` makes this epsc. It prunes iff a candidate misses
+    support, as eps does, so it evaluates the same set. It rejects the
+    evaluated candidates whose confidence is below the minimum; the ones that
+    also meet support stop reading at the drop (_confidence_drops)."""
+    k, rhs = run.k, run.rhs
+    joint = _upper_set_cube(_grid(run), run.cells[rhs], run.counts[rhs])
+    lhs = _upper_set_cube(_grid(run), run.cells, run.counts)
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
     count = joint.size if evaluated is None else int(np.count_nonzero(evaluated))
@@ -396,18 +398,21 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
 
 def _confidence_drops(run: _Run, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> int:
     """The records that the cells, rejected by epsc while they meet support,
-    read up to their drops, from their joint and lhs totals: each cell's
-    limit is joint * eta_den // eta_num + 1, at most its lhs total, and its
-    lower bound the first record r past the pivot where the joint total and
-    the mass of the records pivot..r reach it."""
+    read up to their drops in the grouped order, from their joint and lhs
+    totals: every rhs record, then the others up to the drop, which the stop
+    pass finds. Each cell's limit is joint * eta_den // eta_num + 1, at most
+    its lhs total, and its lower bound the first other record r where the
+    joint total and the mass of the other records up to r reach it."""
     eta = run.request.min_confidence
     limits = joint.astype(_exact_dtype(run, eta)) * eta.denominator // eta.numerator + 1
     limits = limits.astype(np.int64)
-    pivot = int(np.count_nonzero(run.rhs_mask))
-    bounds = pivot + np.searchsorted(np.cumsum(run.dist.counts[pivot:]), limits - joint)
+    others = np.flatnonzero(~run.rhs)
+    bounds = np.searchsorted(np.cumsum(run.counts[others]), limits - joint)
     # thresholds of 0 for every record, as a read-only view that takes no memory
-    thresholds = np.broadcast_to(np.int64(0), (-(-run.k // 8) * 8,))
-    return _stop_pass(run, 1, thresholds, cells, joint, lhs, np.arange(cells.size), bounds, limits)
+    thresholds = np.broadcast_to(np.int64(0), (-(-others.size // 8) * 8,))
+    read = _stop_pass(run, others, 1, thresholds, cells, joint, lhs, np.arange(cells.size), bounds,
+                      limits)
+    return read + (run.k - others.size) * cells.size
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +425,13 @@ _STOP_BLOCK = 1 << 15
 
 
 def _thresholds(run: _Run) -> np.ndarray:
-    """api's stop thresholds over the run's first k records, sorted, with the
+    """api's stop thresholds over the run's k records, sorted, with the
     bound factor num / den: the unseen mass after record i is within the
     bound on the joint mass J_i read so far, suffix[i] * den <= num * J_i,
     iff J_i >= thresholds[i] = ceil(suffix[i] * den / num), exact; the last
     record's is 0, and so is the padding to whole bytes of records."""
-    k, pair_total, factor = run.k, run.dist.pair_total, run.factor
-    suffix = (pair_total - np.cumsum(run.dist.counts[:k])).astype(_exact_dtype(run, factor))
+    k, pair_total, factor = run.k, run.pair_total, run.factor
+    suffix = (pair_total - np.cumsum(run.counts)).astype(_exact_dtype(run, factor))
     thresholds = -((-suffix * factor.denominator) // factor.numerator)
     # while unseen mass is left, the joint mass read is below pair_total;
     # with none left the threshold is 0. So a cap at pair_total changes no
@@ -436,18 +441,18 @@ def _thresholds(run: _Run) -> np.ndarray:
     return padded
 
 
-def _failures(run: _Run, records: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, ...]:
+def _failures(run: _Run, thresholds: np.ndarray) -> tuple[np.ndarray, ...]:
     """apsi's failures, the candidates that read the whole prefix and miss
-    the support minimum, and the joint cube at all k records they come from,
-    given each record's grid cell. They are an upper set, from the joint cube
-    at k - 1 records, the last test before the end, and at all k."""
-    k, shape, counts = run.k, _grid(run), run.dist.counts
-    rhs = run.rhs_mask[: k - 1]
-    joint = _upper_set_cube(shape, records[: k - 1][rhs], counts[: k - 1][rhs])
+    the support minimum, and the joint cube at all k records they come from.
+    They are an upper set, from the joint cube at k - 1 records, the last
+    test before the end, and at all k."""
+    k, shape, cells, counts = run.k, _grid(run), run.cells, run.counts
+    rhs = run.rhs[: k - 1]
+    joint = _upper_set_cube(shape, cells[: k - 1][rhs], counts[: k - 1][rhs])
     failed = joint < thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
-    if run.rhs_mask[k - 1]:
+    if run.rhs[k - 1]:
         # the last record adds to every candidate it satisfies, its lower set
-        last = np.unravel_index(records[k - 1], shape)
+        last = np.unravel_index(cells[k - 1], shape)
         joint[tuple(slice(level + 1) for level in last)] += counts[k - 1]
     failed &= joint < run.min_support_count
     return failed, joint
@@ -460,93 +465,82 @@ def _lower_bounds(thresholds: np.ndarray, k: int, joint: np.ndarray) -> np.ndarr
     return np.subtract(k, bounds, out=bounds)
 
 
-class _StopRule:
-    """The stop pass's records from record byte ``start`` of the run's first
-    k records on, and its test: a cell stops after the first record i where
-    its running mass in ``column`` (0 joint, 1 lhs) reaches thresholds[i]
-    plus the cell's own limit. The arrays are padded to whole bytes of
-    records with level -1, count 0 and threshold 0, which no cell holds."""
-
-    def __init__(self, run: _Run, column: int, thresholds: np.ndarray, start: int) -> None:
-        k, lo, size = run.k, 8 * start, thresholds.size - 8 * start
-        self.start, self.column, self.thresholds = start, column, thresholds[lo:]
-        # each record's joint and lhs count; every mass is at most pair_total
-        dtype = np.int32 if run.dist.pair_total < 2**31 else np.int64  # int32 halves the tables
-        self.masses = np.zeros((size, 2), dtype=dtype)
-        np.copyto(self.masses[: k - lo, 1], run.dist.counts[lo:k])
-        np.multiply(self.masses[: k - lo, 1], run.rhs_mask[lo:k], out=self.masses[: k - lo, 0])
-        # the lhs levels, one contiguous row per attribute
-        self.levels = np.full((len(run.x_cols), size), -1, dtype=run.dist.levels.dtype)
-        self.levels[:, : k - lo] = run.dist.levels[lo:k][:, run.x_cols].T
-        # tables[v, h]: the joint and lhs mass of the records of half byte h
-        # whose bits v sets, at most pair_total; bit j adds record j's
-        # masses, quads[j], one contiguous row over all half bytes
-        quads = np.ascontiguousarray(self.masses.reshape(-1, 4, 2).transpose(1, 0, 2))
-        self.tables = np.zeros((16, size // 4, 2), dtype=dtype)
-        for j in range(4):
-            np.add(self.tables[: 1 << j], quads[j], out=self.tables[1 << j : 2 << j])
-
-
-def _stops(
-    run: _Run, rule: _StopRule, cells: np.ndarray, first: int, totals: np.ndarray, limits
-) -> tuple[np.ndarray, ...]:
-    """Each cell's stop (the records it reads), and its joint and its lhs
-    mass there, from its ``totals`` (one row per cell) and ``limits`` (0 or a
-    column), reading the bit rows from record byte ``first`` on: at or past
-    the rule's start, and no cell stops before it. Bit j of byte b is record
-    8b + j; the rows are built for the levels these cells use."""
-    first -= rule.start
-    held = None
-    for row, levels in zip(rule.levels, np.unravel_index(cells, _grid(run))):
-        used = np.flatnonzero(np.bincount(levels)).astype(row.dtype)
-        packed = np.packbits(row[8 * first :] >= used[:, None], axis=1, bitorder="little")
-        bits = packed[np.searchsorted(used, levels)]
-        held = bits if held is None else np.bitwise_and(held, bits, out=held)
-    # byte b's low and high half bytes are half bytes 2b and 2b + 1
-    tables, halves = rule.tables.reshape(-1, 2), np.intp(rule.tables.shape[1])
-    low = np.arange(2 * first, halves, 2)
-    masses = np.take(tables, (held & 15) * halves + low, axis=0)
-    masses += np.take(tables, (held >> 4) * halves + (low + 1), axis=0)
-    np.cumsum(masses, axis=1, out=masses)
-    masses += (totals - masses[:, -1])[:, None]
-    byte = np.argmax(masses[..., rule.column] >= rule.thresholds[8 * first + 7 :: 8] + limits, axis=1)
-    rows = np.arange(cells.size)
-    # the running masses inside the stop byte, from the masses at its end
-    end = masses[rows, byte]
-    record = 8 * (first + byte[:, None]) + np.arange(8)
-    running = rule.masses[record]
-    running *= np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")[..., None]
-    np.cumsum(running, axis=1, out=running)
-    running += (end - running[:, -1])[:, None]
-    stop = np.argmax(running[..., rule.column] >= rule.thresholds[record] + limits, axis=1)
-    return record[rows, stop] + 8 * rule.start + 1, *running[rows, stop].T
-
-
 def _stop_pass(
-    run: _Run, column: int, thresholds: np.ndarray, cells: np.ndarray, joint: np.ndarray,
-    lhs: np.ndarray, reading: np.ndarray, bounds: np.ndarray, limits: np.ndarray | None = None,
+    run: _Run, records: np.ndarray, column: int, thresholds: np.ndarray, cells: np.ndarray,
+    joint: np.ndarray, lhs: np.ndarray, reading: np.ndarray, bounds: np.ndarray,
+    limits: np.ndarray | None = None,
 ) -> int:
-    """The records read by the cells at the indices ``reading``, whose
+    """The records read by the cells at the indices ``reading`` over the
+    run's ``records`` in their order: a cell stops after the first record i
+    where its running mass in ``column`` (0 joint, 1 lhs) reaches
+    thresholds[i] plus its limit, from ``limits``, 0 without it. The cells'
     joint and lhs totals turn into their masses at their stops in place;
-    ``bounds`` bounds their stops from below and is sorted in place, and
-    ``limits`` gives their limits, 0 without it. The cells go in order of
-    their bounds (see _StopRule), and each block of cells reads at most
+    ``bounds`` bounds their stops from below and is sorted in place.
+
+    The records are packed from the first bound's byte on, padded to whole
+    bytes with level -1, count 0 and threshold 0, which no cell holds. The
+    cells go in order of their bounds, and each block of cells reads at most
     _STOP_BLOCK (cell, record byte) pairs, or one cell, a cell counting as
-    at least the 8 records of its stop byte."""
+    at least the 8 records of its stop byte. Bit j of byte b is record
+    8b + j; a block's bit rows are built for the levels its cells use."""
     if not reading.size:
         return 0
     reading = reading[np.argsort(bounds, kind="stable")]
     bounds.sort()
-    read, lo, size = 0, 0, thresholds.size // 8
-    rule = _StopRule(run, column, thresholds, int(bounds[0]) // 8)
+    start = int(bounds[0]) // 8
+    records, thresholds = records[8 * start :], thresholds[8 * start :]
+    size, count = thresholds.size, records.size
+    # each record's joint and lhs count; every mass is at most pair_total
+    dtype = np.int32 if run.pair_total < 2**31 else np.int64  # int32 halves the tables
+    masses = np.zeros((size, 2), dtype=dtype)
+    np.copyto(masses[:count, 1], run.counts[records])
+    np.multiply(masses[:count, 1], run.rhs[records], out=masses[:count, 0])
+    # the lhs levels, one contiguous row per attribute, unravelled from the cells
+    d = run.lattice.domain.d
+    levels = np.full((len(run.lattice.attributes), size), -1, dtype=np.int16)
+    rest = run.cells[records]
+    for row in levels[::-1]:
+        row[:count] = rest % d
+        rest //= d
+    # tables[v, h]: the joint and lhs mass of the records of half byte h
+    # whose bits v sets, at most pair_total; bit j adds record j's masses,
+    # quads[j], one contiguous row over all half bytes
+    quads = np.ascontiguousarray(masses.reshape(-1, 4, 2).transpose(1, 0, 2))
+    tables = np.zeros((16, size // 4, 2), dtype=dtype)
+    for j in range(4):
+        np.add(tables[: 1 << j], quads[j], out=tables[1 << j : 2 << j])
+    # byte b's low and high half bytes are half bytes 2b and 2b + 1
+    halves = np.intp(tables.shape[1])
+    tables = tables.reshape(-1, 2)
+    read, lo = 0, 0
     while lo < reading.size:
-        first = int(bounds[lo]) // 8
-        hi = min(reading.size, lo + max(1, _STOP_BLOCK // max(8, size - first)))
+        first = int(bounds[lo]) // 8 - start
+        hi = min(reading.size, lo + max(1, _STOP_BLOCK // max(8, size // 8 - first)))
         part = reading[lo:hi]
         limit = 0 if limits is None else limits[part, None]
-        totals = np.column_stack((joint[part], lhs[part]))
-        stop, joint[part], lhs[part] = _stops(run, rule, cells[part], first, totals, limit)
-        read += int(stop.sum())
+        held = None
+        for row, cell_levels in zip(levels, np.unravel_index(cells[part], _grid(run))):
+            used = np.flatnonzero(np.bincount(cell_levels)).astype(row.dtype)
+            packed = np.packbits(row[8 * first :] >= used[:, None], axis=1, bitorder="little")
+            bits = packed[np.searchsorted(used, cell_levels)]
+            held = bits if held is None else np.bitwise_and(held, bits, out=held)
+        low = np.arange(2 * first, halves, 2)
+        block = np.take(tables, (held & 15) * halves + low, axis=0)
+        block += np.take(tables, (held >> 4) * halves + (low + 1), axis=0)
+        np.cumsum(block, axis=1, out=block)
+        block += (np.column_stack((joint[part], lhs[part])) - block[:, -1])[:, None]
+        byte = np.argmax(block[..., column] >= thresholds[8 * first + 7 :: 8] + limit, axis=1)
+        rows = np.arange(part.size)
+        # the running masses inside the stop byte, from the masses at its end
+        end = block[rows, byte]
+        record = 8 * (first + byte[:, None]) + np.arange(8)
+        running = masses[record]
+        running *= np.unpackbits(held[rows, byte, None], axis=1, bitorder="little")[..., None]
+        np.cumsum(running, axis=1, out=running)
+        running += (end - running[:, -1])[:, None]
+        stop = np.argmax(running[..., column] >= thresholds[record] + limit, axis=1)
+        joint[part], lhs[part] = running[rows, stop].T
+        read += int((record[rows, stop] + 8 * start + 1).sum())
         lo = hi
     return read
 
@@ -556,8 +550,8 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     ``prune`` (apsi) only the closed-form evaluated set is resolved: the
     candidates with no immediate predecessor among the failures. Each cell's
     masses live in one joint and one lhs array from the cubes to the end."""
-    k, thresholds, records = run.k, _thresholds(run), _record_cells(run)
-    failed, joint = _failures(run, records, thresholds)
+    k, thresholds = run.k, _thresholds(run)
+    failed, joint = _failures(run, thresholds)
     joint = joint.reshape(-1)
     if prune:
         cells = np.flatnonzero(_evaluated(~failed))
@@ -566,7 +560,7 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
         cells = np.arange(joint.size)
     del failed
     run.counters.candidates_evaluated += cells.size
-    lhs = _upper_set_cube(_grid(run), records, run.dist.counts[:k]).reshape(-1)
+    lhs = _upper_set_cube(_grid(run), run.cells, run.counts).reshape(-1)
     if prune:
         lhs = lhs[cells]
     # a joint total below the threshold at record k - 2 bounds a cell at
@@ -574,7 +568,7 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     reading = np.flatnonzero(joint >= thresholds[k - 2]) if k > 1 else cells[:0]
     run.counters.records_evaluated += k * (cells.size - reading.size)
     bounds = _lower_bounds(thresholds, k, joint[reading])
-    read = _stop_pass(run, 0, thresholds, cells, joint, lhs, reading, bounds)
+    read = _stop_pass(run, np.arange(k), 0, thresholds, cells, joint, lhs, reading, bounds)
     run.counters.records_evaluated += read
     keep = joint >= run.min_support_count
     keep &= _confident(run, joint, lhs)

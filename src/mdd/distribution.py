@@ -452,13 +452,13 @@ def group_by_rhs(
 def sort_by_probability_desc(dist: StatDistribution) -> StatDistribution:
     """Records in nonincreasing count order; ties broken by ascending level
     vector for run-to-run determinism."""
-    return probability_prefix(dist, dist.n)
+    return dist.replace_order(probability_order(dist, dist.n))
 
 
-def probability_prefix(dist: StatDistribution, k: int) -> StatDistribution:
-    """The first k records of sort_by_probability_desc(dist). Only the
-    records whose count is at least the k-th largest are ordered: every
-    other record lies past them."""
+def probability_order(dist: StatDistribution, k: int) -> np.ndarray:
+    """The indices of the first k records of sort_by_probability_desc(dist).
+    Only the records whose count is at least the k-th largest are ordered:
+    every other record lies past them."""
     held, levels, counts = None, dist.levels, dist.counts
     if k < dist.n:
         held = np.flatnonzero(counts >= np.partition(counts, dist.n - k)[dist.n - k])
@@ -466,7 +466,7 @@ def probability_prefix(dist: StatDistribution, k: int) -> StatDistribution:
     keys = [levels[:, c] for c in range(levels.shape[1] - 1, -1, -1)]
     keys.append(-counts)
     order = np.lexsort(keys)[:k]
-    return dist.replace_order(order if held is None else held[order])
+    return order if held is None else held[order]
 
 
 def project(dist: StatDistribution, attrs: Sequence[AttributeId]) -> StatDistribution:

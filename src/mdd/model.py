@@ -344,10 +344,8 @@ class StatDistribution:
     @classmethod
     def _derived(cls, *args, **kwargs) -> "StatDistribution":
         """Skip the checks for records derived from a valid distribution (a
-        permutation, a merge of the equal rows of some of its columns, or the
-        first records of its probability order, which the approximate engines
-        hold and whose counts sum below pair_total), which are valid by
-        construction. Takes ownership of the fresh arrays."""
+        permutation, or a merge of the equal rows of some of its columns),
+        which are valid by construction. Takes ownership of the fresh arrays."""
         dist = cls.__new__(cls)
         dist._assign(*args, **kwargs)
         return dist
@@ -381,8 +379,7 @@ class StatDistribution:
             ) from None
 
     def replace_order(self, order: np.ndarray) -> "StatDistribution":
-        """New distribution with the records at ``order``: a permutation, or
-        the first records of the probability order (see _derived)."""
+        """New distribution with the records permuted by ``order`` (see _derived)."""
         return StatDistribution._derived(
             self.attribute_set,
             self.domain,

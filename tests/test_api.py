@@ -2,9 +2,14 @@
 signatures the benchmark in perfbench/ calls (it passes the engine arguments
 positionally, ``counters=`` and ``workers=`` by keyword, builds
 ``CandidateLattice(attrs, domain)`` and subclasses it, and lists its
-candidates with ``iter_levels()``)."""
+candidates with ``iter_levels()``). The benchmark's traced smoke pass makes
+those calls, and it runs here too."""
 
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import mdd
 import mdd.discovery
@@ -56,3 +61,15 @@ def test_public_api_contract():
     build = inspect.signature(mdd.build_distribution).parameters
     assert list(build)[:4] == ["relation", "attrs", "metrics", "domain"]
     assert (build["workers"].kind, build["workers"].default) == (P.KEYWORD_ONLY, 1)
+
+
+def test_traced_benchmark_smoke_pass_is_correct():
+    # the traced pass calls iter_levels(), build_distribution(workers=2) and
+    # a CandidateLattice subclass; it writes its reports under .perfbench/
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke",
+            "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr

@@ -1,6 +1,8 @@
 """Command line surface: flag validation, JSON output, exit codes, caching."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -843,3 +845,107 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+
+# ---------------------------------------------------------------------------
+# A sweep over the flags argparse accepts
+# ---------------------------------------------------------------------------
+
+CONTACT_NAMES = ["SIN", "Name", "CC", "ZIP", "City", "Street"]
+# each flag's values that pass its own check, and those that fail it; None
+# leaves the flag out
+SWEEP_VALUES = {
+    "metric": ([None, "cosine-word", "cosine-qgram:3", "edit"],
+               ["bogus", "cosine-qgram", "cosine-qgram:0", "cosine-qgram:x", ""]),
+    "qgram": ([None], [-1, 0, 1, 3, 100]),
+    "levels": ([None, 2, 10, 40], [-2, -1, 0, 1]),
+    "threads": ([None, 1, 8], [0]),
+    "out": (["out.txt", None], ["missing/out.txt"]),
+    "ratio": (["0.1", "0.5", "1", "1/3", "2/5", "0.05"],
+              ["0", "1.5", "-0.1", "3/2", "1/0", "abc", "", "nan", "inf", " 0.2"]),
+    "epsilon": (["0.01", "1/100", "0.3"], ["0", "1", "-0.1", "2/3", "abc", ""]),
+    # valid as a level and as a similarity
+    "rhs_value": (["0", "1"], ["-1", "40", "x", "", "2", "1/0", "0.5"]),
+    "budget": ([None, 50, 10**7, 10**30], [-1, 0, 1]),
+    "algorithm": ([a.value for a in Algorithm], ["bogus", ""]),
+}
+SWEEP_FIELDS = [*SWEEP_VALUES, "names", "rhs_flags"]
+
+
+@st.composite
+def sweep_argv(draw, cache, out_dir):
+    """An argv for distribution, discover --input, discover --dist or verify
+    over tests/data/contacts.csv: a valid request with up to two of its
+    fields broken. Every value goes in one ``--flag=value`` word, so argparse
+    takes it whatever it starts with. At most 3 lhs attributes and 40 levels
+    keep d^m at most 64,000."""
+    broken = draw(st.sets(st.sampled_from(SWEEP_FIELDS), max_size=2))
+
+    def value(field):
+        return draw(st.sampled_from(SWEEP_VALUES[field][field in broken]))
+
+    def flag(name, field):
+        drawn = value(field)
+        if drawn is not None:
+            argv.append(f"--{name}={drawn}")
+
+    command = draw(st.sampled_from(["distribution", "discover --input", "discover --dist", "verify"]))
+    argv = command.split()[:1]
+    argv.append(f"--dist={cache}" if command == "discover --dist" else f"--input={CONTACTS}")
+    for name in ("metric", "qgram", "levels", "threads"):
+        flag(name, name)
+    out = value("out")
+    names = draw(st.permutations(CONTACT_NAMES))
+    if "names" in broken:
+        # unknown, empty, duplicated, or on both sides
+        names = [*names[:2], draw(st.sampled_from(["Nope", "", names[0], names[1]])), *names[2:]]
+    if command == "distribution":
+        argv.append(f"--attrs={','.join(names[: draw(st.integers(1, 4))])}")
+        argv.append(f"--out={out_dir / (out or 'out.dist')}")
+        return argv
+    if out is not None and command != "verify":
+        argv.append(f"--out={out_dir / out}")
+    split = draw(st.integers(1, 3))
+    lhs, rhs = names[:split], names[split : split + draw(st.integers(1, 2))]
+    argv += [f"--lhs={','.join(lhs)}", f"--rhs={','.join(rhs)}"]
+    given_flags = [draw(st.sampled_from(["--rhs-thresholds", "--rhs-levels"]))]
+    if "rhs_flags" in broken:
+        given_flags = draw(st.sampled_from([[], ["--rhs-thresholds", "--rhs-levels"]]))
+    for name in given_flags:
+        argv.append(f"{name}={','.join(value('rhs_value') for _ in rhs)}")
+    argv += [f"--min-support={value('ratio')}", f"--min-confidence={value('ratio')}"]
+    algorithm = value("algorithm")
+    # an epsilon goes with the approximate algorithms, and breaks an exact one
+    if algorithm.startswith("a") or "epsilon" in broken:
+        argv.append(f"--epsilon={value('epsilon')}")
+    argv.append(f"--algorithm={algorithm}")
+    flag("candidate-budget", "budget")
+    return argv
+
+
+class TestFlagSweep:
+    """Whatever flags argparse accepts, main returns a documented exit code:
+    on failure with exactly one error line, on success with nothing on
+    standard error, and no exception escapes it."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("sweep")
+        assert main(["distribution", "--input", CONTACTS, "--attrs", ",".join(CONTACT_NAMES),
+                     "--out", str(workdir / "contacts.dist")]) == 0
+        return workdir
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_and_one_error_line(self, workdir, data):
+        argv = data.draw(sweep_argv(workdir / "contacts.dist", workdir))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        allowed = {0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4}
+        assert code in allowed, (argv, code)
+        lines = stderr.getvalue().splitlines()
+        if code in (0, 1):
+            assert lines == [], (argv, lines)
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -78,7 +78,7 @@ def api_bounds(run):
     """api's stop thresholds for ``run``, every cell's joint total over the
     prefix and the lower bound of its stop."""
     thresholds = discovery._thresholds(run)
-    _, joint = discovery._failures(run, discovery._record_cells(run), thresholds)
+    _, joint = discovery._failures(run, thresholds)
     joint = joint.reshape(-1)
     return thresholds, joint, discovery._lower_bounds(thresholds, run.k, joint)
 
@@ -1336,6 +1336,25 @@ class TestStopPassMemory:
         # (cell, record byte) pair of one block
         assert peak <= 20 * d**m + 130 * dist.n + 64 * rejected + 48 * discovery._STOP_BLOCK, peak
 
+    def test_epsc_without_drops_reads_its_input_in_place(self):
+        # n = 40,000 records over a grid of 100 cells: with no drop, epsc is
+        # eps's cube scan plus one confidence mask, and holds no copy of
+        # its records in another order
+        rng = np.random.default_rng(37)
+        levels = np.unique(rng.integers(0, 10, (60_000, 6)), axis=0)[:40_000]
+        rng.shuffle(levels)
+        dist = make_distribution({tuple(row): int(c) for row, c in
+                                  zip(levels.tolist(), rng.integers(1, 100, len(levels)))}, 10)
+        X, Y = dist.attribute_set[:2], dist.attribute_set[2:3]
+        rhs = ThresholdPattern.over(Y, [1])
+        eta_s, eta_c = Fraction(1, 1000), Fraction(1, 2)
+        counters = EvalCounters()
+        epsc(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, counters=counters)
+        assert counters.candidates_pruned_confidence == 0
+        peaks = {algorithm: self._peak(algorithm, dist, X, rhs, eta_s, eta_c, None)
+                 for algorithm in (Algorithm.EPS, Algorithm.EPSC)}
+        assert peaks[Algorithm.EPSC] <= peaks[Algorithm.EPS] + 2 * dist.n, peaks
+
     def test_bit_rows_per_block_over_the_largest_domain(self):
         # m = 1, d = 32,768 over k = 1,024 records: the rows of every level
         # at once would take a 32 MB comparison; a block's rows take a few
@@ -1977,9 +1996,10 @@ class TestProbabilityPrefix:
         results = {}
         for name, source in inputs.items():
             run = api_run(source, X, rhs, eta_s, eta_c, epsilon)
-            assert run.k == run.dist.n == k, name
-            assert np.array_equal(run.dist.levels, sdist.levels[:k]), name
-            assert np.array_equal(run.dist.counts, sdist.counts[:k]), name
+            assert run.k == run.cells.size == k, name
+            cells = np.ravel_multi_index(sdist.levels[:k, : len(X)].T, (dist.domain.d,) * len(X))
+            assert np.array_equal(run.cells, cells), name
+            assert np.array_equal(run.counts, sdist.counts[:k]), name
             for engine in (ap, aps, api, apsi):
                 counters = EvalCounters()
                 mds = engine(source, fresh_lattice(dist, X), rhs, eta_s, eta_c, epsilon,

@@ -708,10 +708,9 @@ class TestSortByProbability:
         shuffled = dist.replace_order(np.array(data.draw(st.permutations(range(dist.n)))))
         k = data.draw(st.integers(1, dist.n))
         for source in (dist, shuffled, sort_by_probability_desc(shuffled)):
-            prefix = distribution_module.probability_prefix(source, k)
-            assert [tuple(map(int, r)) for r in prefix.levels] == expected[:k]
-            assert prefix.counts.tolist() == [records[v] for v in expected[:k]]
-            assert prefix.pair_total == dist.pair_total
+            order = distribution_module.probability_order(source, k)
+            assert [tuple(map(int, r)) for r in source.levels[order]] == expected[:k]
+            assert source.counts[order].tolist() == [records[v] for v in expected[:k]]
 
 
 class TestPatternMask:
