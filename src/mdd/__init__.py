@@ -30,7 +30,6 @@ from .distribution import (
 )
 from .errors import (
     CandidateBudgetError,
-    ContractViolationError,
     DistributionIOError,
     InsufficientDataError,
     MddError,
@@ -63,7 +62,6 @@ __all__ = [
     "AttributeId",
     "CandidateBudgetError",
     "CandidateLattice",
-    "ContractViolationError",
     "DEFAULT_CANDIDATE_BUDGET",
     "DiscoveredMd",
     "DiscoveryRequest",

@@ -163,9 +163,7 @@ def _load_inputs(args) -> tuple[StatDistribution, DiscoveryRequest]:
     domain = LevelDomain(args.levels)
     request = _build_request(args, relation, domain)
     metric = _parse_metric(args)
-    dist = dist_ops.build_distribution(
-        relation, request.lhs + request.rhs, metric, domain, workers=args.threads
-    )
+    dist = dist_ops.build_distribution(relation, request.lhs + request.rhs, metric, domain)
     return dist, request
 
 
@@ -210,9 +208,7 @@ def cmd_distribution(args) -> int:
     domain = LevelDomain(args.levels)
     attrs = _resolve_attrs(relation, _split_names(args.attrs, "--attrs"))
     metric = _parse_metric(args)
-    dist = dist_ops.build_distribution(
-        relation, tuple(attrs), metric, domain, workers=args.threads
-    )
+    dist = dist_ops.build_distribution(relation, tuple(attrs), metric, domain)
     dist_ops.save_distribution(dist, args.out)
     _emit(f"n={dist.n} pair_total={dist.pair_total} d={domain.d} out={args.out}\n", None)
     return EXIT_OK
@@ -376,9 +372,7 @@ def cmd_verify(args) -> int:
             "verify compares exact measures; use an exact algorithm (ea, eps, epsc)"
         )
 
-    dist = dist_ops.build_distribution(
-        relation, tuple(lhs + rhs), metric, domain, workers=args.threads
-    )
+    dist = dist_ops.build_distribution(relation, tuple(lhs + rhs), metric, domain)
     engine = run_request(dist, request, candidate_budget=args.candidate_budget)
     truth = _oracle_rules(
         relation, lhs, rhs, rhs_pattern,

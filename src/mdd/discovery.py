@@ -2,22 +2,22 @@
 over a prefix of the distribution.
 
 Each engine takes the records in any order and reads them in place. The
-approximate engines read k from the sorted counts alone, index the first k
-records of the nonincreasing-probability order (only the records whose count
-is at least the k-th largest are ordered), evaluate each candidate over them
-and bound the mass of the rest; the exact engines are the same scans with
-k = n over the records as given. ea reads every record for every candidate;
-eps adds dominance pruning by support; epsc counts as a scan of the records
-grouped by the rhs pattern that also stops a candidate where its running
-confidence drops below the minimum. ap and aps are ea and eps over the first
-k records (the k of compute_prefix_k); api and apsi add a per-candidate stop
-once the unseen mass is within the candidate's own bound. Every run enters
-through _rules with a DiscoveryRequest, which checked its arguments when it
-was made: the public engines build one from theirs, run_request and the CLI
-pass their own. Every scan ends in one _Rules record, the accepted rules'
-grid cells and joint and lhs counts as arrays: the engines and run_request
-turn it into DiscoveredMd objects, and the CLI writes its document from the
-arrays.
+approximate engines take k from compute_prefix_k, which the counts alone
+decide, index the first k records of the nonincreasing-probability order
+(only the records whose count is at least the k-th largest are ordered),
+evaluate each candidate over them and bound the mass of the rest; the exact
+engines are the same scans with k = n over the records as given. ea reads
+every record for every candidate; eps adds dominance pruning by support;
+epsc counts as a scan of the records grouped by the rhs pattern that also
+stops a candidate where its running confidence drops below the minimum. ap
+and aps are ea and eps over the first k records; api and apsi add a
+per-candidate stop once the unseen mass is within the candidate's own
+bound. Every run enters through _rules with a DiscoveryRequest, which
+checked its arguments when it was made: the public engines build one from
+theirs, run_request and the CLI pass their own. Every scan ends in one
+_Rules record, the accepted rules' grid cells and joint and lhs counts as
+arrays: the engines and run_request turn it into DiscoveredMd objects, and
+the CLI writes its document from the arrays.
 
 A scan without a per-candidate stop (ea, eps, ap, aps, and epsc's base pass)
 is one pass over an upper-set count cube: two int64 histograms of the prefix
@@ -111,7 +111,6 @@ from itertools import repeat
 import numpy as np
 
 from .distribution import pattern_mask, probability_order
-from .errors import ContractViolationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
@@ -141,8 +140,8 @@ class _Run:
     pattern. An exact run reads all k = n records as given; epsc's drop pass
     reads those that miss the rhs pattern (see _confidence_drops). An
     approximate run holds only the first k records of the probability order,
-    k from the prefix bound, which the counts alone decide, and carries api's
-    bound factor (see _stop_pass); an exact run has no factor."""
+    k from compute_prefix_k, and carries api's bound factor, the bound over
+    min_support (see _stop_pass); an exact run has no factor."""
 
     dist: InitVar[StatDistribution]
     request: DiscoveryRequest
@@ -162,9 +161,9 @@ class _Run:
         self.counts, self.rhs = dist.counts, pattern_mask(dist, request.rhs_pattern)
         self.k, self.mode, self.pair_total = dist.n, EvaluationMode.exact(), dist.pair_total
         if request.algorithm.is_approximate:
-            self.factor = _bound_factor(request.epsilon, request.min_confidence)
-            bound = request.min_support * self.factor
-            self.k, _ = _prefix_cut(np.sort(dist.counts), dist.pair_total, bound)
+            bound = compute_prefix_k(dist, request.epsilon, request.min_support,
+                                     request.min_confidence)
+            self.k, self.factor = bound.prefix_k, bound.bound / request.min_support
             self.mode = EvaluationMode.approximate(self.k, request.epsilon)
             rows = probability_order(dist, self.k)
             self.counts, self.rhs = self.counts[rows], self.rhs[rows]
@@ -604,51 +603,34 @@ def _bound_factor(epsilon: Fraction, min_confidence: Fraction) -> Fraction:
     return epsilon * min(Fraction(1), min_confidence / remainder)
 
 
-def _require_sorted(dist: StatDistribution) -> None:
-    if dist.n > 1 and not bool(np.all(np.diff(dist.counts) <= 0)):
-        raise ContractViolationError(
-            "distribution must be sorted by nonincreasing probability; "
-            "use sort_by_probability_desc first"
-        )
-
-
-def _prefix_cut(ascending: np.ndarray, pair_total: int, bound: Fraction) -> tuple[int, int]:
-    """The prefix bound from the record counts alone, given in ascending
-    order: the smallest k such that the records past the first k of the
-    probability order hold at most bound * pair_total, compared in exact
-    integers, and the count they hold. Those records are the n - k smallest,
-    and at least one record is read."""
-    limit = bound.numerator * pair_total // bound.denominator
-    smallest = np.cumsum(ascending)
-    skip = min(int(np.searchsorted(smallest, limit, side="right")), ascending.size - 1)
-    return ascending.size - skip, int(smallest[skip - 1]) if skip else 0
-
-
 def compute_prefix_k(
-    dist_sorted: StatDistribution,
+    dist: StatDistribution,
     epsilon: RationalLike,
     min_support: RationalLike,
     min_confidence: RationalLike,
 ) -> ApproxBound:
-    """Smallest k such that the probability mass beyond the first k records is
-    within the approximation bound. Always exists: the suffix past record n is
-    empty."""
+    """The prefix bound from the record counts alone, in any order: the
+    smallest k such that the records past the first k of the probability
+    order hold at most the bound, compared in exact integers. Those records
+    are the n - k smallest, and at least one record is read, so k always
+    exists."""
     eps = to_fraction(epsilon, "epsilon")
     eta_s = to_fraction(min_support, "min_support")
     eta_c = to_fraction(min_confidence, "min_confidence")
     validate_thresholds(eta_s, eta_c, eps)
-    _require_sorted(dist_sorted)
 
     bound = eta_s * _bound_factor(eps, eta_c)
-    pair_total = dist_sorted.pair_total
-    k, suffix = _prefix_cut(dist_sorted.counts[::-1], pair_total, bound)
+    pair_total = dist.pair_total
+    limit = bound.numerator * pair_total // bound.denominator
+    smallest = np.cumsum(np.sort(dist.counts))
+    skip = min(int(np.searchsorted(smallest, limit, side="right")), dist.n - 1)
     return ApproxBound(
         epsilon=eps,
         min_support=eta_s,
         min_confidence=eta_c,
         bound=bound,
-        suffix_mass=Fraction(suffix, pair_total),
-        prefix_k=k,
+        suffix_mass=Fraction(int(smallest[skip - 1]) if skip else 0, pair_total),
+        prefix_k=dist.n - skip,
     )
 
 
@@ -713,7 +695,7 @@ def epsc(
 
 
 def ap(
-    dist_sorted: StatDistribution,
+    dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
@@ -724,14 +706,14 @@ def ap(
 ) -> list[DiscoveredMd]:
     """Evaluate candidates on the first k records only (k from
     compute_prefix_k); reported measures are the prefix approximations.
-    ``dist_sorted`` may come in any order; this and the other approximate
-    engines read its first k records in sort_by_probability_desc's order."""
-    return _engine(Algorithm.AP, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+    ``dist`` may come in any order; this and the other approximate engines
+    read its first k records in sort_by_probability_desc's order."""
+    return _engine(Algorithm.AP, dist, lattice, rhs_pattern, min_support, min_confidence,
                    epsilon, counters=counters)
 
 
 def api(
-    dist_sorted: StatDistribution,
+    dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
@@ -743,12 +725,12 @@ def api(
     """ap with per-candidate early termination: a candidate's scan stops as
     soon as the unseen mass is within its own dynamically shrinking bound.
     Never scans past record k."""
-    return _engine(Algorithm.API, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+    return _engine(Algorithm.API, dist, lattice, rhs_pattern, min_support, min_confidence,
                    epsilon, counters=counters)
 
 
 def aps(
-    dist_sorted: StatDistribution,
+    dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
@@ -758,12 +740,12 @@ def aps(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """ap plus dominance pruning on the approximate support."""
-    return _engine(Algorithm.APS, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+    return _engine(Algorithm.APS, dist, lattice, rhs_pattern, min_support, min_confidence,
                    epsilon, counters=counters)
 
 
 def apsi(
-    dist_sorted: StatDistribution,
+    dist: StatDistribution,
     lattice: CandidateLattice,
     rhs_pattern: ThresholdPattern,
     min_support: RationalLike,
@@ -774,7 +756,7 @@ def apsi(
 ) -> list[DiscoveredMd]:
     """api plus dominance pruning on the approximate support of candidates
     that scanned the whole prefix."""
-    return _engine(Algorithm.APSI, dist_sorted, lattice, rhs_pattern, min_support, min_confidence,
+    return _engine(Algorithm.APSI, dist, lattice, rhs_pattern, min_support, min_confidence,
                    epsilon, counters=counters)
 
 

@@ -21,10 +21,5 @@ class CandidateBudgetError(MddError):
     """The candidate pattern space exceeds the configured budget."""
 
 
-class ContractViolationError(MddError):
-    """A precondition of a public function was broken (e.g. an unsorted
-    distribution passed to compute_prefix_k)."""
-
-
 class DistributionIOError(MddError):
     """A distribution cache file is missing, corrupt, or from an unknown version."""

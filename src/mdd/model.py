@@ -71,9 +71,10 @@ def _parse_fraction(text: str, name: str) -> Fraction:
 def validate_thresholds(
     min_support: Fraction, min_confidence: Fraction, epsilon: Fraction | None = None
 ) -> None:
-    """Range checks shared by requests and compute_prefix_k. Confidence is
-    undefined with zero support mass, and the approximation bound divides
-    by min_support, so zero is rejected outright."""
+    """Range checks shared by requests and compute_prefix_k, through which
+    every approximate run takes its k. Confidence is undefined with zero
+    support mass, and the run's bound factor divides the bound by
+    min_support, so zero is rejected outright."""
     if not 0 < min_support <= 1:
         raise ValidationError("min_support must lie in (0, 1]")
     if not 0 < min_confidence <= 1:
@@ -279,7 +280,8 @@ class StatDistribution:
 
     Rows of ``levels`` are unique level vectors over ``attribute_set``;
     ``counts`` gives how many of the ``pair_total`` tuple pairs fell on each.
-    Records may come in any order; each engine reorders them as it needs.
+    Records may come in any order: every engine reads them in place, the
+    approximate ones through an index of their probability-order prefix.
     """
 
     __slots__ = (

@@ -3,10 +3,11 @@ signatures the benchmark in perfbench/ calls (it passes the engine arguments
 positionally, ``counters=`` and ``workers=`` by keyword, builds
 ``CandidateLattice(attrs, domain)`` and subclasses it, and lists its
 candidates with ``iter_levels()``). The benchmark's traced smoke pass makes
-those calls, and it runs here too."""
+those calls, and it runs here too, as does the README's Library example."""
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from mdd import CandidateLattice
 
 EXPORTS = [
     "Algorithm", "ApproxBound", "AttributeId", "CandidateBudgetError", "CandidateLattice",
-    "ContractViolationError", "DEFAULT_CANDIDATE_BUDGET", "DiscoveredMd", "DiscoveryRequest",
+    "DEFAULT_CANDIDATE_BUDGET", "DiscoveredMd", "DiscoveryRequest",
     "DistributionIOError", "EvalCounters", "EvaluationMode", "InsufficientDataError",
     "LevelDomain", "MddError", "MetricKind", "Relation", "SchemaMismatchError",
     "StatDistribution", "ThresholdPattern", "ValidationError", "ap", "api", "aps", "apsi",
@@ -29,7 +30,7 @@ EXPORTS = [
 
 P = inspect.Parameter
 EXACT_ARGS = ["dist", "lattice", "rhs_pattern", "min_support", "min_confidence"]
-APPROX_ARGS = ["dist_sorted", "lattice", "rhs_pattern", "min_support", "min_confidence", "epsilon"]
+APPROX_ARGS = ["dist", "lattice", "rhs_pattern", "min_support", "min_confidence", "epsilon"]
 
 
 def _signature(fn) -> list[tuple]:
@@ -51,7 +52,7 @@ def test_public_api_contract():
     run = inspect.signature(mdd.run_request).parameters
     assert (run["counters"].kind, run["counters"].default) == (P.KEYWORD_ONLY, None)
     assert _signature(mdd.compute_prefix_k) == _positional(
-        ["dist_sorted", "epsilon", "min_support", "min_confidence"]
+        ["dist", "epsilon", "min_support", "min_confidence"]
     )
     assert "prefix_k" in mdd.ApproxBound.__dataclass_fields__
 
@@ -73,3 +74,17 @@ def test_traced_benchmark_smoke_pass_is_correct():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    # the README's Library example, run as written against src/
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 1 and lines[-1].startswith("EvalCounters("), proc.stdout

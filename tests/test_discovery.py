@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from mdd import (
     AttributeId,
     CandidateLattice,
-    ContractViolationError,
     DiscoveredMd,
     EvalCounters,
     LevelDomain,
@@ -521,6 +520,26 @@ class TestConfidenceNonincreasingWhenGrouped:
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def prefix_cases(draw):
+    """A random distribution (m 1..3, d 2..5), rhs pattern, thresholds with
+    epsilon < 1 - eta_c, and a permutation of its records. Light counts come
+    from {1, 2, 3}, so that many records tie at the cut."""
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 5))
+    vectors = st.tuples(*[st.integers(0, d - 1)] * (m + 1))
+    counts = st.one_of(st.integers(1, 3), st.integers(20, 400))
+    records = draw(st.dictionaries(vectors, counts, min_size=1, max_size=30))
+    dist = make_distribution(records, d)
+    X, Y = dist.attribute_set[:m], dist.attribute_set[m:]
+    rhs = ThresholdPattern.over(Y, [draw(st.integers(0, d - 1))])
+    eta_s = draw(st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100))
+    eta_c = draw(st.fractions(Fraction(1, 100), Fraction(9, 10), max_denominator=100))
+    share = draw(st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100))
+    order = draw(st.permutations(range(dist.n)))
+    return dist, X, rhs, eta_s, eta_c, (1 - eta_c) * share, np.array(order)
+
+
 class TestComputePrefixK:
     def test_bound_value_arithmetic(self):
         dist = sort_by_probability_desc(make_distribution({(0, 0): 1}, d=2))
@@ -552,10 +571,31 @@ class TestComputePrefixK:
         with pytest.raises(ValidationError):
             compute_prefix_k(dist, 0, "0.01", "0.15")
 
-    def test_requires_sorted_order(self):
+    def test_takes_any_order(self):
         dist = make_distribution({(0, 0): 1, (1, 1): 9}, d=2)  # ascending counts
-        with pytest.raises(ContractViolationError):
-            compute_prefix_k(dist, "0.5", "0.1", "0.2")
+        got = compute_prefix_k(dist, "0.5", "0.2", "0.4")
+        # bound 1/10 drops the light record, wherever it stands
+        assert (got.bound, got.prefix_k, got.suffix_mass) == (Fraction(1, 10), 1, Fraction(1, 10))
+        assert compute_prefix_k(sort_by_probability_desc(dist), "0.5", "0.2", "0.4") == got
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=prefix_cases())
+    def test_cut_does_not_depend_on_record_order(self, case):
+        dist, X, rhs, eta_s, eta_c, epsilon, order = case
+        sdist = sort_by_probability_desc(dist)
+        got = compute_prefix_k(sdist, epsilon, eta_s, eta_c)
+        inputs = {
+            "reversed": sdist.replace_order(np.arange(dist.n)[::-1]),
+            "shuffled": dist.replace_order(order),
+        }
+        for name, source in inputs.items():
+            assert compute_prefix_k(source, epsilon, eta_s, eta_c) == got, name
+        # every approximate run takes its k from the same cut
+        Y = dist.attribute_set[len(X):]
+        for algo in (Algorithm.AP, Algorithm.API, Algorithm.APS, Algorithm.APSI):
+            request = DiscoveryRequest.build(X, Y, rhs, eta_s, eta_c, algo, epsilon)
+            rules = discovery._rules(inputs["shuffled"], request, fresh_lattice(dist, X), None)
+            assert rules.mode.prefix_k == got.prefix_k, algo
 
     @pytest.mark.parametrize("seed", range(8))
     def test_minimality_brute_force(self, seed):
