@@ -9,13 +9,12 @@ similarity of every pair of distinct values, so the metric runs once per
 value pair however often the pair recurs. The pairs themselves are then
 counted a block of rows at a time: each pair's levels are looked up in the
 matrices and folded into one mixed-radix code, in the narrowest integer type
-that holds every code, and the codes are counted in one dense table where
-there are few of them, or sorted and tallied per block where there are many.
-The records come out sorted by level vector. The matrices are computed in
-numpy in one process, many value pairs to an operation, and equal the
-per-pair metric's levels bit for bit. A value past its kernel's exact range
-is compared with the scalar metric, against every other value of its column,
-while the rest of the column stays in numpy.
+that holds every code, and each block's codes are sorted in place and
+tallied. The records come out sorted by level vector. The matrices are
+computed in numpy in one process, many value pairs to an operation, and
+equal the per-pair metric's levels bit for bit. A value past its kernel's
+exact range is compared with the scalar metric, against every other value of
+its column, while the rest of the column stays in numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import urllib.parse
 from array import array
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -55,34 +55,43 @@ _FORMAT_VERSION = "v1"
 
 
 def relation_fingerprint(
-    relation: Relation,
     attrs: Sequence[AttributeId],
     metrics: Sequence[MetricKind],
     domain: LevelDomain,
+    values: Sequence[Sequence[str]],
+    codes: Sequence[np.ndarray],
 ) -> str:
     """Hash of the source rows and build parameters, kept in the cache header
-    so a stale cache can be told apart from a rebuilt one."""
+    so a stale cache can be told apart from a rebuilt one.
+
+    The rows come as each attribute's distinct ``values`` and its row
+    ``codes`` into them. The hash reads every row's cells in ``attrs``
+    order, each as its character count in 8 little-endian bytes followed by
+    its UTF-8 bytes. That record is made once per distinct value, and the
+    records are joined ``_BLOCK_PAIRS // m`` rows at a time."""
+    n, m = len(codes[0]), len(codes)
     h = hashlib.sha256()
-    h.update(f"{_FORMAT_VERSION}|d={domain.d}|n={relation.tuple_count}".encode())
-    for a, m in zip(attrs, metrics):
-        h.update(f"|{a.index}:{urllib.parse.quote(a.name)}:{m.spec()}".encode())
-    for row in relation.rows:
-        for a in attrs:
-            value = row[a.index]
-            h.update(len(value).to_bytes(8, "little"))
-            h.update(value.encode("utf-8"))
+    h.update(f"{_FORMAT_VERSION}|d={domain.d}|n={n}".encode())
+    for a, metric in zip(attrs, metrics):
+        h.update(f"|{a.index}:{urllib.parse.quote(a.name)}:{metric.spec()}".encode())
+    records = [[len(v).to_bytes(8, "little") + v.encode() for v in column] for column in values]
+    step = max(1, _BLOCK_PAIRS // m)
+    for lo in range(0, n, step):
+        rows = [
+            map(record.__getitem__, col[lo : lo + step].tolist())
+            for record, col in zip(records, codes)
+        ]
+        h.update(b"".join(chain.from_iterable(zip(*rows))))
     return h.hexdigest()
 
 
 # Pair codes are produced and counted 256 KB at a time: this many int64
-# codes, or 2 or 4 times as many int32 or int16 ones. This keeps the build's
-# temporaries at a few MB whatever the number of rows; larger blocks are no
-# faster and only raise the process's peak RSS. Up to this many distinct
-# codes (d**m) the pairs are counted into a dense int64 table, as large as a
-# block; beyond it a table and each block's bincount would grow with d**m,
-# so each block is sorted in place instead. The cosine and edit level
-# matrices are computed over blocks of about this many distinct-value pairs
-# too.
+# codes, or 2 or 4 times as many int32 or int16 ones. Each block is sorted
+# in place and tallied, so the build's temporaries stay at a few MB whatever
+# the number of rows or of distinct codes; larger blocks are no faster and
+# only raise the process's peak RSS. The cosine and edit level matrices are
+# computed over blocks of about this many distinct-value pairs too, and the
+# fingerprint hashes about this many cells at a time.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -126,8 +135,10 @@ def _cosine_rows(
     # Entries sorted by (token, value): owners were appended in value order.
     order = np.argsort(tokens, kind="stable")
     owner, count = owners[order], np.frombuffer(counts, dtype=np.int64)[order]
-    # How many entries follow each one in its posting list.
-    later = np.cumsum(np.bincount(tokens))[tokens[order]] - 1 - np.arange(len(order))
+    # How many entries follow each one in its posting list: its list ends
+    # where the sorted tokens pass its own.
+    ordered = tokens[order]
+    later = np.searchsorted(ordered, ordered, side="right") - 1 - np.arange(len(order))
     # Value k's entries, at their sorted positions: rank[first[k]:first[k + 1]].
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
@@ -318,22 +329,20 @@ def _pair_histogram(
     codes are ``sum_c d**(m-1-c) * L_c[codes_c[s:e]][:, codes_c[s:]]``, kept
     transposed as an ``(n - s) x w`` array, so the pairs are its rows past
     ``w``, one contiguous slice, and the strict lower triangle of its leading
-    ``w x w`` square. A block holds ``k`` codes, 256 KB of them (``k =
-    _BLOCK_PAIRS`` int64 codes, twice as many int32, four times as many
-    int16), and takes ``w = k // max(u, n - s)`` rows, at least one, for the
-    ``u`` values of the widest level matrix, so it and each weighted ``u x
-    w`` matrix slice hold at most ``k`` codes unless one row alone is
-    longer. While ``d**m <= _BLOCK_PAIRS`` (int16 codes, at the default) the
-    codes are counted into one dense table; above that each block is sorted
-    in place and tallied, and the tallies are merged. The codes are decoded
-    into levels in int64, as ``d`` itself need not fit their type (``d =
-    2**15``, ``m = 1``).
+    ``w x w`` square. Each column's ``w`` matrix rows are gathered whole and
+    copied transposed, which reads ``L_c`` contiguously where a gather of
+    its columns would stride across all of it. A block holds ``k`` codes,
+    256 KB of them (``k = _BLOCK_PAIRS`` int64 codes, twice as many int32,
+    four times as many int16), and takes ``w = k // max(u, n - s)`` rows, at
+    least one, for the ``u`` values of the widest level matrix, so it and
+    each weighted ``u x w`` slice hold at most ``k`` codes unless one row
+    alone is longer. Each block's pairs are sorted in place and tallied,
+    and the tallies are merged. The codes are decoded into levels in int64,
+    as ``d`` itself need not fit their type (``d = 2**15``, ``m = 1``).
     """
     n, m = len(codes[0]), len(codes)
-    size = d**m
-    dtype = next((t for t in _KEY_TYPES if size - 1 <= np.iinfo(t).max), object)
+    dtype = next((t for t in _KEY_TYPES if d**m - 1 <= np.iinfo(t).max), object)
     block = _BLOCK_PAIRS * 8 // np.dtype(dtype).itemsize
-    table = np.zeros(size, dtype=np.int64) if size <= _BLOCK_PAIRS else None
     widest = max(len(matrix) for matrix in matrices)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     pending = 0
@@ -344,8 +353,8 @@ def _pair_histogram(
         w = e - s
         keys = None
         for c, (col, matrix) in enumerate(zip(codes, matrices)):
-            # L_c[:, codes_c[s:e]] is L_c[codes_c[s:e]] transposed: L_c is symmetric
-            weighted = matrix[:, col[s:e]].astype(dtype, copy=False)
+            # L_c[codes_c[s:e]].T is L_c[:, codes_c[s:e]]: L_c is symmetric
+            weighted = matrix.take(col[s:e], axis=0).T.astype(dtype, order="C")
             weighted *= d ** (m - 1 - c)
             # np.take gathers whole rows several times faster than weighted[col[s:]]
             if keys is None:
@@ -353,9 +362,7 @@ def _pair_histogram(
             else:
                 keys += weighted.take(col[s:], axis=0)
         for pairs in (keys[:w][np.tri(w, k=-1, dtype=bool)], keys[w:].reshape(-1)):
-            if table is not None:
-                table += np.bincount(pairs, minlength=size)
-            elif len(pairs):
+            if len(pairs):
                 parts.append(_tally(pairs))
                 pending += len(parts[-1][0])
         # Fold the per-block tallies once they outgrow both a block and twice
@@ -365,13 +372,9 @@ def _pair_histogram(
             pending = len(parts[0][0])
             limit = max(block, 2 * pending)
         s = e
-    if table is not None:
-        keys = np.flatnonzero(table)
-        counts = table[keys]
-    else:
-        keys, counts = _merge_counts(parts)
-        if dtype is not object:
-            keys = keys.astype(np.int64, copy=False)
+    keys, counts = _merge_counts(parts)
+    if dtype is not object:
+        keys = keys.astype(np.int64, copy=False)
     levels = np.empty((len(keys), m), dtype=np.int16)
     for c in range(m - 1, -1, -1):
         levels[:, c] = keys % d
@@ -397,8 +400,8 @@ def build_distribution(
     attrs = tuple(dict.fromkeys(attrs))
     if not attrs:
         raise ValidationError("need at least one attribute to build a distribution")
-    for a in attrs:
-        relation.column(a)  # raises SchemaMismatchError on unknown attributes
+    # raises SchemaMismatchError on unknown attributes
+    columns = [relation.column(a) for a in attrs]
     n = relation.tuple_count
     if n < 2:
         raise InsufficientDataError(f"need at least 2 tuples to form pairs, got {n}")
@@ -406,13 +409,13 @@ def build_distribution(
         raise ValidationError("workers must be >= 1")
 
     per_attr = resolve_metrics(attrs, metrics)
-    matrices, codes = [], []
-    for a, metric in zip(attrs, per_attr):
-        column = relation.column(a)
-        values = sorted(set(column))
-        index = {v: k for k, v in enumerate(values)}
-        matrices.append(_level_matrix(values, metric, domain))
-        codes.append(np.fromiter((index[v] for v in column), dtype=np.intp, count=n))
+    values, codes, matrices = [], [], []
+    for column, metric in zip(columns, per_attr):
+        distinct = sorted(set(column))
+        index = dict(zip(distinct, range(len(distinct))))
+        values.append(distinct)
+        codes.append(np.fromiter(map(index.__getitem__, column), dtype=np.intp, count=n))
+        matrices.append(_level_matrix(distinct, metric, domain))
     levels, counts = _pair_histogram(codes, matrices, domain.d)
     return StatDistribution(
         attrs,
@@ -420,7 +423,7 @@ def build_distribution(
         levels,
         counts,
         n * (n - 1) // 2,
-        relation_fingerprint(relation, attrs, per_attr, domain),
+        relation_fingerprint(attrs, per_attr, domain, values, codes),
         metric_specs=tuple(m.spec() for m in per_attr),
     )
 

@@ -61,9 +61,10 @@ class MetricKind:
             rest = spec[len(COSINE_QGRAM):]
             if rest.startswith(":"):
                 try:
-                    return cls.cosine_qgrams(int(rest[1:]))
+                    q = int(rest[1:])
                 except ValueError:
                     raise ValidationError(f"bad q in metric spec {spec!r}") from None
+                return cls.cosine_qgrams(q)
             if rest == "":
                 raise ValidationError("cosine-qgram needs a gram size, e.g. cosine-qgram:3")
         raise ValidationError(f"unknown metric spec {spec!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import urllib.parse
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +57,24 @@ def array_fingerprint(levels: np.ndarray, counts: np.ndarray, domain: LevelDomai
     h.update(f"arrays|d={domain.d}|".encode())
     h.update(np.ascontiguousarray(levels, dtype=np.int16).tobytes())
     h.update(np.ascontiguousarray(counts, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def reference_fingerprint(relation: Relation, attrs, metrics, domain: LevelDomain) -> str:
+    """The build's source fingerprint, one row and one cell at a time: the
+    cache version, ``d``, the row count, every attribute's index, name and
+    metric spec, then each row's cells in ``attrs`` order, each as its
+    character count in 8 little-endian bytes and its UTF-8 bytes.
+    ``metrics`` holds one MetricKind per attribute."""
+    h = hashlib.sha256()
+    h.update(f"v1|d={domain.d}|n={relation.tuple_count}".encode())
+    for a, m in zip(attrs, metrics):
+        h.update(f"|{a.index}:{urllib.parse.quote(a.name)}:{m.spec()}".encode())
+    for row in relation.rows:
+        for a in attrs:
+            value = row[a.index]
+            h.update(len(value).to_bytes(8, "little"))
+            h.update(value.encode("utf-8"))
     return h.hexdigest()
 
 

@@ -577,6 +577,15 @@ class TestValidationAndExitCodes:
         assert len(err) == 1 and "conflicts" in err[0]
         assert run_cli(*argv, "--qgram", "3")[0] == 0
 
+    @pytest.mark.parametrize("spelling", [["cosine-qgram:0"], ["cosine-qgram", "--qgram", "0"]])
+    def test_qgram_size_zero_names_the_q_limit_in_both_spellings(self, capsys, spelling):
+        metric_at = DISCOVER_BASE.index("--metric") + 1
+        argv = [*DISCOVER_BASE[:metric_at], spelling[0], *DISCOVER_BASE[metric_at + 1:], *spelling[1:]]
+        code, _ = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "q-gram metric needs an integer q >= 1" in err[0]
+
     def test_non_utf8_csv_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"a,b\nx\xff,y\nz,w\n")

@@ -1,6 +1,7 @@
 """Distribution construction, reorderings, projection, and the cache format."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -40,7 +41,13 @@ from mdd.model import sorted_rows
 from mdd.oracle import _pair_levels
 from mdd.simkit import discretize, profile, profile_similarity
 
-from conftest import make_distribution, random_distribution, random_relation, satisfied
+from conftest import (
+    make_distribution,
+    random_distribution,
+    random_relation,
+    reference_fingerprint,
+    satisfied,
+)
 
 METRIC_SPECS = ["edit", "cosine-word", "cosine-qgram:1", "cosine-qgram:3"]
 # Duplicates, empty strings, strings shorter than q=3, values that differ
@@ -193,6 +200,74 @@ class TestBuildAgainstOracle:
             assert built_counts(dist) == {(9,): 3}
 
 
+# Empty, non-ASCII and astral values: a value's character count differs
+# from its UTF-8 byte count, and the two astral ones are 4 UTF-8 bytes a
+# character.
+FINGERPRINT_VALUES = [
+    "", "a", "A", "route 66", "na\u00efve", "stra\u00dfe",
+    "\U0001d518", "\U0001f600 x", "\u00e9" * 3,
+]
+
+
+@st.composite
+def fingerprint_inputs(draw):
+    """A relation of 1 to 4 columns with repeated values, a permuted subset
+    of its schema, and one metric per chosen attribute."""
+    width = draw(st.integers(1, 4))
+    cells = st.one_of(
+        st.sampled_from(FINGERPRINT_VALUES),
+        st.text("aZ \u00e9\u00df\U0001d518\U0001f600", max_size=5),
+    )
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=2, max_size=12))
+    relation = Relation.from_rows([f"A{c}" for c in range(width)], rows)
+    attrs = tuple(draw(st.permutations(relation.schema))[: draw(st.integers(1, width))])
+    metrics = tuple(MetricKind.parse(draw(st.sampled_from(METRIC_SPECS))) for _ in attrs)
+    return relation, attrs, metrics
+
+
+class TestFingerprint:
+    """The build's source fingerprint against the row-by-row reference."""
+
+    def fingerprint(self, relation, attrs, metrics, d) -> str:
+        dist = build_distribution(relation, attrs, dict(zip(attrs, metrics)), LevelDomain(d))
+        return dist.fingerprint
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fingerprint_inputs(), d=st.sampled_from([2, 10]))
+    def test_equals_the_per_row_reference(self, case, d):
+        relation, attrs, metrics = case
+        expected = reference_fingerprint(relation, attrs, metrics, LevelDomain(d))
+        assert self.fingerprint(relation, attrs, metrics, d) == expected
+
+    # _BLOCK_PAIRS // m rows are hashed at a time: 5, 4 and 3 rows here
+    @pytest.mark.parametrize("m, block", [(1, 5), (2, 9), (3, 10)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_on_each_side_of_a_chunk(self, monkeypatch, m, block, extra):
+        monkeypatch.setattr(distribution_module, "_BLOCK_PAIRS", block)
+        n = block // m + extra
+        rng = random.Random(n * 10 + m)
+        rows = [[rng.choice(FINGERPRINT_VALUES) for _ in range(m)] for _ in range(n)]
+        relation = Relation.from_rows([f"A{c}" for c in range(m)], rows)
+        attrs = relation.schema[::-1]
+        metrics = (MetricKind.parse("edit"),) * m
+        expected = reference_fingerprint(relation, attrs, metrics, LevelDomain(10))
+        assert self.fingerprint(relation, attrs, metrics, 10) == expected
+
+    def test_contacts_csv_digests(self):
+        path = Path(__file__).parent / "data" / "contacts.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        relation = Relation.from_rows(header, rows)
+        assert self.fingerprint(
+            relation, relation.schema, (MetricKind.parse("cosine-word"),) * 6, 10
+        ) == "8535b370543880696c41b63b4c57fb1f594cc540826b4488aa190b03de367b0c"
+        attrs = tuple(relation.attribute(name) for name in ("Street", "SIN", "Name"))
+        metrics = tuple(MetricKind.parse(spec) for spec in ("edit", "cosine-qgram:2", "cosine-word"))
+        assert self.fingerprint(relation, attrs, metrics, 32) == (
+            "e21489f7325b6e7293a7a1f59684db88284ce1553d1daccab3dff3960d6c601f"
+        )
+
+
 def symmetric(upper: np.ndarray) -> np.ndarray:
     """The int16 symmetric matrix with ``upper``'s upper triangle."""
     return (np.triu(upper) + np.triu(upper, 1).T).astype(np.int16)
@@ -283,23 +358,23 @@ class TestPairHistogram:
         assert counts == pair_loop_histogram(codes, matrices)
 
     @pytest.mark.parametrize(
-        "d, m, block, dense",
+        "d, m, block",
         [
-            (2, 15, 1 << 15, True),  # d**m == the default _BLOCK_PAIRS
-            (10, 3, 1000, True),  # d**m == _BLOCK_PAIRS
-            (10, 3, 999, False),  # d**m == _BLOCK_PAIRS + 1: int16 codes, tallied
+            (2, 15, 1 << 15),  # d**m == the default _BLOCK_PAIRS: int16 codes
+            (10, 3, 1000),  # d**m == _BLOCK_PAIRS
+            (10, 3, 999),  # d**m == _BLOCK_PAIRS + 1
             # d itself is past int16: the codes are decoded in int64
-            (32768, 1, 1 << 14, False),
-            (181, 2, 1 << 15, True),  # 32,761 codes: int16, dense
-            (182, 2, 1 << 15, False),  # 33,124 codes: int32
-            (1290, 3, 1 << 15, False),  # 2**31 - 794,648 codes: int32
-            (1291, 3, 1 << 15, False),  # 2**31 + 4,201,523 codes: int64
-            (2**21, 3, 1 << 15, False),  # 2**63 codes: int64
-            (2**21 + 1, 3, 1 << 15, False),  # past 2**63: Python-int codes
-            (32768, 5, 1 << 15, False),  # 2**75: Python-int codes
+            (32768, 1, 1 << 14),
+            (181, 2, 1 << 15),  # 32,761 codes: int16
+            (182, 2, 1 << 15),  # 33,124 codes: int32
+            (1290, 3, 1 << 15),  # 2**31 - 794,648 codes: int32
+            (1291, 3, 1 << 15),  # 2**31 + 4,201,523 codes: int64
+            (2**21, 3, 1 << 15),  # 2**63 codes: int64
+            (2**21 + 1, 3, 1 << 15),  # past 2**63: Python-int codes
+            (32768, 5, 1 << 15),  # 2**75: Python-int codes
         ],
     )
-    def test_dense_table_up_to_the_block_size(self, monkeypatch, d, m, block, dense):
+    def test_codes_tallied_in_the_narrowest_type(self, monkeypatch, d, m, block):
         # Each matrix's diagonal holds the top level, so pairs equal in every
         # column have the largest code, d**m - 1 when d fits the int16 levels.
         rng = np.random.default_rng(m)
@@ -311,18 +386,16 @@ class TestPairHistogram:
         counts, tallied = self.histogram(monkeypatch, codes, matrices, d, block)
         assert counts == pair_loop_histogram(codes, matrices)
         assert counts[(top,) * m] > 0
-        if dense:
-            assert tallied == []
-        else:
-            assert tallied and set(tallied) == {key_type(d, m)}
+        assert set(tallied) == {key_type(d, m)}
 
     @pytest.mark.parametrize("m, bound", [(3, 1.5), (6, 2.25)])
     def test_memory_is_a_few_blocks(self, m, bound):
-        # 2,000 rows, about 2M pairs, d**m = 10**3 (dense table) and 10**6
-        # (sorted blocks): a 256 KB block of codes and its temporaries, and
-        # the merge of the tallies, whatever the number of pairs. Measured:
-        # 1.24 MB and 1.88 MB; int64 codes took 0.85 MB and 2.40 MB. At 10**3
-        # the extra is np.bincount's intp copy of a block of int16 codes.
+        # 2,000 rows, about 2M pairs, d**m = 10**3 (int16 codes) and 10**6
+        # (int32): a 256 KB block of codes and its temporaries, and the merge
+        # of the tallies, whatever the number of pairs. Measured: 0.84 MB and
+        # 1.89 MB; int64 codes took 0.85 MB and 2.40 MB. At 10**6 the extra
+        # is the merge of the blocks' tallies: 38,000 keys with their int64
+        # counts, against 3,500 at 10**3.
         rel = random_relation(random.Random(1), n_rows=2000, n_attrs=m)
         metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
         codes, matrices = [], []
@@ -608,8 +681,8 @@ def test_build_memory_stays_bounded():
 
 
 def test_sort_side_memory_stays_bounded():
-    # 10**6 codes are past the dense limit, where the table and one block's
-    # bincount would take 16 MB; each block is sorted and tallied instead.
+    # 10**6 possible codes: no buffer is sized by d**m, as each block is
+    # sorted and tallied.
     rel = random_relation(random.Random(1), n_rows=2000, n_attrs=6)
     metric, domain = MetricKind.parse("cosine-word"), LevelDomain(10)
     assert domain.d ** 6 > distribution_module._BLOCK_PAIRS

@@ -156,3 +156,9 @@ class TestMetricKind:
     def test_q_validation(self):
         with pytest.raises(ValidationError):
             MetricKind.cosine_qgrams(0)
+
+    @pytest.mark.parametrize("spec", ["cosine-qgram:0", "cosine-qgram:-2"])
+    def test_parsed_q_below_one_names_the_q_limit(self, spec):
+        # an integer q is parsed, so the q >= 1 check reports, not "bad q"
+        with pytest.raises(ValidationError, match=r"needs an integer q >= 1"):
+            MetricKind.parse(spec)
