@@ -12,7 +12,9 @@ matrices and folded into one mixed-radix code, in the narrowest integer type
 that holds every code, and each block's codes are sorted in place and
 tallied. The records come out sorted by level vector. The matrices are
 computed in numpy in one process, many value pairs to an operation, and
-equal the per-pair metric's levels bit for bit. A value past its kernel's
+equal the per-pair metric's levels bit for bit; a cosine column's tokens
+come from simkit's tokenizer, the per-pair metric's own, and are counted
+with the same sort-and-tally as the pairs. A value past its kernel's
 exact range is compared with the scalar metric, against every other value of
 its column, while the rest of the column stays in numpy.
 """
@@ -20,8 +22,8 @@ its column, while the rest of the column stays in numpy.
 from __future__ import annotations
 
 import hashlib
+import math
 import urllib.parse
-from array import array
 from itertools import chain
 from typing import Sequence
 
@@ -48,6 +50,7 @@ from .simkit import (
     profile,
     profile_similarity,
     resolve_metrics,
+    tokenizer,
 )
 
 _FORMAT_TAG = "#mdd-dist"
@@ -103,46 +106,50 @@ def _cosine_rows(
     squared norm ``sq`` has ``sq * sq >= 2**53``, where float64 no longer
     follows the scalar path. They add no entries, so their pairs stay 0.
 
-    Each token's posting list holds the values that contain it, ascending,
-    with their counts. Every later entry of a list adds ``c_i * c_j`` to the
-    int64 dot product of the pair ``i < j``; pairs that share no token keep
-    dot 0, which is level 0. That costs the sum of ``|P_t|**2 / 2`` over the
-    tokens. The rows are done a block at a time, each block's dot products
-    and similarities over at most about ``_BLOCK_PAIRS`` cells, and the
-    posting-list pairs are expanded at most about ``_BLOCK_PAIRS`` at a time.
+    The column is tokenized in one pass with ``simkit.tokenizer``, the
+    scalar path's own. Each token of value ``k`` becomes the key ``t * u +
+    k``, for the token's id ``t``, and ``_tally`` counts the keys, so the
+    entries come out as posting lists: a token's list holds the values that
+    contain it, ascending, with their counts. Every later entry of a list
+    adds ``c_i * c_j`` to the int64 dot product of the pair ``i < j``; pairs
+    that share no token keep dot 0, which is level 0. That costs the sum of
+    ``|P_t|**2 / 2`` over the tokens. The rows are done a block at a time,
+    each block's dot products and similarities over at most about
+    ``_BLOCK_PAIRS`` cells, and the posting-list pairs are expanded at most
+    about ``_BLOCK_PAIRS`` at a time.
     """
     u = len(values)
-    token_ids: dict = {}
-    # array.array keeps the entries as 8-byte integers, not int objects
-    owners, tokens, counts = array("q"), array("q"), array("q")
+    bags = list(map(tokenizer(metric), map(str.lower, values)))
+    flat = list(chain.from_iterable(bags))
+    # A token's id is the index of its first entry.
+    ids: dict[str, int] = {}
+    keys = np.fromiter(map(ids.setdefault, flat, range(len(flat))), dtype=np.int64, count=len(flat))
+    keys *= u
+    keys += np.repeat(np.arange(u), np.fromiter(map(len, bags), dtype=np.intp, count=u))
+    del bags, flat, ids  # before the blocks allocate
+    # One entry per (token, value), in posting-list order: by token, then value.
+    # _tally needs one key at least; a column may have no token at all
+    keys, count = _tally(keys) if len(keys) else (keys, keys)
+    token, owner = np.divmod(keys, u)
+    del keys
     sq = np.zeros(u, dtype=np.int64)
-    marked = np.zeros(u, dtype=bool)
-    for k, value in enumerate(values):
-        bag, norm = profile(value, metric)
-        # Below 2**53 every product the similarity needs (sq_a * sq_b, dot *
-        # dot, dot <= sqrt(sq_a * sq_b)) is an exact int64 and converts to
-        # float64 exactly, as Python's ints do in simkit._cosine.
-        if norm * norm >= 2**53:
-            marked[k] = True
-            continue
-        sq[k] = norm
-        for token, count in bag.items():
-            owners.append(k)
-            tokens.append(token_ids.setdefault(token, len(token_ids)))
-            counts.append(count)
-    del token_ids
-    owners, tokens = np.frombuffer(owners, dtype=np.int64), np.frombuffer(tokens, dtype=np.int64)
-    # Entries sorted by (token, value): owners were appended in value order.
-    order = np.argsort(tokens, kind="stable")
-    owner, count = owners[order], np.frombuffer(counts, dtype=np.int64)[order]
+    np.add.at(sq, owner, count * count)
+    # Below 2**53 every product the similarity needs (sq_a * sq_b, dot * dot,
+    # dot <= sqrt(sq_a * sq_b)) is an exact int64 and converts to float64
+    # exactly, as Python's ints do in simkit._cosine; sq * sq < 2**53 is
+    # sq <= isqrt(2**53 - 1), compared without squaring. sq is at most the
+    # value's length squared, an exact int64 below 3 * 10**9 characters.
+    marked = sq > math.isqrt(2**53 - 1)
+    if marked.any():
+        keep = ~marked[owner]
+        token, owner, count = token[keep], owner[keep], count[keep]
     # How many entries follow each one in its posting list: its list ends
-    # where the sorted tokens pass its own.
-    ordered = tokens[order]
-    later = np.searchsorted(ordered, ordered, side="right") - 1 - np.arange(len(order))
-    # Value k's entries, at their sorted positions: rank[first[k]:first[k + 1]].
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    first = np.searchsorted(owners, np.arange(u + 1))
+    # where the tokens pass its own.
+    later = np.searchsorted(token, token, side="right") - 1 - np.arange(len(token))
+    del token
+    # Value k's entries: rank[first[k]:first[k + 1]].
+    rank = np.argsort(owner, kind="stable")
+    first = np.searchsorted(owner[rank], np.arange(u + 1))
 
     out = np.zeros((u, u), dtype=np.int16)
     empty = (sq == 0) & ~marked

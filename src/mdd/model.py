@@ -11,6 +11,7 @@ bit-stable.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -131,7 +132,7 @@ class Relation:
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Relation":
         schema = tuple(AttributeId(i, n) for i, n in enumerate(names))
-        return cls(schema, tuple(tuple(str(v) for v in row) for row in rows))
+        return cls(schema, tuple(tuple(map(str, row)) for row in rows))
 
     @property
     def tuple_count(self) -> int:
@@ -146,7 +147,7 @@ class Relation:
     def column(self, attr: AttributeId) -> tuple[str, ...]:
         if attr.index >= len(self.schema) or self.schema[attr.index] != attr:
             raise SchemaMismatchError(f"attribute {attr} not in schema")
-        return tuple(row[attr.index] for row in self.rows)
+        return tuple(map(operator.itemgetter(attr.index), self.rows))
 
 
 MAX_LEVELS = 2**15  # levels 0..d-1 must fit the int16 level storage

@@ -9,9 +9,11 @@ strings to 1.0. Two empty strings compare as 1.0 by convention.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import SchemaMismatchError, ValidationError
 from .model import AttributeId, LevelDomain
@@ -92,28 +94,29 @@ def resolve_metrics(attrs: Sequence[AttributeId], metrics: MetricMap) -> tuple[M
     return tuple(resolved)
 
 
-def _word_tokens(s: str) -> Counter:
-    tokens: Counter = Counter()
-    current: list[str] = []
-    for ch in s:
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens["".join(current)] += 1
-            current = []
-    if current:
-        tokens["".join(current)] += 1
-    return tokens
+# Python's \w is exactly the characters where str.isalnum() holds, plus "_".
+_WORD = re.compile(r"[^\W_]+")
 
 
-def _qgrams(s: str, q: int) -> Counter:
+def _qgrams(s: str, q: int) -> list[str]:
     # No padding: strings shorter than q yield no grams.
-    return Counter(s[i : i + q] for i in range(len(s) - q + 1))
+    return [s[i : i + q] for i in range(len(s) - q + 1)]
+
+
+def tokenizer(metric: MetricKind) -> Callable[[str], list[str]]:
+    """The function that lists the tokens a cosine ``metric`` counts in a
+    lowercased string: the maximal runs of alphanumeric characters
+    (``str.isalnum``) for ``cosine-word``, every q-character slice for
+    ``cosine-qgram``."""
+    if metric.kind == COSINE_WORD:
+        return _WORD.findall
+    return partial(_qgrams, q=metric.q)
 
 
 def _cosine(a: tuple[Counter, int], b: tuple[Counter, int]) -> float:
     # distribution._cosine_rows computes these similarities, and their
-    # discretize levels, for whole level matrices in numpy; keep the two in step.
+    # discretize levels, for whole level matrices in numpy, from the same
+    # tokenizer(); keep the two in step.
     (ca, sq_a), (cb, sq_b) = a, b
     if not ca and not cb:
         return 1.0
@@ -182,7 +185,7 @@ def profile(value: str, metric: MetricKind) -> tuple:
     s = value.lower()
     if metric.kind == EDIT:
         return s, _char_masks(s)
-    counts = _word_tokens(s) if metric.kind == COSINE_WORD else _qgrams(s, metric.q)
+    counts = Counter(tokenizer(metric)(s))
     return counts, sum(c * c for c in counts.values())
 
 

@@ -78,6 +78,28 @@ def reference_fingerprint(relation: Relation, attrs, metrics, domain: LevelDomai
     return h.hexdigest()
 
 
+def reference_word_tokens(s: str) -> Counter:
+    """Word-token counts of a lowercased string, one character at a time:
+    the maximal runs of characters where ``str.isalnum()`` holds."""
+    tokens: Counter = Counter()
+    current: list[str] = []
+    for ch in s:
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens["".join(current)] += 1
+            current = []
+    if current:
+        tokens["".join(current)] += 1
+    return tokens
+
+
+def reference_qgrams(s: str, q: int) -> Counter:
+    """q-gram counts of a lowercased string, without padding: a string
+    shorter than q has none."""
+    return Counter(s[i : i + q] for i in range(len(s) - q + 1))
+
+
 def make_distribution(
     vectors_counts: dict[tuple[int, ...], int],
     d: int,

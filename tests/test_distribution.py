@@ -472,6 +472,11 @@ class TestCosineRows:
     @settings(max_examples=300, deadline=None)
     # similarity 1/2 at d = 2: exactly half a level, which rounds up
     @example(values=["a", "a b c d"], spec="cosine-word", d=2, block=1)
+    # columns without a single token
+    @example(values=[""], spec="cosine-word", d=10, block=1 << 15)
+    @example(values=["", "!!"], spec="cosine-word", d=10, block=1)
+    # every value shorter than q ("b\u0130" lowercases to 3 code points)
+    @example(values=["A", "ab", "b\u0130"], spec="cosine-qgram:4", d=10, block=1)
     @given(
         values=cosine_values(),
         spec=st.sampled_from(COSINE_SPECS),
@@ -511,6 +516,8 @@ class TestCosineRows:
 
     @settings(max_examples=60, deadline=None)
     @example(values=sorted(["a " * 9_742, "a", "!!", ""]), spec="cosine-word", d=2, block=1)
+    # a token-less value next to a marked one: no entry survives the guard
+    @example(values=sorted(["a " * 9_742, "!!"]), spec="cosine-word", d=10, block=3)
     @given(
         values=marked_cosine_values(),
         spec=st.sampled_from(COSINE_SPECS),

@@ -1,10 +1,11 @@
 """Similarity metrics and level discretization."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import reference_qgrams, reference_word_tokens
 from mdd import LevelDomain, MetricKind, ValidationError, discretize, similarity
-from mdd.simkit import _char_masks, _myers
+from mdd.simkit import _WORD, _char_masks, _myers, profile
 
 WORD = MetricKind.cosine_word_tokens()
 QGRAM2 = MetricKind.cosine_qgrams(2)
@@ -105,6 +106,35 @@ class TestSimilarity:
     @given(a=texts)
     def test_self_similarity_is_one(self, metric, a):
         assert similarity(a, a, metric) == 1.0
+
+
+class TestTokenizer:
+    def test_word_pattern_matches_exactly_the_isalnum_code_points(self):
+        # Every code point occurs once and in order, so the two strings are
+        # equal only if the pattern matches a character exactly where
+        # str.isalnum() holds.
+        everything = "".join(map(chr, range(0x110000)))
+        assert "".join(_WORD.findall(everything)) == "".join(filter(str.isalnum, everything))
+
+    # "\u0130".lower() is two code points; "\u0661\u0662\u0663" are digits;
+    # "\u0301" and "\u0308" are combining marks, which are not alphanumeric.
+    @example(value="\u0130", q=2)
+    @example(value="\u00df", q=1)
+    @example(value="_a_", q=2)
+    @example(value="\u0661\u0662\u0663", q=3)
+    @example(value="e\u0301 a\u0308b", q=2)
+    @example(value="", q=1)
+    @example(value="abcd", q=5)
+    @given(value=st.text(), q=st.integers(1, 5))
+    def test_profile_counts_the_reference_tokens(self, value, q):
+        lowered = value.lower()
+        for metric, reference in [
+            (WORD, reference_word_tokens(lowered)),
+            (MetricKind.cosine_qgrams(q), reference_qgrams(lowered, q)),
+        ]:
+            counts, sq = profile(value, metric)
+            assert counts == reference
+            assert sq == sum(c * c for c in reference.values())
 
 
 class TestDiscretize:
