@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import repeat, zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +43,7 @@ from .model import (
     ThresholdPattern,
     to_fraction,
 )
-from .oracle import _oracle_rules, oracle_measures
+from .oracle import ORACLE_CANDIDATE_CAP, _oracle_rules, oracle_measures
 from .simkit import MetricKind, discretize
 from . import distribution as dist_ops
 
@@ -55,7 +55,6 @@ EXIT_BUDGET = 4
 RESULT_SCHEMA = "mdd-result-v1"
 
 VERIFY_MAX_ROWS = 200
-VERIFY_MAX_CANDIDATES = 10_000
 
 
 def _read_csv(path: str) -> Relation:
@@ -80,31 +79,22 @@ def _read_csv(path: str) -> Relation:
     return Relation.from_rows(header, rows)
 
 
-def _split_names(raw: str, flag: str) -> list[str]:
+def _resolve_attrs(
+    attributes: Sequence[AttributeId], source: str, raw: str, flag: str
+) -> list[AttributeId]:
+    """The attributes that ``flag``'s comma-separated ``raw`` names, looked
+    up in ``attributes``, a CSV header or a distribution cache as ``source``
+    says; the first of equal names wins."""
     names = [part.strip() for part in raw.split(",")]
     if any(not n for n in names):
         raise ValidationError(f"{flag} has an empty attribute name in {raw!r}")
-    return names
-
-
-def _resolve_attrs(relation_like, names: Sequence[str]) -> list[AttributeId]:
-    return [relation_like.attribute(n) for n in names]
-
-
-class _AttrView:
-    """Name lookup over a distribution's attribute set, matching Relation's."""
-
-    def __init__(self, dist: StatDistribution) -> None:
-        self._dist = dist
-
-    def attribute(self, name: str) -> AttributeId:
-        for a in self._dist.attribute_set:
-            if a.name == name:
-                return a
-        raise SchemaMismatchError(
-            f"attribute {name!r} not in distribution cache "
-            f"({', '.join(a.name for a in self._dist.attribute_set)})"
-        )
+    by_name = {a.name: a for a in reversed(attributes)}
+    for name in names:
+        if name not in by_name:
+            raise SchemaMismatchError(
+                f"attribute {name!r} not in {source} ({', '.join(a.name for a in attributes)})"
+            )
+    return [by_name[n] for n in names]
 
 
 def _parse_metric(args) -> MetricKind:
@@ -154,14 +144,14 @@ def _load_inputs(args) -> tuple[StatDistribution, DiscoveryRequest]:
         raise ValidationError("give exactly one of --input (CSV) or --dist (cache file)")
     if args.dist is not None:
         dist = dist_ops.load_distribution(args.dist)
-        request = _build_request(args, _AttrView(dist), dist.domain)
+        request = _build_request(args, dist.attribute_set, "distribution cache", dist.domain)
         wanted = request.lhs + request.rhs
         if wanted != dist.attribute_set:
             dist = dist_ops.project(dist, wanted)
         return dist, request
     relation = _read_csv(args.input)
     domain = LevelDomain(args.levels)
-    request = _build_request(args, relation, domain)
+    request = _build_request(args, relation.schema, "CSV header", domain)
     metric = _parse_metric(args)
     dist = dist_ops.build_distribution(relation, request.lhs + request.rhs, metric, domain)
     return dist, request
@@ -206,7 +196,7 @@ def _discard_stdout() -> None:
 def cmd_distribution(args) -> int:
     relation = _read_csv(args.input)
     domain = LevelDomain(args.levels)
-    attrs = _resolve_attrs(relation, _split_names(args.attrs, "--attrs"))
+    attrs = _resolve_attrs(relation.schema, "CSV header", args.attrs, "--attrs")
     metric = _parse_metric(args)
     dist = dist_ops.build_distribution(relation, tuple(attrs), metric, domain)
     dist_ops.save_distribution(dist, args.out)
@@ -214,11 +204,13 @@ def cmd_distribution(args) -> int:
     return EXIT_OK
 
 
-def _build_request(args, names, domain: LevelDomain) -> DiscoveryRequest:
-    """The request the flags describe; ``names`` resolves attribute names (a
-    Relation, or an _AttrView over a distribution)."""
-    lhs = _resolve_attrs(names, _split_names(args.lhs, "--lhs"))
-    rhs = _resolve_attrs(names, _split_names(args.rhs, "--rhs"))
+def _build_request(
+    args, attributes: Sequence[AttributeId], source: str, domain: LevelDomain
+) -> DiscoveryRequest:
+    """The request the flags describe, its attributes named from
+    ``attributes`` (see _resolve_attrs)."""
+    lhs = _resolve_attrs(attributes, source, args.lhs, "--lhs")
+    rhs = _resolve_attrs(attributes, source, args.rhs, "--rhs")
     rhs_pattern = _rhs_pattern_from_args(args, rhs, domain)
     return DiscoveryRequest.build(
         lhs,
@@ -342,7 +334,7 @@ def cmd_discover(args) -> int:
     dist, request = _load_inputs(args)
     lattice = CandidateLattice(request.lhs, dist.domain, args.candidate_budget)
     try:
-        rules = _rules(dist, request, lattice, EvalCounters())
+        rules = _rules(dist, request, EvalCounters())
     except MemoryError:  # a raised budget can let the search outgrow memory
         raise CandidateBudgetError(
             f"out of memory for the d^m = {lattice.candidate_count} candidates that --candidate-budget "
@@ -360,11 +352,12 @@ def cmd_verify(args) -> int:
             "it recomputes every pair from scratch"
         )
     domain = LevelDomain(args.levels)
-    request = _build_request(args, relation, domain)
+    request = _build_request(args, relation.schema, "CSV header", domain)
     lhs, rhs, rhs_pattern = request.lhs, request.rhs, request.rhs_pattern
-    if domain.d ** len(lhs) > VERIFY_MAX_CANDIDATES:
+    # before the oracle's O(n^2) pass, which makes the same check
+    if domain.d ** len(lhs) > ORACLE_CANDIDATE_CAP:
         raise CandidateBudgetError(
-            f"verify is capped at {VERIFY_MAX_CANDIDATES} candidates; reduce --levels or --lhs"
+            f"verify is capped at {ORACLE_CANDIDATE_CAP} candidates; reduce --levels or --lhs"
         )
     metric = _parse_metric(args)
     if request.algorithm.is_approximate:
@@ -373,44 +366,46 @@ def cmd_verify(args) -> int:
         )
 
     dist = dist_ops.build_distribution(relation, tuple(lhs + rhs), metric, domain)
-    engine = run_request(dist, request, candidate_budget=args.candidate_budget)
+    engine = [
+        (md.lhs_pattern, md.support, md.confidence)
+        for md in run_request(dist, request, candidate_budget=args.candidate_budget)
+    ]
     truth = _oracle_rules(
         relation, lhs, rhs, rhs_pattern,
         request.min_support, request.min_confidence, metric, domain,
-        candidate_cap=VERIFY_MAX_CANDIDATES,
     )
-    if [(md.lhs_pattern, md.support, md.confidence) for md in engine] == truth:
+    if engine == truth:
         _emit(f"AGREEMENT: {len(engine)} rule(s), measures identical\n", None)
         return EXIT_OK
 
+    # One sample rule: the first pattern only one side returned, else the
+    # first rule whose measures differ, else the first position where the
+    # lists differ (an order or a repeat). The oracle's pass measured the
+    # patterns it accepted.
     oracle = {pattern: (sup, conf) for pattern, sup, conf in truth}
-    engine_patterns = [md.lhs_pattern for md in engine]
-    if engine_patterns != list(oracle):
-        # the first pattern only the engine returned, else the first only the
-        # oracle did; the oracle's pass measured the patterns it accepted
-        sample = next(p for p in engine_patterns + list(oracle) if (p in oracle) != (p in engine_patterns))
-        sup, conf = oracle[sample] if sample in oracle else oracle_measures(
-            relation, lhs, rhs, sample, rhs_pattern, metric, domain
+    returned = {pattern for pattern, _, _ in engine}
+    title, sample = "DISAGREEMENT", next(
+        (rule for rule in engine + truth if (rule[0] in oracle) != (rule[0] in returned)), None
+    )
+    if sample is None:
+        title, sample = "DISAGREEMENT on measures", next(
+            (rule for rule in engine if rule[1:] != oracle[rule[0]]), None
         )
-        engine_md = next((m for m in engine if m.lhs_pattern == sample), None)
-        lines = [
-            "DISAGREEMENT",
-            f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in sample.items())}}}",
-            f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
-            f"  engine: support={float(engine_md.support):.12g} "
-            f"confidence={float(engine_md.confidence):.12g}"
-            if engine_md
-            else "  engine: pattern not returned",
-        ]
-    else:
-        md = next(md for md in engine if (md.support, md.confidence) != oracle[md.lhs_pattern])
-        sup, conf = oracle[md.lhs_pattern]
-        lines = [
-            "DISAGREEMENT on measures",
-            f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in md.lhs_pattern.items())}}}",
-            f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
-            f"  engine: support={float(md.support):.12g} confidence={float(md.confidence):.12g}",
-        ]
+    if sample is None:
+        title = "DISAGREEMENT on order"
+        sample = next(ours or theirs for ours, theirs in zip_longest(engine, truth) if ours != theirs)
+    pattern = sample[0]
+    sup, conf = oracle[pattern] if pattern in oracle else oracle_measures(
+        relation, lhs, rhs, pattern, rhs_pattern, metric, domain
+    )
+    lines = [
+        title,
+        f"  pattern: {{{', '.join(f'{a.name}>={l}' for a, l in pattern.items())}}}",
+        f"  oracle: support={float(sup):.12g} confidence={float(conf):.12g}",
+        "  engine: pattern not returned"
+        if pattern not in returned
+        else f"  engine: support={float(sample[1]):.12g} confidence={float(sample[2]):.12g}",
+    ]
     _emit("\n".join(lines) + "\n", None)
     return 1
 

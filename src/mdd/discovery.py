@@ -111,6 +111,7 @@ from itertools import repeat
 import numpy as np
 
 from .distribution import pattern_mask, probability_order
+from .errors import ValidationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
@@ -134,19 +135,20 @@ from .model import (
 
 @dataclass
 class _Run:
-    """One engine run of a checked request over its lattice, holding the
-    records its scans read, in the order they read them: each record's flat
-    grid cell at its lhs levels, its count and whether it satisfies the rhs
-    pattern. An exact run reads all k = n records as given; epsc's drop pass
-    reads those that miss the rhs pattern (see _confidence_drops). An
-    approximate run holds only the first k records of the probability order,
-    k from compute_prefix_k, and carries api's bound factor, the bound over
-    min_support (see _stop_pass); an exact run has no factor."""
+    """One engine run of a checked request over the grid (d,)*m of its m lhs
+    attributes and its distribution's d levels, holding the records its
+    scans read, in their order: each record's flat grid cell at its lhs
+    levels, its count and whether it satisfies the rhs pattern. An exact run
+    reads all k = n records as given; epsc's drop pass reads those that miss
+    the rhs pattern (see _confidence_drops). An approximate run holds the
+    first k records of the probability order, k from compute_prefix_k, and
+    api's bound factor, the bound over min_support (see _stop_pass)."""
 
     dist: InitVar[StatDistribution]
     request: DiscoveryRequest
-    lattice: CandidateLattice
     counters: EvalCounters
+    domain: LevelDomain = field(init=False)
+    shape: tuple[int, ...] = field(init=False)
     cells: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
     rhs: np.ndarray = field(init=False)
@@ -167,13 +169,12 @@ class _Run:
             self.mode = EvaluationMode.approximate(self.k, request.epsilon)
             rows = probability_order(dist, self.k)
             self.counts, self.rhs = self.counts[rows], self.rhs[rows]
-        levels = dist.levels[rows][:, [dist.column_index(a) for a in self.lattice.attributes]]
-        # a level above the lattice's top satisfies every threshold the top does
-        np.minimum(levels, self.lattice.domain.d - 1, out=levels)
-        self.cells = np.ravel_multi_index(levels.T, _grid(self))
+        self.domain, self.shape = dist.domain, (dist.domain.d,) * len(request.lhs)
+        levels = dist.levels[rows][:, [dist.column_index(a) for a in request.lhs]]
+        self.cells = np.ravel_multi_index(levels.T, self.shape)
         num, den = request.min_support.numerator, request.min_support.denominator
         self.min_support_count = -((-num * self.pair_total) // den)
-        self.counters.candidates_total = self.lattice.candidate_count
+        self.counters.candidates_total = self.domain.d ** len(self.shape)
 
     def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> _Rules:
         """The accepted rules from their flat grid cells, in ascending order,
@@ -183,8 +184,8 @@ class _Run:
             self.counters.candidates_total - self.counters.candidates_evaluated
         )
         return _Rules(
-            self.lattice.attributes,
-            self.lattice.domain,
+            self.request.lhs,
+            self.domain,
             cells,
             joint,
             lhs,
@@ -210,7 +211,7 @@ def _build(cls: type, n: int, **fields) -> list:
 @dataclass(frozen=True)
 class _Rules:
     """One run's accepted rules as arrays, in level-tuple order: each rule's
-    flat grid cell over the lattice attributes and its int64 joint and lhs
+    flat grid cell over the lhs attributes and its int64 joint and lhs
     counts, with what every rule of the run shares. Support is
     joint / pair_total, confidence joint / lhs."""
 
@@ -225,7 +226,7 @@ class _Rules:
     counters: EvalCounters
 
     def levels(self) -> tuple[np.ndarray, ...]:
-        """Each rule's level on each lattice attribute, one array per attribute."""
+        """Each rule's level on each lhs attribute, one array per attribute."""
         return np.unravel_index(self.cells, (self.domain.d,) * len(self.attributes))
 
     def measures(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
@@ -294,11 +295,6 @@ class _Rules:
 # Candidates whose confidence is compared a block at a time, so the exact
 # integer products never need a temporary the size of the cube.
 _BLOCK = 1 << 16
-
-
-def _grid(run: _Run) -> tuple[int, ...]:
-    """The shape of the candidate grid, (d,)*m, indexed by levels."""
-    return (run.lattice.domain.d,) * len(run.lattice.attributes)
 
 
 def _upper_set_cube(shape: tuple[int, ...], cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -371,8 +367,8 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
     evaluated candidates whose confidence is below the minimum; the ones that
     also meet support stop reading at the drop (_confidence_drops)."""
     k, rhs = run.k, run.rhs
-    joint = _upper_set_cube(_grid(run), run.cells[rhs], run.counts[rhs])
-    lhs = _upper_set_cube(_grid(run), run.cells, run.counts)
+    joint = _upper_set_cube(run.shape, run.cells[rhs], run.counts[rhs])
+    lhs = _upper_set_cube(run.shape, run.cells, run.counts)
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
     count = joint.size if evaluated is None else int(np.count_nonzero(evaluated))
@@ -445,7 +441,7 @@ def _failures(run: _Run, thresholds: np.ndarray) -> tuple[np.ndarray, ...]:
     the support minimum, and the joint cube at all k records they come from.
     They are an upper set, from the joint cube at k - 1 records, the last
     test before the end, and at all k."""
-    k, shape, cells, counts = run.k, _grid(run), run.cells, run.counts
+    k, shape, cells, counts = run.k, run.shape, run.cells, run.counts
     rhs = run.rhs[: k - 1]
     joint = _upper_set_cube(shape, cells[: k - 1][rhs], counts[: k - 1][rhs])
     failed = joint < thresholds[k - 2] if k > 1 else np.ones(shape, dtype=bool)
@@ -495,8 +491,8 @@ def _stop_pass(
     np.copyto(masses[:count, 1], run.counts[records])
     np.multiply(masses[:count, 1], run.rhs[records], out=masses[:count, 0])
     # the lhs levels, one contiguous row per attribute, unravelled from the cells
-    d = run.lattice.domain.d
-    levels = np.full((len(run.lattice.attributes), size), -1, dtype=np.int16)
+    d = run.shape[0]
+    levels = np.full((len(run.shape), size), -1, dtype=np.int16)
     rest = run.cells[records]
     for row in levels[::-1]:
         row[:count] = rest % d
@@ -518,7 +514,7 @@ def _stop_pass(
         part = reading[lo:hi]
         limit = 0 if limits is None else limits[part, None]
         held = None
-        for row, cell_levels in zip(levels, np.unravel_index(cells[part], _grid(run))):
+        for row, cell_levels in zip(levels, np.unravel_index(cells[part], run.shape)):
             used = np.flatnonzero(np.bincount(cell_levels)).astype(row.dtype)
             packed = np.packbits(row[8 * first :] >= used[:, None], axis=1, bitorder="little")
             bits = packed[np.searchsorted(used, cell_levels)]
@@ -559,7 +555,7 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
         cells = np.arange(joint.size)
     del failed
     run.counters.candidates_evaluated += cells.size
-    lhs = _upper_set_cube(_grid(run), run.cells, run.counts).reshape(-1)
+    lhs = _upper_set_cube(run.shape, run.cells, run.counts).reshape(-1)
     if prune:
         lhs = lhs[cells]
     # a joint total below the threshold at record k - 2 bounds a cell at
@@ -777,25 +773,30 @@ def _engine(
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
     """A public engine's rules, from the request its arguments make: the
-    request's checks are the engine's."""
+    request's checks are the engine's. The lattice must be over the
+    distribution's level domain, the grid that the run counts and that the
+    lattice checked against the budget."""
     request = DiscoveryRequest.build(
         lattice.attributes, rhs_pattern.attributes, rhs_pattern,
         min_support, min_confidence, algorithm, epsilon,
     )
-    return _rules(dist, request, lattice, counters).mds()
+    if lattice.domain != dist.domain:
+        raise ValidationError(
+            f"the lattice is over d = {lattice.domain.d} levels, "
+            f"the distribution over d = {dist.domain.d}"
+        )
+    return _rules(dist, request, counters).mds()
 
 
 def _rules(
-    dist: StatDistribution,
-    request: DiscoveryRequest,
-    lattice: CandidateLattice,
-    counters: EvalCounters | None,
+    dist: StatDistribution, request: DiscoveryRequest, counters: EvalCounters | None
 ) -> _Rules:
     """The one entry point of every engine call, from the public engines,
-    run_request and the CLI: the request's algorithm over the lattice of its
-    lhs attributes, its accepted rules as arrays. A request is checked when
-    it is made."""
-    run = _Run(dist, request, lattice, EvalCounters() if counters is None else counters)
+    run_request and the CLI: the request's algorithm over the candidate grid
+    of its lhs attributes and the distribution's levels, its accepted rules
+    as arrays. A request is checked when it is made; the callers check the
+    grid against the candidate budget."""
+    run = _Run(dist, request, EvalCounters() if counters is None else counters)
     algorithm = request.algorithm
     if algorithm in (Algorithm.API, Algorithm.APSI):
         return _stop_scan(run, prune=algorithm is Algorithm.APSI)
@@ -813,7 +814,8 @@ def run_request(
     candidate_budget: int | None = None,
     counters: EvalCounters | None = None,
 ) -> list[DiscoveredMd]:
-    """Run the request's algorithm over a fresh candidate lattice."""
+    """Run the request's algorithm over every candidate of its lhs, once
+    their count passes the budget check."""
     budget = DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
-    lattice = CandidateLattice(request.lhs, dist.domain, budget)
-    return _rules(dist, request, lattice, counters).mds()
+    CandidateLattice(request.lhs, dist.domain, budget)
+    return _rules(dist, request, counters).mds()

@@ -128,8 +128,7 @@ def _cosine_rows(
     keys += np.repeat(np.arange(u), np.fromiter(map(len, bags), dtype=np.intp, count=u))
     del bags, flat, ids  # before the blocks allocate
     # One entry per (token, value), in posting-list order: by token, then value.
-    # _tally needs one key at least; a column may have no token at all
-    keys, count = _tally(keys) if len(keys) else (keys, keys)
+    keys, count = _tally(keys)
     token, owner = np.divmod(keys, u)
     del keys
     sq = np.zeros(u, dtype=np.int64)
@@ -298,9 +297,10 @@ def _level_matrix(values: Sequence[str], metric: MetricKind, domain: LevelDomain
 
 def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys, ascending, with their multiplicities; sorts ``keys`` in
-    place (``np.unique`` would sort a copy)."""
+    place (``np.unique`` would sort a copy). No keys give two empty arrays."""
     keys.sort()
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    # the first key starts a run; with no keys, nothing does
+    starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
     return keys[starts], np.diff(np.append(starts, len(keys)))
 
 
@@ -369,9 +369,8 @@ def _pair_histogram(
             else:
                 keys += weighted.take(col[s:], axis=0)
         for pairs in (keys[:w][np.tri(w, k=-1, dtype=bool)], keys[w:].reshape(-1)):
-            if len(pairs):
-                parts.append(_tally(pairs))
-                pending += len(parts[-1][0])
+            parts.append(_tally(pairs))
+            pending += len(parts[-1][0])
         # Fold the per-block tallies once they outgrow both a block and twice
         # the running total, so memory and merge work stay linear.
         if pending > limit:

@@ -2,10 +2,11 @@
 
 A pattern dominates another when it is componentwise lower or equal; lower
 patterns are satisfied by at least the records of higher ones. The engines
-count every candidate at once from upper-set cubes, so the lattice only
-validates the candidate set and checks it against the budget.
-``iter_levels`` lists the candidates in a dominance-respecting order (layers
-of nondecreasing level sum, lexicographic within a layer).
+count every candidate of the distribution's own level grid at once from
+upper-set cubes, so the lattice is only that grid's budget check; a public
+engine refuses one over another level domain. ``iter_levels`` lists the
+candidates in a dominance-respecting order (layers of nondecreasing level
+sum, lexicographic within a layer).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from mdd import (
     Algorithm,
     AttributeId,
-    CandidateLattice,
     DiscoveryRequest,
     EvalCounters,
     StatDistribution,
@@ -160,8 +159,7 @@ def writer_and_reference(dist, lhs, rhs_levels, algorithm, eta_s, eta_c, epsilon
         lhs, rhs, ThresholdPattern.over(rhs, rhs_levels), eta_s, eta_c, algorithm,
         epsilon if Algorithm.parse(algorithm).is_approximate else None,
     )
-    lattice = CandidateLattice(request.lhs, dist.domain)
-    got = _result_text(request, dist, _rules(dist, request, lattice, EvalCounters()))
+    got = _result_text(request, dist, _rules(dist, request, EvalCounters()))
     counters = EvalCounters()
     mds = run_request(dist, request, counters=counters)
     return got, reference_document(request, dist, mds, counters)
@@ -279,6 +277,25 @@ class TestValidationAndExitCodes:
             capsys=capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["discover", "distribution"])
+    def test_unknown_csv_attribute_lists_the_header(self, tmp_path, capsys, command):
+        if command == "discover":
+            argv = [*DISCOVER_BASE]
+            argv[argv.index("--rhs") + 1] = "Nope"
+        else:
+            argv = ["distribution", "--input", CONTACTS, "--attrs", "SIN,Nope",
+                    "--out", str(tmp_path / "c.dist")]
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: attribute 'Nope' not in CSV header (SIN, Name, CC, ZIP, City, Street)\n"
+        )
+
+    def test_unknown_cache_attribute_lists_the_cache(self, tmp_path, capsys):
+        code, err = discover_from_cache(tmp_path, "d=10 pairs=1 attrs=0:A,1:B", capsys, lhs="A,Nope")
+        assert code == 2
+        assert err == ["error: attribute 'Nope' not in distribution cache (A, B)"]
 
     def test_overlapping_sides_rejected_before_compute(self, capsys):
         code, _ = run_cli(
@@ -789,6 +806,26 @@ class TestVerifyCommand:
             "  oracle: support=0.266666666667 confidence=0.5\n"
             "  engine: support=0.5 confidence=0.5\n"
         )
+        assert oracle_calls == []
+
+    @pytest.mark.parametrize(
+        "change, sample",
+        [
+            (lambda rules: rules[::-1], "{Street>=8}"),
+            (lambda rules: [rules[0], rules[0], *rules[1:]], "{Street>=6}"),
+        ],
+        ids=["reversed", "repeated"],
+    )
+    def test_engine_order_is_a_disagreement_on_order(
+        self, monkeypatch, capsys, oracle_calls, change, sample
+    ):
+        self.engine_returns(monkeypatch, change)
+        code, out = run_cli(*VERIFY_STREET, capsys=capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:2] == ["DISAGREEMENT on order", f"  pattern: {sample}"]
+        # the pattern is on both sides with the same measures
+        assert len(lines) == 4 and lines[2].split(": ")[1] == lines[3].split(": ")[1]
         assert oracle_calls == []
 
     def test_agreement(self, capsys):

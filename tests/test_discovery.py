@@ -70,7 +70,7 @@ def api_run(dist, x_attrs, rhs, eta_s, eta_c, epsilon):
     request = DiscoveryRequest.build(
         x_attrs, rhs.attributes, rhs, eta_s, eta_c, Algorithm.API, epsilon
     )
-    return discovery._Run(dist, request, fresh_lattice(dist, x_attrs), EvalCounters())
+    return discovery._Run(dist, request, EvalCounters())
 
 
 def api_bounds(run):
@@ -594,7 +594,7 @@ class TestComputePrefixK:
         Y = dist.attribute_set[len(X):]
         for algo in (Algorithm.AP, Algorithm.API, Algorithm.APS, Algorithm.APSI):
             request = DiscoveryRequest.build(X, Y, rhs, eta_s, eta_c, algo, epsilon)
-            rules = discovery._rules(inputs["shuffled"], request, fresh_lattice(dist, X), None)
+            rules = discovery._rules(inputs["shuffled"], request, None)
             assert rules.mode.prefix_k == got.prefix_k, algo
 
     @pytest.mark.parametrize("seed", range(8))
@@ -1316,11 +1316,11 @@ class TestStopPassMemory:
     def _peak(self, algorithm, dist, X, rhs, eta_s, eta_c, epsilon):
         """The traced peak of one scan, up to its rule arrays: the rule
         objects would add about 500 bytes a rule."""
-        sdist, lattice = sort_by_probability_desc(dist), fresh_lattice(dist, X)
+        sdist = sort_by_probability_desc(dist)
         request = DiscoveryRequest.build(X, rhs.attributes, rhs, eta_s, eta_c, algorithm, epsilon)
         tracemalloc.start()
         try:
-            discovery._rules(sdist, request, lattice, None)
+            discovery._rules(sdist, request, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1648,6 +1648,32 @@ class TestEngineArguments:
         assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
+class TestLatticeDomain:
+    """A run counts the grid of its distribution's own levels, which the
+    lattice checked against the budget, so a public engine refuses a lattice
+    over any other level domain, once the request's own checks pass."""
+
+    ENGINES = [ea, eps, epsc, ap, api, aps, apsi]
+
+    def call(self, engine, d, min_support="1/20"):
+        dist, X, Y = random_distribution(random.Random(21), m_x=2, d=4)
+        lattice = CandidateLattice(X, LevelDomain(d))
+        extra = ["1/2"] if Algorithm.parse(engine.__name__).is_approximate else []
+        return engine(dist, lattice, ThresholdPattern.over(Y, [1]), min_support, "3/10", *extra)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_engines_refuse_another_level_domain(self, engine, d):
+        with pytest.raises(ValidationError) as refused:
+            self.call(engine, d)
+        assert str(refused.value) == f"the lattice is over d = {d} levels, the distribution over d = 4"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_request_errors_come_first(self, engine):
+        with pytest.raises(ValidationError, match="min_support"):
+            self.call(engine, 3, min_support=0)
+
+
 class TestMdsPausesTheCollector:
     """``_Rules.mds()`` builds its objects with the cyclic collector off and
     leaves the collector as the caller had it. A ``gc.callbacks`` hook
@@ -1680,7 +1706,7 @@ class TestMdsPausesTheCollector:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), "0.02", "0.2", Algorithm.EPS
         )
-        rules = discovery._rules(dist, request, fresh_lattice(dist, X), None)
+        rules = discovery._rules(dist, request, None)
         assert len(rules.cells) > 1
         return rules
 
@@ -1845,7 +1871,7 @@ class TestBulkRuleBuild:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), Fraction(1, 10**6), Fraction(1, 100), Algorithm.EPS
         )
-        rules = discovery._rules(dist, request, fresh_lattice(dist, X), None)
+        rules = discovery._rules(dist, request, None)
         assert len(rules.cells) > 2000
         tracemalloc.start()
         try:

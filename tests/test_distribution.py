@@ -328,6 +328,13 @@ def histogram_inputs(draw):
     return codes, matrices, d
 
 
+class TestTally:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, object])
+    def test_no_keys_give_two_empty_arrays(self, dtype):
+        keys, counts = distribution_module._tally(np.array([], dtype=dtype))
+        assert (keys.dtype, keys.size, counts.size) == (np.dtype(dtype), 0, 0)
+
+
 class TestPairHistogram:
     """The row-block histogram against a pair-by-pair loop."""
 
