@@ -6,8 +6,8 @@ Commands:
     mdd verify         cross-check an algorithm against the brute-force oracle
 
 Exit codes: 0 success (an empty, "infeasible" result is still success),
-2 validation error, 3 I/O error, 4 candidate budget exceeded or out of
-memory.
+2 validation error, 3 I/O error, 4 candidate budget exceeded, a candidate
+grid too large to count, or out of memory.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SchemaMismatchError,
     ValidationError,
 )
-from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
+from .lattice import DEFAULT_CANDIDATE_BUDGET
 from .model import (
     Algorithm,
     AttributeId,
@@ -84,11 +84,13 @@ def _resolve_attrs(
 ) -> list[AttributeId]:
     """The attributes that ``flag``'s comma-separated ``raw`` names, looked
     up in ``attributes``, a CSV header or a distribution cache as ``source``
-    says; the first of equal names wins."""
+    says: the first of equal names wins, and a name that none equals falls
+    back to the first whose surrounding whitespace is stripped."""
     names = [part.strip() for part in raw.split(",")]
     if any(not n for n in names):
         raise ValidationError(f"{flag} has an empty attribute name in {raw!r}")
-    by_name = {a.name: a for a in reversed(attributes)}
+    by_name = {a.name.strip(): a for a in reversed(attributes)}
+    by_name.update({a.name: a for a in reversed(attributes)})
     for name in names:
         if name not in by_name:
             raise SchemaMismatchError(
@@ -332,13 +334,13 @@ def _result_text(request: DiscoveryRequest, dist: StatDistribution, rules: _Rule
 
 def cmd_discover(args) -> int:
     dist, request = _load_inputs(args)
-    lattice = CandidateLattice(request.lhs, dist.domain, args.candidate_budget)
     try:
-        rules = _rules(dist, request, EvalCounters())
+        rules = _rules(dist, request, EvalCounters(), args.candidate_budget)
     except MemoryError:  # a raised budget can let the search outgrow memory
         raise CandidateBudgetError(
-            f"out of memory for the d^m = {lattice.candidate_count} candidates that --candidate-budget "
-            f"{args.candidate_budget} allows; lower --levels, the lhs attributes or the budget"
+            f"out of memory for the d^m = {dist.domain.d ** len(request.lhs)} candidates that "
+            f"--candidate-budget {args.candidate_budget} allows; lower --levels, the lhs "
+            "attributes or the budget"
         ) from None
     _emit(_result_text(request, dist, rules), args.out)
     return EXIT_OK

@@ -13,8 +13,9 @@ stops a candidate where its running confidence drops below the minimum. ap
 and aps are ea and eps over the first k records; api and apsi add a
 per-candidate stop once the unseen mass is within the candidate's own
 bound. Every run enters through _rules with a DiscoveryRequest, which
-checked its arguments when it was made: the public engines build one from
-theirs, run_request and the CLI pass their own. Every scan ends in one
+checked its arguments when it was made, and a budget its grid must meet:
+the public engines build one from theirs and pass their lattice's budget,
+run_request and the CLI pass their own. Every scan ends in one
 _Rules record, the accepted rules' grid cells and joint and lhs counts as
 arrays: the engines and run_request turn it into DiscoveredMd objects, and
 the CLI writes its document from the arrays.
@@ -111,7 +112,7 @@ from itertools import repeat
 import numpy as np
 
 from .distribution import pattern_mask, probability_order
-from .errors import ValidationError
+from .errors import CandidateBudgetError, ValidationError
 from .lattice import DEFAULT_CANDIDATE_BUDGET, CandidateLattice
 from .model import (
     Algorithm,
@@ -142,11 +143,16 @@ class _Run:
     reads all k = n records as given; epsc's drop pass reads those that miss
     the rhs pattern (see _confidence_drops). An approximate run holds the
     first k records of the probability order, k from compute_prefix_k, and
-    api's bound factor, the bound over min_support (see _stop_pass)."""
+    api's bound factor, the bound over min_support (see _stop_pass). Before
+    it reads the distribution, the run checks the grid's size d^m against
+    the caller's budget and the int64 cube numpy can size. It adds its own
+    work to every counter, so counters passed to several runs hold their
+    sum."""
 
     dist: InitVar[StatDistribution]
     request: DiscoveryRequest
     counters: EvalCounters
+    candidate_budget: InitVar[int]
     domain: LevelDomain = field(init=False)
     shape: tuple[int, ...] = field(init=False)
     cells: np.ndarray = field(init=False)
@@ -158,8 +164,20 @@ class _Run:
     mode: EvaluationMode = field(init=False)
     factor: Fraction | None = field(init=False, default=None)
 
-    def __post_init__(self, dist: StatDistribution) -> None:
+    def __post_init__(self, dist: StatDistribution, candidate_budget: int) -> None:
         request, rows = self.request, slice(None)
+        d, m = dist.domain.d, len(request.lhs)
+        self.domain, self.shape = dist.domain, (d,) * m
+        if candidate_budget < 1:
+            raise ValidationError(f"candidate budget must be at least 1 (got {candidate_budget})")
+        space = f"candidate space d^m = {d}^{m} = {d**m}"
+        if d**m > candidate_budget:
+            raise CandidateBudgetError(
+                f"{space} exceeds the budget of {candidate_budget}; reduce the level count d or "
+                "the number of lhs attributes, or raise --candidate-budget"
+            )
+        if d**m > np.iinfo(np.intp).max // 8:  # numpy sizes the int64 cube in intp bytes
+            raise CandidateBudgetError(f"{space} is too large to count; reduce d or m")
         self.counts, self.rhs = dist.counts, pattern_mask(dist, request.rhs_pattern)
         self.k, self.mode, self.pair_total = dist.n, EvaluationMode.exact(), dist.pair_total
         if request.algorithm.is_approximate:
@@ -169,20 +187,22 @@ class _Run:
             self.mode = EvaluationMode.approximate(self.k, request.epsilon)
             rows = probability_order(dist, self.k)
             self.counts, self.rhs = self.counts[rows], self.rhs[rows]
-        self.domain, self.shape = dist.domain, (dist.domain.d,) * len(request.lhs)
         levels = dist.levels[rows][:, [dist.column_index(a) for a in request.lhs]]
         self.cells = np.ravel_multi_index(levels.T, self.shape)
         num, den = request.min_support.numerator, request.min_support.denominator
         self.min_support_count = -((-num * self.pair_total) // den)
-        self.counters.candidates_total = self.domain.d ** len(self.shape)
 
-    def finish(self, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> _Rules:
+    def finish(
+        self, evaluated: int, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray
+    ) -> _Rules:
         """The accepted rules from their flat grid cells, in ascending order,
         and their joint and lhs counts: ascending C-order cells are ascending
-        level tuples."""
-        self.counters.candidates_pruned_support = (
-            self.counters.candidates_total - self.counters.candidates_evaluated
-        )
+        level tuples. ``evaluated`` candidates were evaluated; the rest of the
+        grid was pruned by support."""
+        total = self.domain.d ** len(self.shape)
+        self.counters.candidates_total += total
+        self.counters.candidates_evaluated += evaluated
+        self.counters.candidates_pruned_support += total - evaluated
         return _Rules(
             self.request.lhs,
             self.domain,
@@ -372,7 +392,6 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
     meets = joint >= run.min_support_count
     evaluated = _evaluated(meets) if prune else None
     count = joint.size if evaluated is None else int(np.count_nonzero(evaluated))
-    run.counters.candidates_evaluated += count
     run.counters.records_evaluated += k * count
     confident = _confident(run, joint, lhs)
     if confidence_stop:
@@ -388,7 +407,7 @@ def _cube_scan(run: _Run, *, prune: bool, confidence_stop: bool = False) -> _Rul
     # every candidate that meets support is evaluated: its predecessors do too
     confident &= meets
     cells = np.flatnonzero(confident)
-    return run.finish(cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
+    return run.finish(count, cells, joint.reshape(-1)[cells], lhs.reshape(-1)[cells])
 
 
 def _confidence_drops(run: _Run, cells: np.ndarray, joint: np.ndarray, lhs: np.ndarray) -> int:
@@ -554,7 +573,6 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     else:
         cells = np.arange(joint.size)
     del failed
-    run.counters.candidates_evaluated += cells.size
     lhs = _upper_set_cube(run.shape, run.cells, run.counts).reshape(-1)
     if prune:
         lhs = lhs[cells]
@@ -567,7 +585,7 @@ def _stop_scan(run: _Run, *, prune: bool) -> _Rules:
     run.counters.records_evaluated += read
     keep = joint >= run.min_support_count
     keep &= _confident(run, joint, lhs)
-    return run.finish(cells[keep], joint[keep], lhs[keep])
+    return run.finish(cells.size, cells[keep], joint[keep], lhs[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +792,8 @@ def _engine(
 ) -> list[DiscoveredMd]:
     """A public engine's rules, from the request its arguments make: the
     request's checks are the engine's. The lattice must be over the
-    distribution's level domain, the grid that the run counts and that the
-    lattice checked against the budget."""
+    distribution's level domain, the grid that the run counts and checks
+    against the lattice's budget."""
     request = DiscoveryRequest.build(
         lattice.attributes, rhs_pattern.attributes, rhs_pattern,
         min_support, min_confidence, algorithm, epsilon,
@@ -785,18 +803,19 @@ def _engine(
             f"the lattice is over d = {lattice.domain.d} levels, "
             f"the distribution over d = {dist.domain.d}"
         )
-    return _rules(dist, request, counters).mds()
+    return _rules(dist, request, counters, lattice.candidate_budget).mds()
 
 
 def _rules(
-    dist: StatDistribution, request: DiscoveryRequest, counters: EvalCounters | None
+    dist: StatDistribution, request: DiscoveryRequest, counters: EvalCounters | None,
+    candidate_budget: int,
 ) -> _Rules:
     """The one entry point of every engine call, from the public engines,
     run_request and the CLI: the request's algorithm over the candidate grid
     of its lhs attributes and the distribution's levels, its accepted rules
-    as arrays. A request is checked when it is made; the callers check the
-    grid against the candidate budget."""
-    run = _Run(dist, request, EvalCounters() if counters is None else counters)
+    as arrays. A request is checked when it is made, and the run checks the
+    grid against the caller's candidate budget."""
+    run = _Run(dist, request, EvalCounters() if counters is None else counters, candidate_budget)
     algorithm = request.algorithm
     if algorithm in (Algorithm.API, Algorithm.APSI):
         return _stop_scan(run, prune=algorithm is Algorithm.APSI)
@@ -817,5 +836,4 @@ def run_request(
     """Run the request's algorithm over every candidate of its lhs, once
     their count passes the budget check."""
     budget = DEFAULT_CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
-    CandidateLattice(request.lhs, dist.domain, budget)
-    return _rules(dist, request, counters).mds()
+    return _rules(dist, request, counters, budget).mds()

@@ -1,5 +1,8 @@
 """Build the pairwise-similarity statistical distribution from a relation,
-reorder it for the discovery algorithms, and persist it to a cache file.
+persist it to a cache file, and reorder it in the paper's orders: grouped by
+the rhs pattern, and by nonincreasing probability. No engine needs either
+reorder, as every engine reads the records in place; they are kept for
+callers who want the orders themselves.
 
 Construction covers all N*(N-1)/2 unordered tuple pairs; no blocking or
 sampling is applied, so the resulting counts are exact. It works through

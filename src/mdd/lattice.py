@@ -1,19 +1,17 @@
 """The candidate threshold patterns of one discovery run.
 
 A pattern dominates another when it is componentwise lower or equal; lower
-patterns are satisfied by at least the records of higher ones. The engines
-count every candidate of the distribution's own level grid at once from
-upper-set cubes, so the lattice is only that grid's budget check; a public
-engine refuses one over another level domain. ``iter_levels`` lists the
-candidates in a dominance-respecting order (layers of nondecreasing level
-sum, lexicographic within a layer).
+patterns are satisfied by at least the records of higher ones. A lattice
+names the lhs attributes, level domain and candidate budget of an engine
+run, which checks the grid's size d^m against the budget. ``iter_levels``
+lists the candidates in a dominance-respecting order (layers of
+nondecreasing level sum, lexicographic within a layer).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import CandidateBudgetError, ValidationError
 from .model import AttributeId, LevelDomain
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
@@ -39,7 +37,7 @@ def _level_tuples(m: int, max_level: int) -> Iterator[tuple[int, ...]]:
 
 class CandidateLattice:
     """The candidate set dom(X) for one discovery run: its attributes, level
-    domain and size d^m, which must not exceed the candidate budget."""
+    domain and the budget that an engine run checks its size d^m against."""
 
     def __init__(
         self,
@@ -47,23 +45,9 @@ class CandidateLattice:
         domain: LevelDomain,
         candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
     ) -> None:
-        attributes = tuple(attributes)
-        if candidate_budget < 1:
-            raise ValidationError(f"candidate budget must be at least 1 (got {candidate_budget})")
-        if not attributes:
-            raise ValidationError("candidate lattice needs at least one attribute")
-        if len(set(attributes)) != len(attributes):
-            raise ValidationError("duplicate attributes in lattice")
-        count = domain.d ** len(attributes)
-        if count > candidate_budget:
-            raise CandidateBudgetError(
-                f"candidate space d^m = {domain.d}^{len(attributes)} = {count} exceeds "
-                f"the budget of {candidate_budget}; reduce the level count d or the "
-                "number of lhs attributes, or raise --candidate-budget"
-            )
-        self.attributes = attributes
+        self.attributes = tuple(attributes)
         self.domain = domain
-        self.candidate_count = count
+        self.candidate_budget = candidate_budget
 
     def iter_levels(self) -> Iterator[tuple[int, ...]]:
         """Every candidate's level tuple, in dominance-respecting order."""

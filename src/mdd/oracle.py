@@ -28,6 +28,14 @@ from .simkit import MetricMap, discretize, resolve_metrics, similarity
 ORACLE_CANDIDATE_CAP = 10_000
 
 
+def _tuple_count(relation: Relation) -> int:
+    """The relation's tuple count, which must be at least 2 to form a pair."""
+    n = relation.tuple_count
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 tuples to form pairs, got {n}")
+    return n
+
+
 def _pair_levels(
     relation: Relation,
     attrs: Sequence[AttributeId],
@@ -62,9 +70,7 @@ def oracle_measures(
 
     Confidence is 0 when no pair satisfies the lhs pattern.
     """
-    n = relation.tuple_count
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 tuples to form pairs, got {n}")
+    n = _tuple_count(relation)
     lhs, rhs = tuple(lhs), tuple(rhs)
     if not set(lhs_pattern.attributes) <= set(lhs):
         raise SchemaMismatchError("lhs_pattern mentions attributes outside lhs")
@@ -148,6 +154,7 @@ def _oracle_rules(
         raise CandidateBudgetError(
             f"oracle candidate space {count} exceeds the desk-scale cap {candidate_cap}"
         )
+    _tuple_count(relation)
 
     pairs = _pair_levels(relation, lhs + rhs, metrics, domain)
     pair_total = len(pairs)

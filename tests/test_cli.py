@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdd import (
+    DEFAULT_CANDIDATE_BUDGET,
     Algorithm,
     AttributeId,
     DiscoveryRequest,
@@ -159,7 +160,8 @@ def writer_and_reference(dist, lhs, rhs_levels, algorithm, eta_s, eta_c, epsilon
         lhs, rhs, ThresholdPattern.over(rhs, rhs_levels), eta_s, eta_c, algorithm,
         epsilon if Algorithm.parse(algorithm).is_approximate else None,
     )
-    got = _result_text(request, dist, _rules(dist, request, EvalCounters()))
+    rules = _rules(dist, request, EvalCounters(), DEFAULT_CANDIDATE_BUDGET)
+    got = _result_text(request, dist, rules)
     counters = EvalCounters()
     mds = run_request(dist, request, counters=counters)
     return got, reference_document(request, dist, mds, counters)
@@ -684,6 +686,70 @@ class TestDistributionCommand:
             assert code == 0
             outputs.append((out[: -len(str(cache)) - 1], cache.read_bytes(), doc))
         assert outputs[0] == outputs[1]
+
+
+class TestHeaderWhitespace:
+    """A flag's attribute name equals a header or cache name as written, or
+    failing that, the first one whose surrounding whitespace is stripped;
+    documents and caches keep the name as the header writes it."""
+
+    @pytest.fixture
+    def spaced(self, tmp_path):
+        # contacts.csv with a space after every comma of its header
+        lines = Path(CONTACTS).read_text(encoding="utf-8").splitlines(keepends=True)
+        path = tmp_path / "spaced.csv"
+        path.write_text(lines[0].replace(",", ", ") + "".join(lines[1:]), encoding="utf-8")
+        return str(path)
+
+    QUERY = ["--lhs", "Name,Street", "--rhs", "City", "--rhs-levels", "6",
+             "--min-support", "0.1", "--min-confidence", "0.5"]
+
+    def test_exact_names_come_first(self):
+        attrs = [AttributeId(0, "A"), AttributeId(1, " B"), AttributeId(2, "B"),
+                 AttributeId(3, "C "), AttributeId(4, " C")]
+        resolve = cli_module._resolve_attrs
+        assert resolve(attrs, "CSV header", "A, B,C", "--lhs") == [attrs[0], attrs[2], attrs[3]]
+        assert resolve(attrs[:2], "CSV header", "B", "--lhs") == [attrs[1]]
+        with pytest.raises(cli_module.SchemaMismatchError) as raised:
+            resolve(attrs, "CSV header", "D", "--lhs")
+        assert str(raised.value) == "attribute 'D' not in CSV header (A,  B, B, C ,  C)"
+
+    @pytest.mark.parametrize("attrs", ["Name,City", "Name, City", " Name , City "])
+    def test_distribution(self, spaced, tmp_path, capsys, attrs):
+        cache = tmp_path / "spaced.dist"
+        code, out = run_cli("distribution", "--input", spaced, "--attrs", attrs,
+                            "--out", str(cache), capsys=capsys)
+        assert (code, out) == (0, f"n=5 pair_total=15 d=10 out={cache}\n")
+        assert "attrs=1:%20Name,4:%20City " in cache.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("algorithm", [a.value for a in Algorithm])
+    def test_discover_input_and_dist(self, spaced, tmp_path, capsys, algorithm):
+        query = [*self.QUERY, "--algorithm", algorithm]
+        if Algorithm.parse(algorithm).is_approximate:
+            query += ["--epsilon", "0.25"]
+        code, plain = run_cli("discover", "--input", CONTACTS, *query, capsys=capsys)
+        assert code == 0
+        code, text = run_cli("discover", "--input", spaced, *query, capsys=capsys)
+        assert code == 0
+        cache = tmp_path / "spaced.dist"
+        code, _ = run_cli("distribution", "--input", spaced, "--attrs", "Name,Street,City",
+                          "--out", str(cache), capsys=capsys)
+        assert code == 0
+        code, cached = run_cli("discover", "--dist", str(cache), *query, capsys=capsys)
+        assert code == 0
+        doc, cached_doc, plain_doc = json.loads(text), json.loads(cached), json.loads(plain)
+        assert doc["request"]["lhs"] == [" Name", " Street"] and doc["request"]["rhs"] == [" City"]
+        assert doc["mds"] == cached_doc["mds"]
+        # the rules are contacts.csv's, under the names as written
+        assert [md["support_exact"] for md in doc["mds"]] == [
+            md["support_exact"] for md in plain_doc["mds"]
+        ]
+        assert all(set(md["lhs_levels"]) <= {" Name", " Street"} for md in doc["mds"])
+        assert doc["counters"] == cached_doc["counters"] == plain_doc["counters"]
+
+    def test_verify(self, spaced, capsys):
+        code, out = run_cli("verify", "--input", spaced, *self.QUERY, capsys=capsys)
+        assert code == 0 and out.startswith("AGREEMENT: ")
 
 
 class TestJsonRoundTrip:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mdd import (
+    DEFAULT_CANDIDATE_BUDGET,
     AttributeId,
     CandidateLattice,
     DiscoveredMd,
@@ -70,7 +71,7 @@ def api_run(dist, x_attrs, rhs, eta_s, eta_c, epsilon):
     request = DiscoveryRequest.build(
         x_attrs, rhs.attributes, rhs, eta_s, eta_c, Algorithm.API, epsilon
     )
-    return discovery._Run(dist, request, EvalCounters())
+    return discovery._Run(dist, request, EvalCounters(), DEFAULT_CANDIDATE_BUDGET)
 
 
 def api_bounds(run):
@@ -594,7 +595,7 @@ class TestComputePrefixK:
         Y = dist.attribute_set[len(X):]
         for algo in (Algorithm.AP, Algorithm.API, Algorithm.APS, Algorithm.APSI):
             request = DiscoveryRequest.build(X, Y, rhs, eta_s, eta_c, algo, epsilon)
-            rules = discovery._rules(inputs["shuffled"], request, None)
+            rules = discovery._rules(inputs["shuffled"], request, None, DEFAULT_CANDIDATE_BUDGET)
             assert rules.mode.prefix_k == got.prefix_k, algo
 
     @pytest.mark.parametrize("seed", range(8))
@@ -1320,7 +1321,7 @@ class TestStopPassMemory:
         request = DiscoveryRequest.build(X, rhs.attributes, rhs, eta_s, eta_c, algorithm, epsilon)
         tracemalloc.start()
         try:
-            discovery._rules(sdist, request, None)
+            discovery._rules(sdist, request, None, DEFAULT_CANDIDATE_BUDGET)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1649,9 +1650,9 @@ class TestEngineArguments:
 
 
 class TestLatticeDomain:
-    """A run counts the grid of its distribution's own levels, which the
-    lattice checked against the budget, so a public engine refuses a lattice
-    over any other level domain, once the request's own checks pass."""
+    """A run counts the grid of its distribution's own levels and checks it
+    against the lattice's budget, so a public engine refuses a lattice over
+    any other level domain, once the request's own checks pass."""
 
     ENGINES = [ea, eps, epsc, ap, api, aps, apsi]
 
@@ -1706,7 +1707,7 @@ class TestMdsPausesTheCollector:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), "0.02", "0.2", Algorithm.EPS
         )
-        rules = discovery._rules(dist, request, None)
+        rules = discovery._rules(dist, request, None, DEFAULT_CANDIDATE_BUDGET)
         assert len(rules.cells) > 1
         return rules
 
@@ -1871,7 +1872,7 @@ class TestBulkRuleBuild:
         request = DiscoveryRequest.build(
             X, Y, ThresholdPattern.over(Y, [1]), Fraction(1, 10**6), Fraction(1, 100), Algorithm.EPS
         )
-        rules = discovery._rules(dist, request, None)
+        rules = discovery._rules(dist, request, None, DEFAULT_CANDIDATE_BUDGET)
         assert len(rules.cells) > 2000
         tracemalloc.start()
         try:
@@ -2024,6 +2025,44 @@ class TestPlainInputs:
             # group; every other engine reads a set of records
             if algo != Algorithm.EPSC:
                 assert run_engine(algo, permuted, X, rhs, eta_s, eta_c, epsilon) == got, algo
+
+
+def run_request_counters(counters, dist, X, rhs, eta_s, eta_c, epsilon, algo):
+    """run_request's rules for one bound case, its work added to ``counters``."""
+    request = DiscoveryRequest.build(X, rhs.attributes, rhs, eta_s, eta_c, algo,
+                                     epsilon=epsilon if algo.is_approximate else None)
+    return result_key(run_request(dist, request, counters=counters))
+
+
+def engine_counters(counters, dist, X, rhs, eta_s, eta_c, epsilon, algo):
+    """The public engine's rules for one bound case, its work added to
+    ``counters``."""
+    extra = [epsilon] if algo.is_approximate else []
+    engine = getattr(discovery, algo.value)
+    return result_key(engine(dist, fresh_lattice(dist, X), rhs, eta_s, eta_c, *extra,
+                             counters=counters))
+
+
+class TestSharedCounters:
+    """Every run adds its own work to every counter, so one EvalCounters
+    passed to several runs holds the field-wise sum of their fresh counters,
+    and the rules do not change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=bound_cases(), second=bound_cases())
+    @pytest.mark.parametrize("call", [engine_counters, run_request_counters])
+    def test_runs_into_one_object_sum(self, call, first, second):
+        for algo in Algorithm:
+            fresh = [EvalCounters(), EvalCounters()]
+            rules = [call(c, *case, algo) for c, case in zip(fresh, (first, second))]
+            shared = EvalCounters()
+            assert [call(shared, *case, algo) for case in (first, second)] == rules
+            assert shared == EvalCounters(*map(sum, zip(*map(dataclasses.astuple, fresh)))), algo
+            # the same query twice reads twice the work, and prunes none the less
+            twice = EvalCounters()
+            call(twice, *first, algo)
+            call(twice, *first, algo)
+            assert twice == EvalCounters(*(2 * n for n in dataclasses.astuple(fresh[0]))), algo
 
 
 @st.composite

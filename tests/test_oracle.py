@@ -12,13 +12,15 @@ import pytest
 
 from mdd import (
     CandidateBudgetError,
+    InsufficientDataError,
     LevelDomain,
+    Relation,
     ThresholdPattern,
     oracle_discover,
     oracle_measures,
 )
 
-from conftest import random_relation
+from conftest import CONTACT_COLUMNS, CONTACT_ROWS, random_relation
 
 
 class TestOracleMeasures:
@@ -139,3 +141,17 @@ class TestOracleDiscover:
                 "0.1", "0.5", cosine_word, LevelDomain(30),
                 candidate_cap=10_000,
             )
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_cannot_form_pairs(self, contacts, domain10, cosine_word, rows):
+        # both references refuse the input with the same error, before any pair
+        rel = Relation.from_rows(CONTACT_COLUMNS, CONTACT_ROWS[:rows])
+        street, city = rel.attribute("Street"), rel.attribute("City")
+        rhs = ThresholdPattern.of({city: 1})
+        message = f"need at least 2 tuples to form pairs, got {rows}"
+        with pytest.raises(InsufficientDataError) as discovered:
+            oracle_discover(rel, [street], [city], rhs, "0.1", "0.5", cosine_word, domain10)
+        with pytest.raises(InsufficientDataError) as measured:
+            oracle_measures(rel, [street], [city], ThresholdPattern.of({street: 1}), rhs,
+                            cosine_word, domain10)
+        assert str(discovered.value) == str(measured.value) == message
